@@ -7,11 +7,12 @@ is a per-call memo table in the Hilbert-numerator recursion.
 
 from __future__ import annotations
 
+import heapq
 import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import PreconditionError
+from .errors import PreconditionError, ToricPolarError
 from .field import PrimeField
 from .poly import GREVLEX, MonomialOrder, Polynomial, block_order
 
@@ -90,12 +91,15 @@ class GroebnerBasis:
     def s_polynomials_reduce_to_zero(self) -> bool:
         """Debug check of the defining property."""
         k = self.field.kernel
-        for i in range(len(self.elements)):
-            for j in range(i + 1, len(self.elements)):
-                s = _s_polynomial(self.elements[i], self.elements[j],
-                                  k.exp_lcm(self._lead_exps[i], self._lead_exps[j]),
-                                  self.order)
-                if not self.normal_form(s).is_zero():
+        p = self.field.p
+        lead, invs, elems = self._lead_exps, self._lead_invs, self.elements
+        for i in range(len(elems)):
+            for j in range(i + 1, len(elems)):
+                s = _s_terms(k, p, elems[i].terms, lead[i], invs[i],
+                             elems[j].terms, lead[j], invs[j],
+                             k.exp_lcm(lead[i], lead[j]))
+                if k.normal_form_terms(s, lead, invs, self._tails, p,
+                                       self.order.code, self.order.block):
                     return False
         return True
 
@@ -106,107 +110,123 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def _s_polynomial(f: Polynomial, g: Polynomial, lcm_exp: tuple,
-                  order: MonomialOrder) -> Polynomial:
-    k = f.field.kernel
-    p = f.field.p
-    fe, fc = f.leading_term(order)
-    ge, gc = g.leading_term(order)
-    a = k.term_mul(f.terms, k.exp_sub(lcm_exp, fe), f.field.inv(fc), p)
-    b = k.term_mul(g.terms, k.exp_sub(lcm_exp, ge), g.field.inv(gc), p)
-    return Polynomial(f.field, f.arity, k.sub_terms(a, b, p), _clean=True)
+def _s_terms(k, p: int, f: dict, fe: tuple, f_inv: int, g: dict, ge: tuple,
+             g_inv: int, lcm_exp: tuple) -> dict:
+    """Terms of the S-polynomial of f and g, given each leading exponent and
+    the inverse of each leading coefficient."""
+    a = k.term_mul(f, k.exp_sub(lcm_exp, fe), f_inv, p)
+    b = k.term_mul(g, k.exp_sub(lcm_exp, ge), g_inv, p)
+    return k.sub_terms(a, b, p)
 
 
 def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
-    """Reduced Gröbner basis of I; deterministic given the generator order.
+    """Reduced Gröbner basis of I; it is unique, so it does not depend on
+    the order of the generators or of the pair selection.
 
-    Uses the normal selection strategy and the two classical pair
-    criteria (coprime leading terms, chain criterion).
+    S-pairs wait in a heap keyed, once at creation, by (sugar, lcm in the
+    order, i, j); the sugar strategy (Giovini, Mora, Niesi, Robbiano and
+    Traverso, ISSAC 1991) ranks a pair by the degree it would have if the
+    input were homogenized, which matters because the generator 1 - t*g of
+    `saturate` makes the ideal inhomogeneous.  Each new element passes
+    through the Gebauer-Möller update (J. Symbolic Comput. 6, 1988): its own
+    pairs are filtered by the M, F and product criteria, old pairs by the
+    B_k criterion, and elements whose leading term it divides leave the
+    active set.  A dropped old pair is deleted from `live` and skipped when
+    the heap returns it.  The active set ends as the minimal basis, which
+    one tail-reduction pass turns into the reduced basis.
     """
     fld = I.field
     k = fld.kernel
     p = fld.p
+    lcm_of = k.exp_lcm
+    divides = k.exp_divides
 
-    basis: list[Polynomial] = []
+    basis: list[dict] = []  # monic elements as term dicts
     lead: list[tuple] = []
     invs: list[int] = []
     tails: list[dict] = []
-    pairs: dict[tuple[int, int], tuple] = {}
+    sugar: list[int] = []
+    active: list[int] = []
+    live: dict[tuple[int, int], tuple] = {}
+    heap: list[tuple] = []
 
     def reduce_terms(terms: dict) -> dict:
         return k.normal_form_terms(terms, lead, invs, tails, p,
                                    order.code, order.block)
 
-    def append(g: Polynomial):
-        e, c = g.leading_term(order)
-        if c != 1:
-            g = g * fld.inv(c)
-        j = len(basis)
-        for i in range(j):
-            pairs[(i, j)] = k.exp_lcm(lead[i], e)
-        basis.append(g)
+    def append(terms: dict, s: int):
+        e = k.leading_exponent(terms, order.code, order.block)
+        if terms[e] != 1:
+            terms = k.scale_terms(terms, fld.inv(terms[e]), p)
+        h = len(basis)
+        # pairs (i, h): M and F criteria against the other new pairs; pairs
+        # with coprime leading terms serve as witnesses, then the product
+        # criterion drops them
+        cand = [(i, lcm_of(lead[i], e)) for i in active]
+        kept = []
+        while cand:
+            i, m = cand.pop()
+            if (m == k.exp_add(lead[i], e)
+                    or not any(divides(q, m) for _, q in cand)
+                    and not any(divides(q, m) for _, q in kept)):
+                kept.append((i, m))
+        # B_k: drop (a, b) when lead(h) divides its lcm strictly on both sides
+        for (a, b), m in list(live.items()):
+            if (divides(e, m) and lcm_of(lead[a], e) != m
+                    and lcm_of(lead[b], e) != m):
+                del live[(a, b)]
+        basis.append(terms)
         lead.append(e)
         invs.append(1)
-        tail = dict(g.terms)
+        tail = dict(terms)
         del tail[e]
         tails.append(tail)
+        sugar.append(s)
+        dh = sum(e)
+        for i, m in kept:
+            if m == k.exp_add(lead[i], e):
+                continue
+            d = sum(m)
+            live[(i, h)] = m
+            heapq.heappush(heap, (max(sugar[i] + d - sum(lead[i]), s + d - dh),
+                                  order.key(m), i, h))
+        active[:] = [i for i in active if not divides(e, lead[i])]
+        active.append(h)
 
-    gens = sorted((g for g in I.generators),
-                  key=lambda g: order.key(g.leading_term(order)[0]))
+    gens = sorted(I.generators, key=lambda g: order.key(g.leading_term(order)[0]))
     for g in gens:
         r = reduce_terms(g.terms)
         if r:
-            append(Polynomial(fld, I.arity, r, _clean=True))
+            append(r, max(g.total_degree(), max(sum(e) for e in r)))
 
-    while pairs:
-        (i, j) = min(pairs, key=lambda ij: (order.key(pairs[ij]), ij))
-        lcm_exp = pairs.pop((i, j))
-        if lcm_exp == k.exp_add(lead[i], lead[j]):
-            continue  # coprime leading terms
-        chain = False
-        for m in range(len(basis)):
-            if m in (i, j):
-                continue
-            if k.exp_divides(lead[m], lcm_exp):
-                a = (i, m) if i < m else (m, i)
-                b = (j, m) if j < m else (m, j)
-                if a not in pairs and b not in pairs:
-                    chain = True
-                    break
-        if chain:
+    while heap:
+        s, _, i, j = heapq.heappop(heap)
+        m = live.pop((i, j), None)
+        if m is None:
             continue
-        s = _s_polynomial(basis[i], basis[j], lcm_exp, order)
-        r = reduce_terms(s.terms)
+        r = reduce_terms(_s_terms(k, p, basis[i], lead[i], 1,
+                                  basis[j], lead[j], 1, m))
         if r:
-            append(Polynomial(fld, I.arity, r, _clean=True))
+            append(r, s)
 
-    # minimalize: drop elements whose leading term another one divides
-    # (two distinct basis elements never share a leading exponent here)
-    minimal = [basis[i] for i in range(len(basis))
-               if not any(j != i and k.exp_divides(lead[j], lead[i])
-                          for j in range(len(basis)))]
-
-    # interreduce tails until stable
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(minimal)):
-            others = minimal[:idx] + minimal[idx + 1:]
-            if not others:
-                continue
-            gb = GroebnerBasis(fld, I.arity, order, others)
-            r = gb.normal_form(minimal[idx])
-            e, c = r.leading_term(order)
-            if c != 1:
-                r = r * fld.inv(c)
-            if r != minimal[idx]:
-                minimal[idx] = r
-                changed = True
-
-    minimal.sort(key=lambda g: order.key(g.leading_term(order)[0]))
-    result = GroebnerBasis(fld, I.arity, order, minimal)
-    if _DEBUG_CHECK_BASES:
-        assert result.s_polynomials_reduce_to_zero()
+    # Every element is reduced by all earlier ones, so no leading term
+    # divides a later one and the active elements form a minimal basis.
+    # Reducing each by the others keeps its leading term, so one pass
+    # leaves the reduced basis.
+    active.sort(key=lambda i: order.key(lead[i]))
+    reduced = []
+    for i in active:
+        others = [j for j in active if j != i]
+        r = k.normal_form_terms(basis[i], [lead[j] for j in others],
+                                [1] * len(others), [tails[j] for j in others],
+                                p, order.code, order.block)
+        reduced.append(Polynomial(fld, I.arity, r, _clean=True))
+    result = GroebnerBasis(fld, I.arity, order, reduced)
+    if _DEBUG_CHECK_BASES and not result.s_polynomials_reduce_to_zero():
+        raise ToricPolarError(
+            f"Gröbner basis check failed: an S-polynomial of the "
+            f"{len(result)}-element basis under the {order.kind} order "
+            f"(block {order.block}) does not reduce to zero")
     return result
 
 

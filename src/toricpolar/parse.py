@@ -22,6 +22,11 @@ from .errors import ParseError
 from .field import PrimeField
 from .poly import Polynomial
 
+# Each level of parentheses costs four Python frames (expr, term, factor,
+# atom), so this limit keeps parsing far below the default recursion limit
+# of 1000 even when the caller is already deep in the stack.
+MAX_NESTING = 100
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([-+*^()]))")
 
 
@@ -50,6 +55,7 @@ class _Parser:
     def __init__(self, tokens, field: PrimeField, variables: Sequence[str]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
         self.field = field
         self.names = list(variables)
         self.arity = len(self.names)
@@ -120,8 +126,13 @@ class _Parser:
                 raise ParseError(f"unknown identifier {value!r}", pos)
             return Polynomial.variable(self.field, self.arity, self.index[value])
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING} levels", pos)
+            self.depth += 1
             inner = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError("expected a number, identifier or '('", pos)
 

@@ -2,7 +2,10 @@ import io
 import json
 from contextlib import redirect_stdout
 
+import pytest
+
 from toricpolar.cli import main
+from toricpolar.parse import MAX_NESTING
 
 CUSP = "4*x1^3 - x0*x1^2 - 18*x0*x1*x2 + 27*x0*x2^2 + 4*x0^2*x2"
 
@@ -167,3 +170,44 @@ def test_verify_text_output_lists_checks():
     assert code == 0
     assert "PASS corpus-multidegrees" in out
     assert "checks passed" in out
+
+
+CREMONA_4 = ("x0*x1*x2*x3 + x0*x1*x2*x4 + x0*x1*x3*x4 + x0*x2*x3*x4 "
+             "+ x1*x2*x3*x4")
+
+
+# Exact stdout captured before the Buchberger pair queue was rewritten; any
+# change of selection strategy must reproduce it byte for byte.
+@pytest.mark.parametrize("argv, stdout", [
+    (["--poly", "x1^2+x0*x1+x0*x2", "--vars", "x0,x1,x2"],
+     '{"map": "toric", "n": 2, "degree": 1, "multidegrees": [1, 2, 1], '
+     '"prime": 2147483647, "seed": 0, "trials": 2}\n'),
+    (["--poly", CUSP, "--vars", "x0,x1,x2", "--seed", "9", "--trials", "3"],
+     '{"map": "toric", "n": 2, "degree": 2, "multidegrees": [1, 3, 2], '
+     '"prime": 2147483647, "seed": 9, "trials": 3}\n'),
+    (["--poly", CREMONA_4, "--vars", "x0,x1,x2,x3,x4"],
+     '{"map": "toric", "n": 4, "degree": 1, "multidegrees": [1, 4, 6, 4, 1], '
+     '"prime": 2147483647, "seed": 0, "trials": 2}\n'),
+], ids=["readme-quadric", "cuspidal-cubic", "cremona-4"])
+def test_multidegrees_json_golden(argv, stdout):
+    assert run_cli(["multidegrees", *argv, "--json"]) == (0, stdout)
+
+
+def nested(depth):
+    return "(" * depth + "x0+x1+x2" + ")" * depth
+
+
+def test_deep_nesting_is_a_parse_error(capsys):
+    code = main(["multidegrees", "--poly", nested(3000), "--vars", "x0,x1,x2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("parse error: parentheses nested deeper than")
+    assert f"(at position {MAX_NESTING})" in err
+    assert "Traceback" not in err
+
+
+def test_nesting_at_the_limit_parses():
+    code, out = run_cli(["multidegrees", "--poly", nested(MAX_NESTING),
+                         "--vars", "x0,x1,x2", "--json"])
+    assert code == 0
+    assert json.loads(out)["multidegrees"] == [1, 1, 1]

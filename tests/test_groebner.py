@@ -3,15 +3,16 @@ import random
 
 import pytest
 
-from toricpolar.errors import PreconditionError
+from toricpolar import groebner
+from toricpolar.errors import PreconditionError, ToricPolarError
 from toricpolar.field import PrimeField
 from toricpolar.groebner import (Ideal, buchberger, eliminate,
                                  hilbert_dim_degree, intersect, normal_form,
                                  saturate, vector_space_dimension)
 from toricpolar.parse import parse_polynomial
-from toricpolar.poly import LEX, Polynomial
+from toricpolar.poly import GREVLEX, LEX, Polynomial, block_order
 
-from conftest import random_homogeneous
+from conftest import random_homogeneous, random_polynomial
 
 F = PrimeField()
 
@@ -72,6 +73,38 @@ def test_buchberger_deterministic():
     a = buchberger(Ideal(gens))
     b = buchberger(Ideal(gens))
     assert a.elements == b.elements
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)],
+                         ids=["grevlex", "lex", "block"])
+def test_buchberger_independent_of_generator_order(order):
+    # the reduced basis is unique, so neither pair selection nor the
+    # order in which generators arrive may change it
+    rng = random.Random(5)
+    for _ in range(8):
+        gens = [random_polynomial(F, rng, 3, 3, max_terms=4) for _ in range(3)]
+        expected = buchberger(Ideal(gens, field=F, arity=3), order).elements
+        for _ in range(3):
+            rng.shuffle(gens)
+            got = buchberger(Ideal(gens, field=F, arity=3), order).elements
+            assert got == expected
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)],
+                         ids=["grevlex", "lex", "block"])
+def test_debug_check_accepts_computed_bases(monkeypatch, order):
+    monkeypatch.setattr(groebner, "_DEBUG_CHECK_BASES", True)
+    gens = [P("x0*x1 - x2^2 + 1"), P("x1^2 - x0*x2"), P("x0^2 - x1 + x2")]
+    G = buchberger(Ideal(gens), order)
+    assert len(G) > 1 and G.s_polynomials_reduce_to_zero()
+
+
+def test_debug_check_raises_without_assert(monkeypatch):
+    monkeypatch.setattr(groebner, "_DEBUG_CHECK_BASES", True)
+    monkeypatch.setattr(groebner.GroebnerBasis, "s_polynomials_reduce_to_zero",
+                        lambda self: False)
+    with pytest.raises(ToricPolarError, match=r"2-element basis under the lex"):
+        buchberger(Ideal([P("x0 - x1"), P("x2^2 - x1")]), LEX)
 
 
 # --- normal form ----------------------------------------------------------------

@@ -1,0 +1,91 @@
+"""Differential tests of the Gröbner engine against sympy's groebner.
+
+sympy computes over GF(p) with its own Buchberger implementation, so it is
+an oracle that shares no code with toricpolar.  Both sides order variables
+x0 > x1 > x2 in grevlex and lex.
+"""
+
+import sympy
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from toricpolar.field import PrimeField
+from toricpolar.groebner import Ideal, buchberger, eliminate
+from toricpolar.poly import GREVLEX, LEX, Polynomial
+
+P = 32003
+F = PrimeField(P)
+MAX_VARS = 3
+MAX_GENS = 3
+MAX_DEGREE = 3
+
+
+@st.composite
+def small_ideals(draw, min_vars=1):
+    n = draw(st.integers(min_vars, MAX_VARS))
+    exponent = st.tuples(*[st.integers(0, MAX_DEGREE)] * n).filter(
+        lambda e: sum(e) <= MAX_DEGREE)
+    poly = st.dictionaries(exponent, st.integers(1, P - 1),
+                           min_size=1, max_size=4)
+    gens = draw(st.lists(poly, min_size=1, max_size=MAX_GENS))
+    return n, [Polynomial(F, n, terms) for terms in gens]
+
+
+def to_sympy(f: Polynomial, xs):
+    return sum(c * sympy.prod(x ** k for x, k in zip(xs, e))
+               for e, c in f.terms.items())
+
+
+def sympy_basis(gens, n, order):
+    """sympy's reduced basis as monic term dicts with coefficients in
+    [0, p); sympy prints GF(p) elements as symmetric representatives."""
+    xs = sympy.symbols(f"x0:{n}")
+    G = sympy.groebner([to_sympy(g, xs) for g in gens], *xs,
+                       modulus=P, order=order)
+    out = []
+    for g in G.polys:
+        inv = pow(int(g.LC(order=order)) % P, -1, P)
+        out.append({tuple(e): int(c) * inv % P for e, c in g.terms()})
+    return out
+
+
+def canonical(basis):
+    """Sorted term lists, so bases compare independent of element order."""
+    return sorted(sorted(terms.items()) for terms in basis)
+
+
+def ours(G):
+    return [dict(g.terms) for g in G.elements]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_ideals())
+def test_buchberger_matches_sympy_grevlex(ideal):
+    n, gens = ideal
+    G = buchberger(Ideal(gens), GREVLEX)
+    assert canonical(ours(G)) == canonical(sympy_basis(gens, n, "grevlex"))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_ideals())
+def test_buchberger_matches_sympy_lex(ideal):
+    n, gens = ideal
+    G = buchberger(Ideal(gens), LEX)
+    assert canonical(ours(G)) == canonical(sympy_basis(gens, n, "lex"))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_ideals(min_vars=2))
+def test_eliminate_matches_sympy_lex_elimination(ideal):
+    """The block order behind `eliminate` and sympy's lex order must give
+    the same elimination ideal of x0; compare its reduced grevlex bases."""
+    n, gens = ideal
+    E = eliminate(Ideal(gens), {0})
+    theirs = [Polynomial(F, n, terms) for terms in sympy_basis(gens, n, "lex")
+              if all(e[0] == 0 for e in terms)]
+    mine = buchberger(Ideal(E.generators, field=F, arity=n), GREVLEX)
+    assert canonical(ours(mine)) == canonical(
+        sympy_basis(theirs, n, "grevlex") if theirs else [])
