@@ -2,12 +2,9 @@
 
 The compiled kernel does coefficient arithmetic in 64-bit machine integers
 and is therefore restricted to primes below 2^31; `kernel_for` routes larger
-primes to the pure-Python twin.  Setting the environment variable
-TORICPOLAR_PURE=1 forces the pure-Python kernel everywhere (used by the
-benchmark and the parity tests).
+primes to the pure-Python twin.  `PrimeField(backend="python")` forces the
+pure-Python kernel.
 """
-
-import os
 
 from . import _kernel_py
 
@@ -18,8 +15,6 @@ try:
 except ImportError:
     _kernel_c = None
 
-_FORCE_PURE = bool(os.environ.get("TORICPOLAR_PURE"))
-
 
 def available_backends():
     backends = ["python"]
@@ -29,7 +24,7 @@ def available_backends():
 
 
 def default_backend():
-    if _kernel_c is not None and not _FORCE_PURE:
+    if _kernel_c is not None:
         return "cython"
     return "python"
 
@@ -50,6 +45,6 @@ def kernel_for(p: int, backend: str | None = None):
         return _kernel_c
     if backend is not None:
         raise ValueError(f"unknown kernel backend {backend!r}")
-    if _kernel_c is not None and not _FORCE_PURE and p < _COEFF_LIMIT:
+    if _kernel_c is not None and p < _COEFF_LIMIT:
         return _kernel_c
     return _kernel_py

@@ -86,7 +86,7 @@ def cmd_multidegrees(args, run: RunConfig) -> int:
     f, _ = _read_polynomial(args, run)
     cfg = run.randomization()
     build = gradient_map if args.gradient else toric_polar_map
-    md = multidegrees(build(f, seed=run.seed), cfg)
+    md = multidegrees(build(f), cfg)
     report = {
         "map": "gradient" if args.gradient else "toric",
         "n": md.n,
@@ -109,7 +109,7 @@ def cmd_multidegrees(args, run: RunConfig) -> int:
 def cmd_csm(args, run: RunConfig) -> int:
     f, _ = _read_polynomial(args, run)
     cfg = run.randomization()
-    md = multidegrees(toric_polar_map(f, seed=run.seed), cfg)
+    md = multidegrees(toric_polar_map(f), cfg)
     csm = classes.csm_standard_complement(md)
     chi_u = classes.euler_standard_complement(md)
     chi_d = classes.euler_divisor_complement(md)
@@ -137,7 +137,7 @@ def cmd_curve_report(args, run: RunConfig) -> int:
     f, _ = _read_polynomial(args, run)
     cfg = run.randomization()
     rep = curves.plane_degree_formula(f)
-    engine = multidegrees(toric_polar_map(f, seed=run.seed), cfg).topological_degree
+    engine = multidegrees(toric_polar_map(f), cfg).topological_degree
     report = {
         "k": rep.k,
         "milnor_sum": rep.milnor_sum,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import classes, curves
-from .errors import PreconditionError
+from .errors import PreconditionError, ToricPolarError
 from .field import PrimeField
 from .maps import (RandomizationConfig, derive_seed, gradient_map,
                    monomial_pullback, multidegrees, random_translate,
@@ -43,7 +43,9 @@ def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
             if factor:
                 for c in range(col, n):
                     m[r][c] -= factor * m[col][c]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise ToricPolarError(f"determinant of an integer matrix came out "
+                              f"as {det}")
     return int(det)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import PreconditionError, ToricPolarError
 from .gcdtools import multivariate_gcd, squarefree_part
 from .groebner import (Ideal, eliminate, hilbert_dim_degree, intersect,
                        saturate, vector_space_dimension)
@@ -152,9 +152,8 @@ def total_milnor(f: Polynomial) -> int:
 def plane_degree_formula(f: Polynomial) -> PlaneCurveReport:
     """Assemble the degree formula k^2 - milnor_sum - incidence - tangency."""
     _check_plane_curve(f)
-    _check_reduced(f)
     k = f.homogeneous_degree()
-    milnor = total_milnor(f)
+    milnor = total_milnor(f)  # rejects non-reduced input
     incidence = fundamental_incidence(f)
     per_line = _line_counts(f)
     tangency = sum(k - c for c in per_line)
@@ -175,7 +174,9 @@ def _univariate_squarefree(u: Polynomial, var: int) -> Polynomial:
                                 "vanished; degree too large for the prime?)")
     g = multivariate_gcd(u, du)
     out = u.exact_divide(g)
-    assert out is not None
+    if out is None:
+        raise ToricPolarError("gcd with the derivative does not divide the "
+                              "eliminant")
     return out
 
 

@@ -1,19 +1,15 @@
 """Multivariate gcd, squarefree parts and distinct-root counts over F_p.
 
 The gcd uses content/primitive-part recursion with a pseudo-remainder
-sequence in a chosen main variable; squarefree parts divide by the gcd with
-one generic directional derivative, which is valid in characteristic larger
-than the degree.
+sequence in a chosen main variable.  The squarefree part of a homogeneous
+form divides it by the gcd of its partial derivatives; in characteristic
+larger than the degree this is exact, so it involves no randomness.
 """
 
 from __future__ import annotations
 
-import random
-
-from .errors import PreconditionError, SpecializationError
+from .errors import PreconditionError, ToricPolarError
 from .poly import GREVLEX, Polynomial
-
-_MAX_DIRECTION_TRIES = 8
 
 
 def _coefficients_in(f: Polynomial, v: int) -> dict[int, Polynomial]:
@@ -86,7 +82,8 @@ def _content_and_primitive(f: Polynomial, v: int):
     if content.is_constant():
         return Polynomial.constant(f.field, f.arity, 1), f
     primitive = f.exact_divide(content)
-    assert primitive is not None
+    if primitive is None:
+        raise ToricPolarError("content does not divide the polynomial")
     return content, primitive
 
 
@@ -144,24 +141,14 @@ def multivariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     return (c * a).scaled_to_monic(GREVLEX)
 
 
-def _random_direction(f: Polynomial, rng: random.Random):
-    return [rng.randrange(f.field.p) for _ in range(f.arity)]
-
-
-def _is_squarefree(f: Polynomial, rng: random.Random) -> bool:
-    for _ in range(_MAX_DIRECTION_TRIES):
-        df = f.directional_derivative(_random_direction(f, rng))
-        if not df.is_zero():
-            return multivariate_gcd(f, df).is_constant()
-    raise SpecializationError("no usable direction for squarefree test")
-
-
-def squarefree_part(f: Polynomial, seed: int = 0) -> Polynomial:
+def squarefree_part(f: Polynomial) -> Polynomial:
     """Monic product of the distinct irreducible factors of f.
 
-    Computes f / gcd(f, directional derivative) for a random direction and
-    verifies the result by recomputation with an independent direction;
-    requires homogeneous nonzero input and characteristic above deg f.
+    Computes f / gcd(d f/dx_0, ..., d f/dx_n); requires homogeneous nonzero
+    input and characteristic above deg f.  Then f lies in the ideal of its
+    partials (Euler: deg f * f = sum x_i df/dx_i), and no nonconstant factor
+    of f divides all of its own partials, so the gcd is the product of the
+    repeated factors, each once less often than in f.
     """
     if f.is_zero():
         raise PreconditionError("squarefree part of the zero polynomial")
@@ -171,28 +158,19 @@ def squarefree_part(f: Polynomial, seed: int = 0) -> Polynomial:
         raise PreconditionError("prime must exceed the degree")
     if f.is_constant():
         return Polynomial.constant(f.field, f.arity, 1)
-    rng = random.Random(seed ^ 0x5FA11E)
-
-    def one_pass():
-        for _ in range(_MAX_DIRECTION_TRIES):
-            df = f.directional_derivative(_random_direction(f, rng))
-            if df.is_zero():
-                continue
-            g = multivariate_gcd(f, df)
-            cand = f.exact_divide(g)
-            if cand is not None:
-                return cand.scaled_to_monic(GREVLEX)
-        raise SpecializationError("no generic direction found", (seed,))
-
-    first = one_pass()
-    second = one_pass()
-    if first == second and _is_squarefree(first, rng):
-        return first
-    # one retry with fresh randomness before giving up
-    third = one_pass()
-    if third == second and _is_squarefree(third, rng):
-        return third
-    raise SpecializationError("squarefree part not reproducible", (seed,))
+    g = None
+    for i in range(f.arity):
+        df = f.partial_derivative(i)
+        if df.is_zero():
+            continue
+        g = df if g is None else multivariate_gcd(g, df)
+        if g.is_constant():
+            return f.scaled_to_monic(GREVLEX)
+    red = f.exact_divide(g)
+    if red is None:
+        raise ToricPolarError("gcd of the partial derivatives does not "
+                              "divide the polynomial")
+    return red.scaled_to_monic(GREVLEX)
 
 
 def binary_form_distinct_roots(f: Polynomial, kept: tuple[int, int]) -> int:

@@ -408,14 +408,9 @@ class HilbertData:
     degree: int | None
 
 
-def hilbert_dim_degree(I: Ideal) -> HilbertData:
-    """Dimension and degree of Proj of the quotient by a homogeneous ideal."""
-    if not I.is_homogeneous():
-        raise PreconditionError("Hilbert data needs a homogeneous ideal")
-    m = I.arity
-    G = buchberger(I, GREVLEX)
-    divides = I.field.kernel.exp_divides
-    numerator = _hilbert_numerator(list(G.leading_exponents()), divides, {})
+def _hilbert_data(lead: Sequence[tuple], arity: int, divides) -> HilbertData:
+    """Hilbert data of the quotient by the monomial ideal of `lead`."""
+    numerator = _hilbert_numerator(list(lead), divides, {})
     while len(numerator) > 1 and numerator[-1] == 0:
         numerator.pop()
     if numerator == [0]:
@@ -427,43 +422,37 @@ def hilbert_dim_degree(I: Ideal) -> HilbertData:
             break
         numerator = q
         s += 1
-    krull = m - s
+    krull = arity - s
     if krull <= 0:
         return HilbertData(tuple(numerator), -1, None)
     return HilbertData(tuple(numerator), krull - 1, sum(numerator))
 
 
+def hilbert_dim_degree(I: Ideal | GroebnerBasis) -> HilbertData:
+    """Dimension and degree of Proj of the quotient by a homogeneous ideal.
+
+    An `Ideal` gets its grevlex basis first; a `GroebnerBasis` is used as
+    given, since any basis of a homogeneous ideal has the same Hilbert
+    function as its ideal of leading terms.
+    """
+    gens = I.generators if isinstance(I, Ideal) else I.elements
+    if not all(g.is_homogeneous() for g in gens):
+        raise PreconditionError("Hilbert data needs a homogeneous ideal")
+    G = buchberger(I, GREVLEX) if isinstance(I, Ideal) else I
+    return _hilbert_data(G.leading_exponents(), G.arity,
+                         G.field.kernel.exp_divides)
+
+
 def vector_space_dimension(I: Ideal) -> int:
     """Dimension of the quotient by a zero-dimensional affine ideal.
 
-    Counts standard monomials; input with positive-dimensional quotient is
-    rejected (criterion: some variable without a pure power among the
-    leading terms).
+    The number of standard monomials: the Hilbert series of the leading
+    term ideal is then a polynomial, and its value at 1 is the count.
+    Input with positive-dimensional quotient is rejected.
     """
     G = buchberger(I, GREVLEX)
-    lead = G.leading_exponents()
-    if any(sum(e) == 0 for e in lead):
-        return 0  # unit ideal
-    m = I.arity
-    bounds = [None] * m
-    for e in lead:
-        support = [i for i, x in enumerate(e) if x]
-        if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or e[i] < bounds[i]:
-                bounds[i] = e[i]
-    if any(b is None for b in bounds):
+    data = _hilbert_data(G.leading_exponents(), I.arity,
+                         I.field.kernel.exp_divides)
+    if data.projective_dimension >= 0:
         raise PreconditionError("ideal is not zero-dimensional")
-    divides = I.field.kernel.exp_divides
-    count = 0
-    stack = [()]
-    while stack:
-        prefix = stack.pop()
-        if len(prefix) == m:
-            if not any(divides(e, prefix) for e in lead):
-                count += 1
-            continue
-        i = len(prefix)
-        for x in range(bounds[i]):
-            stack.append(prefix + (x,))
-    return count
+    return sum(data.numerator)

@@ -14,11 +14,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import PreconditionError, SpecializationError
+from .errors import PreconditionError, SpecializationError, ToricPolarError
 from .field import DEFAULT_PRIME, PrimeField, is_prime
 from .gcdtools import multivariate_gcd, squarefree_part
-from .groebner import Ideal, hilbert_dim_degree, saturate
-from .poly import Polynomial
+from .groebner import GroebnerBasis, Ideal, hilbert_dim_degree, saturate
+from .poly import GREVLEX, Polynomial
 
 _MASK64 = (1 << 64) - 1
 
@@ -134,27 +134,34 @@ def toric_polar_map(f: Polynomial, seed: int = 0) -> RationalMapSpec:
 
     The input is reduced first (the multidegrees only depend on the reduced
     part); it must be homogeneous of positive degree and not divisible by
-    any coordinate variable.
+    any coordinate variable.  `seed` is accepted for compatibility and does
+    not affect the result: the reduced part is computed deterministically.
     """
     _check_map_input(f)
     for i in range(f.arity):
         if f.divisible_by_variable(i):
             raise PreconditionError(
                 f"input is divisible by x{i}; strip coordinate factors first")
-    f_red = squarefree_part(f, seed)
+    f_red = squarefree_part(f)
     coords = [Polynomial.variable(f.field, f.arity, i) * f_red.partial_derivative(i)
               for i in range(f.arity)]
     spec = RationalMapSpec(coords)
     # for reduced input coprime to the coordinate monomials the common gcd
     # is already trivial
-    assert spec.coordinate_degree == f_red.total_degree()
+    if spec.coordinate_degree != f_red.total_degree():
+        raise ToricPolarError(
+            f"toric polar coordinates have degree {spec.coordinate_degree} "
+            f"after removing their gcd, expected {f_red.total_degree()}")
     return spec
 
 
 def gradient_map(f: Polynomial, seed: int = 0) -> RationalMapSpec:
-    """The map with coordinates d(f_red)/dx_i; needs deg f_red >= 2."""
+    """The map with coordinates d(f_red)/dx_i; needs deg f_red >= 2.
+
+    `seed` is accepted for compatibility and does not affect the result.
+    """
     _check_map_input(f)
-    f_red = squarefree_part(f, seed)
+    f_red = squarefree_part(f)
     if f_red.total_degree() < 2:
         raise PreconditionError("gradient map needs reduced degree at least 2")
     coords = [f_red.partial_derivative(i) for i in range(f.arity)]
@@ -244,8 +251,10 @@ def _slice_degree(phi: RationalMapSpec, j: int, seed: int, trial: int) -> int:
         raise SpecializationError("saturating combination vanished on the "
                                   "slice", (sub,))
     arity = saturant.arity
+    # the saturation is already the reduced grevlex basis of its ideal
     sliced = saturate(Ideal(gens, field=fld, arity=arity), saturant)
-    data = hilbert_dim_degree(sliced)
+    data = hilbert_dim_degree(
+        GroebnerBasis(fld, arity, GREVLEX, sliced.generators))
     if data.projective_dimension == -1:
         return 0
     if data.projective_dimension != 0:

@@ -257,14 +257,6 @@ class Polynomial:
                 del out[d]
         return self._wrap(out)
 
-    def directional_derivative(self, coefficients: Sequence[int]) -> Polynomial:
-        """Derivative along sum_i c_i * d/dx_i."""
-        out = Polynomial.zero(self.field, self.arity)
-        for i, c in enumerate(coefficients):
-            if c % self.field.p:
-                out = out + self.partial_derivative(i) * c
-        return out
-
     # ---------------------------------------------------------------- substitution
 
     def evaluate(self, point: Sequence[int]) -> int:

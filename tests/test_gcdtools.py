@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from toricpolar.errors import PreconditionError
+from toricpolar import curves, gcdtools, maps
+from toricpolar.errors import PreconditionError, ToricPolarError
 from toricpolar.field import PrimeField
 from toricpolar.gcdtools import (binary_form_distinct_roots, multivariate_gcd,
                                  squarefree_part)
@@ -84,6 +85,26 @@ def test_squarefree_part_divides_input():
         assert red == squarefree_part(f)
 
 
+def test_squarefree_part_of_products_of_powers():
+    """f = prod q_i^a_i over distinct linear forms q_i and the conic
+    x0^2 - x1*x2 has the monic product of the q_i as its reduced part."""
+    rng = random.Random(21)
+    conic = P("x0^2 - x1*x2")
+    for _ in range(8):
+        factors = [conic]
+        count = rng.randint(2, 4)
+        while len(factors) < count:
+            q = random_homogeneous(F, rng, 3, 1, max_terms=3).scaled_to_monic()
+            if q not in factors:
+                factors.append(q)
+        f = Polynomial.constant(F, 3, rng.randrange(1, F.p))
+        red = Polynomial.constant(F, 3, 1)
+        for q in factors:
+            f = f * q ** rng.randint(1, 3)
+            red = red * q
+        assert squarefree_part(f) == red.scaled_to_monic()
+
+
 def test_squarefree_rejects_bad_input():
     with pytest.raises(PreconditionError):
         squarefree_part(Polynomial.zero(F, 3))
@@ -109,3 +130,29 @@ def test_binary_form_rejects_extra_variables():
         binary_form_distinct_roots(P("x0*x1*x2"), (0, 1))
     with pytest.raises(PreconditionError):
         binary_form_distinct_roots(Polynomial.zero(F, 3), (0, 1))
+
+
+def _not_a_divisor(f, g):
+    return Polynomial.variable(f.field, f.arity, 0) + 1
+
+
+@pytest.mark.parametrize("site", ["squarefree_part", "content_and_primitive",
+                                  "univariate_squarefree", "toric_polar_map"])
+def test_broken_gcd_invariant_raises(monkeypatch, site):
+    """Each place that relies on a gcd dividing its input raises a
+    ToricPolarError, which python -O keeps, when that fails."""
+    with pytest.raises(ToricPolarError):
+        if site == "squarefree_part":
+            monkeypatch.setattr(gcdtools, "multivariate_gcd", _not_a_divisor)
+            squarefree_part(P("(x0^2 - x1*x2)^2"))
+        elif site == "content_and_primitive":
+            monkeypatch.setattr(gcdtools, "multivariate_gcd", _not_a_divisor)
+            gcdtools._content_and_primitive(P("x0^2*x1 + x0*x2^2"), 0)
+        elif site == "univariate_squarefree":
+            monkeypatch.setattr(curves, "multivariate_gcd", _not_a_divisor)
+            curves._univariate_squarefree(P("x1^3 - x1"), 1)
+        else:
+            # a squarefree part that is not reduced leaves a common factor
+            # in the toric polar coordinates
+            monkeypatch.setattr(maps, "squarefree_part", lambda f: f)
+            maps.toric_polar_map(P("(x0 + x1 + x2)^2"))

@@ -259,6 +259,22 @@ def test_hilbert_rejects_inhomogeneous():
         hilbert_dim_degree(Ideal([P("x0^2 + x1")]))
 
 
+def test_hilbert_of_a_basis_matches_its_ideal():
+    rng = random.Random(37)
+    for _ in range(10):
+        gens = [random_homogeneous(F, rng, 3, rng.randint(1, 3), max_terms=4)
+                for _ in range(rng.randint(1, 3))]
+        I = Ideal(gens)
+        for order in (GREVLEX, LEX):
+            assert hilbert_dim_degree(buchberger(I, order)) == \
+                hilbert_dim_degree(I)
+
+
+def test_hilbert_of_a_basis_rejects_inhomogeneous():
+    with pytest.raises(PreconditionError):
+        hilbert_dim_degree(buchberger(Ideal([P("x0^2 + x1")])))
+
+
 def test_hilbert_numerator_invariant():
     data = hilbert_dim_degree(Ideal([P("x0^2"), P("x0*x1")]))
     assert sum(data.numerator) == data.degree

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from toricpolar.field import PrimeField
-from toricpolar.groebner import Ideal, buchberger, eliminate
+from toricpolar.groebner import Ideal, buchberger, eliminate, saturate
 from toricpolar.poly import GREVLEX, LEX, Polynomial
 
 P = 32003
@@ -89,3 +89,43 @@ def test_eliminate_matches_sympy_lex_elimination(ideal):
     mine = buchberger(Ideal(E.generators, field=F, arity=n), GREVLEX)
     assert canonical(ours(mine)) == canonical(
         sympy_basis(theirs, n, "grevlex") if theirs else [])
+
+
+@st.composite
+def homogeneous_saturations(draw):
+    """Small homogeneous I and a homogeneous g to saturate it by.  I has
+    two generators in three variables, so its saturation is rarely the unit
+    ideal, and some of them carry a factor g that the saturation removes."""
+    n = 3
+
+    def form(degree):
+        exponent = st.tuples(*[st.integers(0, degree)] * n).filter(
+            lambda e: sum(e) == degree)
+        return st.dictionaries(exponent, st.integers(1, P - 1),
+                               min_size=2, max_size=3).map(
+            lambda terms: Polynomial(F, n, terms))
+
+    g = draw(st.integers(1, 2).flatmap(form))
+    gens = [h * g if draw(st.booleans()) else h for h in draw(st.lists(
+        st.integers(1, 2).flatmap(form), min_size=2, max_size=2))]
+    return n, gens, g
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_saturations())
+def test_saturate_is_the_reduced_grevlex_basis(case):
+    """`saturate` returns the reduced grevlex basis of I : g^infinity, which
+    the multidegree slices feed straight into Hilbert extraction.  sympy
+    saturates with the same 1 - t*g generator under lex, t first, and its
+    grevlex basis of the t-free part is the reference."""
+    n, gens, g = case
+    t = Polynomial.variable(F, n + 1, 0)
+    lifted = [h.extend_arity(n + 1, 0) for h in gens]
+    rab = Polynomial.constant(F, n + 1, 1) - t * g.extend_arity(n + 1, 0)
+    eliminant = [Polynomial(F, n, {e[1:]: c for e, c in terms.items()})
+                 for terms in sympy_basis(lifted + [rab], n + 1, "lex")
+                 if all(e[0] == 0 for e in terms)]
+    sat = saturate(Ideal(gens), g)
+    assert canonical([dict(h.terms) for h in sat.generators]) == canonical(
+        sympy_basis(eliminant, n, "grevlex"))

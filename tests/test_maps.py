@@ -280,3 +280,23 @@ def test_monomial_pullback_preserves_topological_degree():
         A = random_monomial_matrix(2, rng.choice((1, 2, 3)), rng)
         pulled = monomial_pullback(f, A)
         assert topological_degree(toric_polar_map(pulled), CFG) == base
+
+
+def test_one_block_order_basis_per_slice(monkeypatch):
+    """Each slice computes one Gröbner basis, the block-order one inside
+    `saturate`; Hilbert extraction reuses it instead of a grevlex basis."""
+    import toricpolar.groebner as groebner
+    from toricpolar.constructions import cremona_poly
+
+    orders = []
+    real = groebner.buchberger
+
+    def counting(I, order=groebner.GREVLEX):
+        orders.append(order.kind)
+        return real(I, order)
+
+    phi = toric_polar_map(cremona_poly(3, F))
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    md = multidegrees(phi, CFG)
+    assert md.values == (1, 3, 3, 1)
+    assert orders == ["block"] * ((phi.n + 1) * CFG.trials)
