@@ -4,9 +4,12 @@ A polynomial is a dict mapping exponent tuples to nonzero coefficients in
 {1, ..., p-1}; the zero polynomial is the empty dict.  All functions here
 return fresh dicts and never mutate their arguments, except where noted.
 
-This module is the fallback twin of the compiled kernel in _kernel_c.pyx;
-both expose the same functions and must stay behaviourally identical (see
-tests/test_kernel_parity.py).
+This module is the fallback twin of the compiled kernel in _kernel_c.pyx.
+Both expose the same functions and must return identical results (see
+tests/test_kernel_parity.py), but not by the same algorithm: here
+`normal_form_terms` keeps its pending terms in a heap (Monagan & Pearce,
+"Sparse polynomial division using a heap", J. Symbolic Comput. 46, 2011),
+while the compiled twin finds each leading term by a linear scan.
 
 Monomial-order codes (`kind`):
   0  graded reverse lexicographic
@@ -14,6 +17,9 @@ Monomial-order codes (`kind`):
   2  block elimination: grevlex on the first `block` variables, ties broken
      by grevlex on the rest
 """
+
+from heapq import heapify, heappop, heappush
+from operator import add, le, neg, sub
 
 GREVLEX = 0
 LEX = 1
@@ -54,33 +60,52 @@ def exp_cmp(e1, e2, kind, block):
     return _grevlex_cmp_range(e1, e2, block, n)
 
 
+def _grevlex_key(e):
+    return (-sum(e), e[::-1])
+
+
+def _lex_key(e):
+    return tuple(map(neg, e))
+
+
+def _order_key(kind, block):
+    """Sort key under which the largest monomial in the order comes first.
+
+    Keys of distinct exponents differ, so sorting (or a heap) by key alone
+    agrees with exp_cmp.
+    """
+    if kind == GREVLEX:
+        return _grevlex_key
+    if kind == LEX:
+        return _lex_key
+
+    def block_key(e):
+        # grevlex keys of e[:block] and of e[block:], joined
+        return (-sum(e[:block]), e[block - 1::-1],
+                -sum(e[block:]), e[:block - 1:-1])
+    return block_key
+
+
 def exp_add(e, d):
-    return tuple(a + b for a, b in zip(e, d))
+    return tuple(map(add, e, d))
 
 
 def exp_sub(e, d):
-    return tuple(a - b for a, b in zip(e, d))
+    return tuple(map(sub, e, d))
 
 
 def exp_lcm(e1, e2):
-    return tuple(a if a > b else b for a, b in zip(e1, e2))
+    return tuple(map(max, e1, e2))
 
 
 def exp_divides(d, e):
     """True when the monomial x^d divides x^e."""
-    for a, b in zip(d, e):
-        if a > b:
-            return False
-    return True
+    return all(map(le, d, e))
 
 
 def leading_exponent(terms, kind, block):
     """Largest exponent of `terms` in the order, or None when empty."""
-    best = None
-    for e in terms:
-        if best is None or exp_cmp(e, best, kind, block) > 0:
-            best = e
-    return best
+    return min(terms, key=_order_key(kind, block), default=None)
 
 
 def add_terms(a, b, p):
@@ -132,7 +157,7 @@ def term_mul(a, d, c, p):
     for e, v in a.items():
         w = v * c % p
         if w:
-            r[exp_add(e, d)] = w
+            r[tuple(map(add, e, d))] = w
     return r
 
 
@@ -142,7 +167,7 @@ def mul_terms(a, b, p):
     r = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = exp_add(ea, eb)
+            e = tuple(map(add, ea, eb))
             s = (r.get(e, 0) + ca * cb) % p
             if s:
                 r[e] = s
@@ -156,30 +181,40 @@ def normal_form_terms(f, lead_exps, lead_invs, tails, p, kind, block):
 
     Reducer i has leading exponent lead_exps[i], inverse leading coefficient
     lead_invs[i] and tail terms tails[i] (the reducer minus its leading
-    term).  Returns the remainder, none of whose terms is divisible by any
-    lead_exps[i].
+    term).  Each step reduces the largest pending term by the first reducer
+    whose leading exponent divides it.  Returns the remainder, none of whose
+    terms is divisible by any lead_exps[i].
+
+    The pending terms live in `h`; every key of `h` has exactly one entry
+    in the heap, which pops the largest monomial first.  A coefficient that
+    cancels stays in `h` as 0, so that its entry is not pushed twice, and
+    is skipped when popped.
     """
+    key = _order_key(kind, block)
     h = dict(f)
+    heap = [(key(e), e) for e in h]
+    heapify(heap)
     r = {}
-    m = len(lead_exps)
-    while h:
-        u = leading_exponent(h, kind, block)
+    reducers = list(zip(lead_exps, lead_invs, tails))
+    while heap:
+        u = heappop(heap)[1]
         c = h.pop(u)
-        hit = -1
-        for i in range(m):
-            if exp_divides(lead_exps[i], u):
-                hit = i
+        if not c:
+            continue
+        for lead, inv, tail in reducers:
+            if all(map(le, lead, u)):
                 break
-        if hit < 0:
+        else:
             r[u] = c
             continue
-        q = c * lead_invs[hit] % p
-        d = exp_sub(u, lead_exps[hit])
-        for te, tc in tails[hit].items():
-            e = exp_add(te, d)
-            s = (h.get(e, 0) - q * tc) % p
-            if s:
-                h[e] = s
-            elif e in h:
-                del h[e]
+        q = c * inv % p
+        d = tuple(map(sub, u, lead))
+        for te, tc in tail.items():
+            e = tuple(map(add, te, d))
+            s = h.get(e)
+            if s is None:
+                h[e] = -q * tc % p
+                heappush(heap, (key(e), e))
+            else:
+                h[e] = (s - q * tc) % p
     return r

@@ -1,0 +1,116 @@
+"""The pure-Python kernel against the linear-scan algorithm it replaced.
+
+`normal_form_terms` keeps its pending terms in a heap.  The reference below
+is the earlier version, which finds each leading term by scanning with
+`exp_cmp`.  Both reduce the largest pending term by the first divisor, so
+they must return the same remainder even when the reducers are not a
+Gröbner basis.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from toricpolar import _kernel_py as k
+
+PRIMES = [2, 3, 13, 2**31 - 1]
+
+
+def reference_leading_exponent(terms, kind, block):
+    best = None
+    for e in terms:
+        if best is None or k.exp_cmp(e, best, kind, block) > 0:
+            best = e
+    return best
+
+
+def reference_normal_form(f, lead_exps, lead_invs, tails, p, kind, block):
+    h = dict(f)
+    r = {}
+    while h:
+        u = reference_leading_exponent(h, kind, block)
+        c = h.pop(u)
+        hit = next((i for i, d in enumerate(lead_exps)
+                    if all(a <= b for a, b in zip(d, u))), -1)
+        if hit < 0:
+            r[u] = c
+            continue
+        q = c * lead_invs[hit] % p
+        d = tuple(a - b for a, b in zip(u, lead_exps[hit]))
+        for te, tc in tails[hit].items():
+            e = tuple(a + b for a, b in zip(te, d))
+            s = (h.get(e, 0) - q * tc) % p
+            if s:
+                h[e] = s
+            elif e in h:
+                del h[e]
+    return r
+
+
+def split(g, p, kind, block):
+    """Leading exponent, inverse leading coefficient and tail of `g`."""
+    tail = dict(g)
+    lead = reference_leading_exponent(tail, kind, block)
+    return lead, pow(tail.pop(lead), p - 2, p), tail
+
+
+@st.composite
+def reductions(draw):
+    """A prime, an order (every block split included), f and reducers."""
+    arity = draw(st.integers(1, 5))
+    p = draw(st.sampled_from(PRIMES))
+    kind, block = draw(st.sampled_from(
+        [(k.GREVLEX, 0), (k.LEX, 0)]
+        + [(k.BLOCK, b) for b in range(1, arity + 1)]))
+    exps = st.tuples(*[st.integers(0, 3)] * arity)
+    coeffs = st.integers(1, p - 1)
+    f = draw(st.dictionaries(exps, coeffs, max_size=10))
+    gs = draw(st.lists(st.dictionaries(exps, coeffs, min_size=1, max_size=5),
+                       max_size=4))
+    parts = [split(g, p, kind, block) for g in gs]
+    return (f, [s[0] for s in parts], [s[1] for s in parts],
+            [s[2] for s in parts], p, kind, block)
+
+
+@settings(max_examples=400, deadline=None)
+@given(reductions())
+def test_normal_form_matches_linear_scan(case):
+    assert k.normal_form_terms(*case) == reference_normal_form(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reductions())
+def test_leading_exponent_matches_linear_scan(case):
+    f, _, _, tails, _, kind, block = case
+    for terms in [f, {}, *tails]:
+        assert (k.leading_exponent(terms, kind, block)
+                == reference_leading_exponent(terms, kind, block))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(*[st.tuples(*[st.integers(0, 6)] * n)] * 2)))
+def test_exponent_helpers(pair):
+    e, d = pair
+    assert k.exp_add(e, d) == tuple(a + b for a, b in zip(e, d))
+    assert k.exp_sub(e, d) == tuple(a - b for a, b in zip(e, d))
+    assert k.exp_lcm(e, d) == tuple(max(a, b) for a, b in zip(e, d))
+    assert k.exp_divides(d, e) == all(b <= a for a, b in zip(e, d))
+
+
+# x0^2 + x0*x1 - x2^2 modulo g1 = x0^2 - x2^2 and g2 = x0*x1 - x2^2 (grevlex,
+# p = 13).  Reducing x0^2 cancels x2^2; reducing x0*x1 creates it again, and
+# it must then reach the remainder once, with coefficient 1.  Without the
+# x0*x1 term, x2^2 stays cancelled and the remainder is zero.
+MINUS_X2_SQUARED = {(0, 0, 2): 12}
+
+
+@pytest.mark.parametrize("f, expected", [
+    ({(2, 0, 0): 1, (1, 1, 0): 1, (0, 0, 2): 12}, {(0, 0, 2): 1}),
+    ({(2, 0, 0): 1, (0, 0, 2): 12}, {}),
+], ids=["cancelled-then-recreated", "cancelled"])
+def test_cancelled_term(f, expected):
+    case = (f, [(2, 0, 0), (1, 1, 0)], [1, 1],
+            [MINUS_X2_SQUARED] * 2, 13, k.GREVLEX, 0)
+    assert reference_normal_form(*case) == expected
+    assert k.normal_form_terms(*case) == expected

@@ -1,13 +1,55 @@
-"""The compiled kernel and the pure-Python kernel must agree exactly."""
+"""The compiled kernel and the pure-Python kernel must agree exactly.
 
+When the compiled kernel is not built in place, the tracked C source is
+compiled into a temporary directory and loaded for this module only; the
+package itself and every other test keep the kernel they imported.
+"""
+
+import importlib.util
 import random
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
 
 import pytest
 
 from toricpolar import _kernel, _kernel_py
 
-compiled = pytest.importorskip("toricpolar._kernel_c",
-                               reason="compiled kernel not built")
+C_SOURCE = Path(_kernel.__file__).with_name("_kernel_c.c")
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel(tmp_path_factory):
+    """The compiled kernel module, built from the tracked C source if need be."""
+    if _kernel._kernel_c is not None:
+        return _kernel._kernel_c
+    include = sysconfig.get_paths()["include"]
+    if shutil.which("gcc") is None:
+        pytest.skip("no C compiler (gcc) to build the compiled kernel")
+    if not Path(include, "Python.h").is_file():
+        pytest.skip("no Python headers to build the compiled kernel")
+    if not C_SOURCE.is_file():
+        pytest.skip(f"no C source {C_SOURCE.name} next to the package")
+    out = (tmp_path_factory.mktemp("kernel")
+           / ("_kernel_c" + sysconfig.get_config_var("EXT_SUFFIX")))
+    build = subprocess.run(["gcc", "-O2", "-shared", "-fPIC", f"-I{include}",
+                            str(C_SOURCE), "-o", str(out)],
+                           capture_output=True, text=True)
+    if build.returncode:
+        pytest.fail(f"building the compiled kernel failed:\n{build.stderr}")
+    spec = importlib.util.spec_from_file_location("toricpolar._kernel_c", out)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module", autouse=True)
+def compiled(compiled_kernel):
+    """Make kernel selection see the compiled kernel while this module runs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "_kernel_c", compiled_kernel)
+        yield compiled_kernel
 
 P = 2147483647
 ORDERS = [(0, 0), (1, 0), (2, 1), (2, 2)]
@@ -21,7 +63,7 @@ def random_terms(rng, arity=3, max_deg=5, max_terms=8):
     return out
 
 
-def test_backends_listed():
+def test_backends_listed(compiled):
     assert set(_kernel.available_backends()) == {"python", "cython"}
     assert _kernel.kernel_for(P, "cython") is compiled
     assert _kernel.kernel_for(P, "python") is _kernel_py
@@ -33,7 +75,7 @@ def test_backends_listed():
         _kernel.kernel_for(P, "fortran")
 
 
-def test_exponent_helpers_agree():
+def test_exponent_helpers_agree(compiled):
     rng = random.Random(0)
     for _ in range(300):
         e1 = tuple(rng.randint(0, 6) for _ in range(4))
@@ -48,7 +90,7 @@ def test_exponent_helpers_agree():
             assert compiled.exp_sub(e1, e2) == _kernel_py.exp_sub(e1, e2)
 
 
-def test_arithmetic_agrees():
+def test_arithmetic_agrees(compiled):
     rng = random.Random(1)
     for _ in range(150):
         a = random_terms(rng)
@@ -63,7 +105,7 @@ def test_arithmetic_agrees():
         assert compiled.mul_terms(a, b, P) == _kernel_py.mul_terms(a, b, P)
 
 
-def test_leading_exponent_agrees():
+def test_leading_exponent_agrees(compiled):
     rng = random.Random(2)
     for _ in range(200):
         a = random_terms(rng)
@@ -72,7 +114,7 @@ def test_leading_exponent_agrees():
                     == _kernel_py.leading_exponent(a, kind, block))
 
 
-def test_normal_form_agrees():
+def test_normal_form_agrees(compiled):
     rng = random.Random(3)
     for _ in range(60):
         f = random_terms(rng, max_terms=10)
