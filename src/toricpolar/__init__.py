@@ -3,11 +3,10 @@ projective hypersurfaces, with the Chern-Schwartz-MacPherson class and Euler
 characteristic of the standard complement derived from them.
 
 All arithmetic happens over a large prime field with randomized choices and
-trial agreement; the hot term arithmetic runs on a compiled kernel when the
-extension built, with a pure-Python fallback selected at import time.
+trial agreement; the hot term arithmetic runs in one small pure-Python
+kernel, `toricpolar._kernel_py`.
 """
 
-from ._kernel import available_backends, default_backend
 from .classes import (ChowClassVector, check_union_general_section,
                       csm_complement_of_hypersurface, csm_standard_complement,
                       deg_from_milnor_general_position,

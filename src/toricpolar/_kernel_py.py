@@ -4,12 +4,11 @@ A polynomial is a dict mapping exponent tuples to nonzero coefficients in
 {1, ..., p-1}; the zero polynomial is the empty dict.  All functions here
 return fresh dicts and never mutate their arguments, except where noted.
 
-This module is the fallback twin of the compiled kernel in _kernel_c.pyx.
-Both expose the same functions and must return identical results (see
-tests/test_kernel_parity.py), but not by the same algorithm: here
-`normal_form_terms` keeps its pending terms in a heap (Monagan & Pearce,
-"Sparse polynomial division using a heap", J. Symbolic Comput. 46, 2011),
-while the compiled twin finds each leading term by a linear scan.
+This is the package's only term kernel: every `PrimeField` carries this
+module as `field.kernel`, whatever its prime, and the polynomial and
+Gröbner code call it through that attribute.  `normal_form_terms` keeps
+its pending terms in a heap (Monagan & Pearce, "Sparse polynomial division
+using a heap", J. Symbolic Comput. 46, 2011).
 
 Monomial-order codes (`kind`):
   0  graded reverse lexicographic

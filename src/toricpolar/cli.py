@@ -62,11 +62,21 @@ def _add_common(sub: argparse.ArgumentParser, needs_poly=True):
                      help="machine-readable JSON output")
 
 
+def _read_text(path: str) -> str:
+    """Contents of a UTF-8 text file; bytes that do not decode are an
+    `OSError`, reported like a missing or unreadable file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                      f"{exc.start})") from None
+
+
 def _read_polynomial(args, run: RunConfig):
     text = args.poly
     if text is None:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read().strip()
+        text = _read_text(args.file).strip()
     names = [v.strip() for v in args.vars.split(",") if v.strip()]
     if not names:
         raise ParseError("empty variable list", 0)
@@ -161,8 +171,7 @@ def cmd_curve_report(args, run: RunConfig) -> int:
 def cmd_verify(args, run: RunConfig) -> int:
     corpus = None
     if args.corpus:
-        with open(args.corpus, "r", encoding="utf-8") as fh:
-            corpus = parse_corpus(fh.read())
+        corpus = parse_corpus(_read_text(args.corpus))
     results = verify_propositions(seed=run.seed, cfg=run.randomization(),
                                   corpus=corpus)
     ok = all(r.passed for r in results)

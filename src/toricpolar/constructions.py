@@ -249,10 +249,16 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
             continue
         cols = [c.strip() for c in line.split("|")]
         if len(cols) not in (3, 4):
-            raise ValueError(f"corpus line {lineno}: expected 3 or 4 columns")
+            raise PreconditionError(
+                f"corpus line {lineno}: expected 3 or 4 columns, got {len(cols)}")
         expected = None
         if len(cols) == 4 and cols[3]:
-            expected = tuple(int(v) for v in cols[3].split(","))
+            try:
+                expected = tuple(int(v) for v in cols[3].split(","))
+            except ValueError:
+                raise PreconditionError(
+                    f"corpus line {lineno}: expected multidegrees must be "
+                    f"comma-separated integers, got {cols[3]!r}") from None
         entries.append(CorpusEntry(cols[0], tuple(cols[1].split(",")),
                                    cols[2], expected))
     return entries

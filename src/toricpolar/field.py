@@ -1,11 +1,12 @@
 """Prime fields F_p used as exact coefficient domains.
 
 Elements are plain Python ints reduced into [0, p).  The field object
-carries the modulus, a few arithmetic helpers and the term kernel chosen
-for this modulus (compiled or pure Python).
+carries the modulus, a few arithmetic helpers and the term kernel
+(`toricpolar._kernel_py`) that the polynomial and Gröbner code call for
+the hot term arithmetic.
 """
 
-from . import _kernel
+from . import _kernel_py
 from .errors import PreconditionError
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1, Mersenne
@@ -41,17 +42,18 @@ def is_prime(n: int) -> bool:
 class PrimeField:
     """The field F_p together with the term kernel used for its arithmetic."""
 
-    __slots__ = ("p", "kernel", "backend")
+    __slots__ = ("p",)
 
-    def __init__(self, p: int = DEFAULT_PRIME, backend: str | None = None):
+    kernel = _kernel_py
+    backend = "python"  # the kernel's name, recorded in benchmark run contexts
+
+    def __init__(self, p: int = DEFAULT_PRIME):
         if not is_prime(p):
             raise PreconditionError(f"modulus {p} is not prime")
         if p == 2:
             raise PreconditionError("modulus 2 is too small for the degree "
                                     "ranges handled here")
         self.p = p
-        self.kernel = _kernel.kernel_for(p, backend)
-        self.backend = "cython" if self.kernel.__name__.endswith("_c") else "python"
 
     def reduce(self, a: int) -> int:
         return a % self.p

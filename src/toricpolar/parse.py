@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
-from .errors import ParseError
+from .errors import ParseError, PreconditionError
 from .field import PrimeField
 from .poly import Polynomial
 
@@ -148,7 +148,7 @@ def parse_polynomial(text: str, variables: Sequence[str],
         field = PrimeField()
     names = list(variables)
     if len(set(names)) != len(names):
-        raise ValueError("duplicate variable names")
+        raise PreconditionError("duplicate variable names")
     parser = _Parser(_tokenize(text), field, names)
     result = parser.parse_expr()
     kind, _, pos = parser.peek()

@@ -211,3 +211,35 @@ def test_nesting_at_the_limit_parses():
                          "--vars", "x0,x1,x2", "--json"])
     assert code == 0
     assert json.loads(out)["multidegrees"] == [1, 1, 1]
+
+
+def test_duplicate_variable_names_exit_code(capsys):
+    code = main(["multidegrees", "--poly", "x0+x1", "--vars", "x0,x0"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "precondition violated: duplicate variable names\n"
+
+
+NOT_UTF8 = b"\xff\xfe x0 + x1\n"
+
+
+@pytest.mark.parametrize("command, content, message", [
+    ("verify", b"two | columns\n", "corpus line 1: expected 3 or 4 columns"),
+    ("verify", b"# header\nc | x0,x1,x2 | x0+x1+x2 | 1,two,1\n",
+     "corpus line 2: expected multidegrees must be comma-separated integers"),
+    ("verify", NOT_UTF8, "not UTF-8 text"),
+    ("multidegrees", NOT_UTF8, "not UTF-8 text"),
+], ids=["corpus-columns", "corpus-expected", "corpus-not-utf8", "file-not-utf8"])
+def test_unreadable_input_files_exit_code(tmp_path, capsys, command, content,
+                                          message):
+    path = tmp_path / "input.txt"
+    path.write_bytes(content)
+    option = "--corpus" if command == "verify" else "--file"
+    argv = [command, option, str(path)]
+    if command == "multidegrees":
+        argv += ["--vars", "x0,x1"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert message in err
+    assert err.count("\n") == 1

@@ -1,5 +1,6 @@
 import pytest
 
+from toricpolar import _kernel_py
 from toricpolar.errors import PreconditionError
 from toricpolar.field import DEFAULT_PRIME, PrimeField, is_prime
 
@@ -46,11 +47,19 @@ def test_symmetric_representative():
 
 
 def test_field_equality_ignores_backend():
-    a = PrimeField(65521, backend="python")
+    a = PrimeField(65521)
     b = PrimeField(65521)
     assert a == b and hash(a) == hash(b)
 
 
 def test_large_prime_uses_python_kernel():
     F = PrimeField(2**61 - 1)
+    assert F.backend == "python"
+    assert F.kernel is _kernel_py
+
+
+@pytest.mark.parametrize("p", [65521, DEFAULT_PRIME, 2**31 + 11])
+def test_every_prime_uses_the_one_kernel(p):
+    F = PrimeField(p)
+    assert F.kernel is _kernel_py
     assert F.backend == "python"

@@ -1,10 +1,11 @@
-"""The pure-Python kernel against the linear-scan algorithm it replaced.
+"""The term kernel against plain references.
 
 `normal_form_terms` keeps its pending terms in a heap.  The reference below
 is the earlier version, which finds each leading term by scanning with
 `exp_cmp`.  Both reduce the largest pending term by the first divisor, so
 they must return the same remainder even when the reducers are not a
-Gröbner basis.
+Gröbner basis.  The term arithmetic is checked against dicts summed term
+by term, reduced mod p, with zero coefficients dropped.
 """
 
 import pytest
@@ -96,6 +97,50 @@ def test_exponent_helpers(pair):
     assert k.exp_sub(e, d) == tuple(a - b for a, b in zip(e, d))
     assert k.exp_lcm(e, d) == tuple(max(a, b) for a, b in zip(e, d))
     assert k.exp_divides(d, e) == all(b <= a for a, b in zip(e, d))
+
+
+def reference_terms(pairs, p):
+    """Sum (exponent, integer coefficient) pairs into a dict over F_p."""
+    total = {}
+    for e, c in pairs:
+        total[e] = total.get(e, 0) + c
+    return {e: c % p for e, c in total.items() if c % p}
+
+
+def exp_sum(e, d):
+    return tuple(a + b for a, b in zip(e, d))
+
+
+@st.composite
+def operands(draw):
+    """A prime (2^61 - 1 included), two polynomials and one term."""
+    arity = draw(st.integers(1, 4))
+    p = draw(st.sampled_from(PRIMES + [2**61 - 1]))
+    exps = st.tuples(*[st.integers(0, 3)] * arity)
+    terms = st.dictionaries(exps, st.integers(1, p - 1), max_size=8)
+    # scalars may be negative, zero, one or beyond p
+    scalar = st.one_of(st.sampled_from([0, 1, p, p + 1]),
+                       st.integers(-2 * p, 2 * p))
+    return draw(terms), draw(terms), draw(exps), draw(scalar), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands())
+def test_term_arithmetic_matches_dict_reference(case):
+    a, b, d, c, p = case
+    a_before, b_before = dict(a), dict(b)
+    A, B = list(a.items()), list(b.items())
+    assert k.add_terms(a, b, p) == reference_terms(A + B, p)
+    assert k.sub_terms(a, b, p) == reference_terms(
+        A + [(e, -v) for e, v in B], p)
+    assert k.neg_terms(a, p) == reference_terms([(e, -v) for e, v in A], p)
+    assert k.scale_terms(a, c, p) == reference_terms(
+        [(e, c * v) for e, v in A], p)
+    assert k.term_mul(a, d, c, p) == reference_terms(
+        [(exp_sum(e, d), c * v) for e, v in A], p)
+    assert k.mul_terms(a, b, p) == reference_terms(
+        [(exp_sum(ea, eb), va * vb) for ea, va in A for eb, vb in B], p)
+    assert (a, b) == (a_before, b_before)
 
 
 # x0^2 + x0*x1 - x2^2 modulo g1 = x0^2 - x2^2 and g2 = x0*x1 - x2^2 (grevlex,
