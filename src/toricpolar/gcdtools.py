@@ -22,14 +22,6 @@ def _coefficients_in(f: Polynomial, v: int) -> dict[int, Polynomial]:
             for k, t in rows.items()}
 
 
-def _from_coefficients(coeffs: dict[int, Polynomial], v: int, field, arity):
-    out = {}
-    for k, g in coeffs.items():
-        for e, c in g.terms.items():
-            out[e[:v] + (k,) + e[v + 1:]] = c
-    return Polynomial(field, arity, out, _clean=True)
-
-
 def _univariate_gcd(f: Polynomial, g: Polynomial, v: int) -> Polynomial:
     """Monic Euclidean gcd of two polynomials involving only x_v."""
     field = f.field

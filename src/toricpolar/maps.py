@@ -3,7 +3,8 @@ randomized computation of their multidegrees.
 
 The multidegree d_j is the degree of the closure of the preimage of a
 general codimension-j linear subspace.  It is computed by slicing: j random
-combinations of the map's coordinates plus n-j random linear forms, a
+combinations of the map's coordinates, restricted to n-j random linear forms
+(one echelon form mod p; its free variables are the j+1 coordinates), a
 saturation by one further random coordinate combination to excise the base
 locus, and Hilbert-series degree extraction.  Independent trials with fresh
 randomness must agree, otherwise a SpecializationError is raised.
@@ -202,50 +203,73 @@ def _random_combination(polys, rng: random.Random) -> Polynomial:
     raise SpecializationError("random combinations keep vanishing")
 
 
-def _random_linear_form(field: PrimeField, arity: int, rng: random.Random) -> Polynomial:
-    coeffs = _random_nonzero_vector(rng, arity, field.p)
-    out = Polynomial.zero(field, arity)
-    for i, c in enumerate(coeffs):
-        if c:
-            out = out + Polynomial.variable(field, arity, i) * c
-    return out
+def _linear_form(field: PrimeField, row: list[int]) -> Polynomial:
+    """The linear form sum_i row[i] * x_i in len(row) variables."""
+    arity = len(row)
+    return Polynomial(field, arity, {
+        tuple(int(k == i) for k in range(arity)): c for i, c in enumerate(row)})
 
 
-def _substitute_out_linear(polys: list[Polynomial], lin: Polynomial):
-    """Quotient by one linear form: solve it for its highest variable and
-    substitute, dropping that variable from the ring."""
-    field = lin.field
-    arity = lin.arity
-    pivot = None
-    for e, c in lin.terms.items():
-        i = next(j for j, x in enumerate(e) if x)
-        if pivot is None or i > pivot:
-            pivot = i
-    coeff = lin.coefficient(tuple(1 if j == pivot else 0 for j in range(arity)))
-    scale = field.neg(field.inv(coeff))
-    rest = lin - Polynomial.variable(field, arity, pivot) * coeff
-    image = rest * scale
-    images = [Polynomial.variable(field, arity, i) for i in range(arity)]
-    images[pivot] = image
-    return [q.substitute(images).drop_variable(pivot) for q in polys]
+def _echelon_mod_p(rows: list[list[int]], p: int):
+    """Reduced echelon form mod p, row by row: each row is reduced by the
+    earlier pivots, pivots on its last nonzero column (scaled to 1) and is
+    cleared from the earlier rows.  Returns the (pivot column, row) pairs,
+    or None when a row depends on the earlier ones."""
+    pivots = []
+    for row in rows:
+        r = [c % p for c in row]
+        for col, prow in pivots:
+            f = r[col]
+            if f:
+                r = [(a - f * b) % p for a, b in zip(r, prow)]
+        col = next((i for i in reversed(range(len(r))) if r[i]), None)
+        if col is None:
+            return None
+        inv = pow(r[col], p - 2, p)
+        r = [a * inv % p for a in r]
+        for k, (pcol, prow) in enumerate(pivots):
+            f = prow[col]
+            if f:
+                pivots[k] = (pcol, [(a - f * b) % p for a, b in zip(prow, r)])
+        pivots.append((col, r))
+    return pivots
+
+
+def _restrict_to_subspace(polys: list[Polynomial],
+                          rows: list[list[int]]) -> list[Polynomial] | None:
+    """The polynomials on the common zeros of the linear forms `rows`, in
+    the free variables of their echelon form (each pivot variable is minus
+    its row); None when a row depends on the earlier ones."""
+    if not rows:
+        return list(polys)
+    field, arity = polys[0].field, polys[0].arity
+    pivots = _echelon_mod_p(rows, field.p)
+    if pivots is None:
+        return None
+    bound = {col for col, _ in pivots}
+    free = [i for i in range(arity) if i not in bound]
+    images = [None] * arity
+    for k, i in enumerate(free):
+        images[i] = Polynomial.variable(field, len(free), k)
+    for col, row in pivots:
+        images[col] = _linear_form(field, [-row[i] for i in free])
+    return [g.substitute(images) for g in polys]
 
 
 def _slice_degree(phi: RationalMapSpec, j: int, seed: int, trial: int) -> int:
-    """Degree of the saturated slice computing d_j, for one trial."""
+    """Degree of the saturated slice computing d_j, for one trial; the free
+    variables of the echelon form of the n-j linear forms are its j+1
+    coordinates."""
     sub = derive_seed(seed, j, trial)
     rng = random.Random(sub)
     fld = phi.field
     n = phi.n
     pullbacks = [_random_combination(phi.coordinates, rng) for _ in range(j)]
-    linear = [_random_linear_form(fld, n + 1, rng) for _ in range(n - j)]
+    rows = [_random_nonzero_vector(rng, n + 1, fld.p) for _ in range(n - j)]
     saturant = _random_combination(phi.coordinates, rng)
-    gens = pullbacks + [saturant]
-    while linear:
-        lin, *linear = linear
-        if lin.is_zero():
-            raise SpecializationError("degenerate random linear form", (sub,))
-        rewritten = _substitute_out_linear(gens + linear, lin)
-        gens, linear = rewritten[:len(gens)], rewritten[len(gens):]
+    gens = _restrict_to_subspace(pullbacks + [saturant], rows)
+    if gens is None:
+        raise SpecializationError("degenerate random linear form", (sub,))
     saturant = gens.pop()
     if saturant.is_zero():
         raise SpecializationError("saturating combination vanished on the "
@@ -309,27 +333,6 @@ def topological_degree(phi: RationalMapSpec,
 # coordinate changes
 
 
-def _determinant_mod_p(rows: list[list[int]], p: int) -> int:
-    m = [row[:] for row in rows]
-    n = len(m)
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det % p
-        inv = pow(m[col][col], p - 2, p)
-        det = det * m[col][col] % p
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv % p
-            if factor:
-                for c in range(col, n):
-                    m[r][c] = (m[r][c] - factor * m[col][c]) % p
-    return det % p
-
-
 def random_translate(f: Polynomial, seed: int) -> Polynomial:
     """f composed with a random invertible linear change of coordinates."""
     if not f.is_homogeneous():
@@ -339,15 +342,8 @@ def random_translate(f: Polynomial, seed: int) -> Polynomial:
     p = f.field.p
     for _ in range(64):
         rows = [[rng.randrange(p) for _ in range(arity)] for _ in range(arity)]
-        if _determinant_mod_p(rows, p):
-            images = []
-            for row in rows:
-                g = Polynomial.zero(f.field, arity)
-                for jj, c in enumerate(row):
-                    if c:
-                        g = g + Polynomial.variable(f.field, arity, jj) * c
-                images.append(g)
-            return f.substitute(images)
+        if _echelon_mod_p(rows, p) is not None:
+            return f.substitute([_linear_form(f.field, row) for row in rows])
     raise SpecializationError("no invertible matrix found", (seed,))
 
 

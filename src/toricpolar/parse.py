@@ -27,7 +27,8 @@ from .poly import Polynomial
 # of 1000 even when the caller is already deep in the stack.
 MAX_NESTING = 100
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([-+*^()]))")
+_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({_IDENT.pattern})|([-+*^()]))")
 
 
 def _tokenize(text: str):
@@ -142,13 +143,16 @@ def parse_polynomial(text: str, variables: Sequence[str],
     """Parse `text` into a fully expanded polynomial in the given variables.
 
     Integer literals are reduced modulo the field prime; every identifier
-    must occur in `variables`.
+    must occur in `variables`, and every variable must be an identifier.
     """
     if field is None:
         field = PrimeField()
     names = list(variables)
     if len(set(names)) != len(names):
         raise PreconditionError("duplicate variable names")
+    for name in names:
+        if not _IDENT.fullmatch(name):
+            raise PreconditionError(f"variable name {name!r} is not an identifier")
     parser = _Parser(_tokenize(text), field, names)
     result = parser.parse_expr()
     kind, _, pos = parser.peek()

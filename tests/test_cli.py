@@ -1,8 +1,10 @@
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from toricpolar.cli import main
 from toricpolar.parse import MAX_NESTING
@@ -220,6 +222,19 @@ def test_duplicate_variable_names_exit_code(capsys):
     assert err == "precondition violated: duplicate variable names\n"
 
 
+@pytest.mark.parametrize("names, poly", [
+    ("1x,x1,x2", "x1+x2"),
+    ("x0,x 1,x2", "x0+x2"),
+], ids=["leading-digit", "inner-space"])
+def test_invalid_variable_names_exit_code(capsys, names, poly):
+    code = main(["multidegrees", "--poly", poly, "--vars", names])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("precondition violated: variable name ")
+    assert "is not an identifier" in err
+    assert err.count("\n") == 1
+
+
 NOT_UTF8 = b"\xff\xfe x0 + x1\n"
 
 
@@ -243,3 +258,57 @@ def test_unreadable_input_files_exit_code(tmp_path, capsys, command, content,
     assert code == 3
     assert message in err
     assert err.count("\n") == 1
+
+
+FUZZ_NAMES = ["x0", "x1", "x2"]
+
+
+@st.composite
+def polynomial_texts(draw):
+    """Text of a polynomial of degree at most 3 in the first `n` of x0..x2,
+    usually homogeneous with a pure power of each variable (so that no
+    coordinate divides it), or arbitrary characters of the grammar."""
+    n = draw(st.integers(1, 3))
+    if draw(st.integers(0, 3)) == 0:
+        return n, draw(st.text(alphabet="x012+-*^() 37", max_size=20))
+    degree = draw(st.integers(0, 3))
+    homogeneous = draw(st.integers(0, 3)) > 0
+    coefficient = st.integers(-3, 40).map(str)
+    terms = [f"{draw(coefficient)}*{name}^{degree}"
+             for name in FUZZ_NAMES[:n] if draw(st.integers(0, 3))]
+    for _ in range(draw(st.integers(0, 3))):
+        d = degree if homogeneous else draw(st.integers(0, degree))
+        factors = [draw(coefficient)]
+        factors += [FUZZ_NAMES[draw(st.integers(0, n - 1))] for _ in range(d)]
+        terms.append("*".join(factors))
+    return n, " + ".join(terms) or "0"
+
+
+ARGV_FRAGMENTS = st.sampled_from([
+    ["--json"], ["--gradient"], ["--seed", "3"], ["--seed", "-7"],
+    ["--prime", "5"], ["--prime", "7"], ["--prime", "32003"],
+    ["--prime", "91"], ["--prime", "2"], ["--vars", "1x,x1"], ["--vars", ""],
+    ["--poly"], ["--seed"], ["--bogus"], ["x0"],
+])
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["multidegrees", "csm", "curve-report"]),
+       polynomial_texts(), st.lists(ARGV_FRAGMENTS, max_size=2))
+def test_cli_fuzz_exits_with_a_documented_code(command, poly, fragments):
+    """Any argv and polynomial text ends in an exit code 0..4 with at most
+    an error line or a usage message on stderr, never a traceback."""
+    n, text = poly
+    argv = [command, "--poly", text, "--vars", ",".join(FUZZ_NAMES[:n]),
+            "--trials", "1"]
+    for fragment in fragments:
+        argv += fragment
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejecting the argv
+            code = exc.code
+    assert code in range(5)
+    assert "Traceback" not in err.getvalue()

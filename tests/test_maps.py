@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from toricpolar import maps
 from toricpolar.constructions import MonomialMatrix, random_monomial_matrix
 from toricpolar.errors import PreconditionError, SpecializationError
 from toricpolar.field import PrimeField
@@ -12,6 +15,7 @@ from toricpolar.maps import (MultidegreeVector, RandomizationConfig,
                              random_translate, topological_degree,
                              toric_polar_map)
 from toricpolar.parse import parse_polynomial
+from toricpolar.poly import Polynomial
 
 from conftest import random_homogeneous
 
@@ -300,3 +304,111 @@ def test_one_block_order_basis_per_slice(monkeypatch):
     md = multidegrees(phi, CFG)
     assert md.values == (1, 3, 3, 1)
     assert orders == ["block"] * ((phi.n + 1) * CFG.trials)
+
+
+# --- the linear restriction of a slice ----------------------------------------
+
+def reference_restrict(polys, rows):
+    """The sequential restriction that slices used before the echelon form:
+    solve each linear form for its highest variable, substitute that into
+    the polynomials and the remaining forms, and drop it from the ring.
+    None when a form vanishes on the subspace cut out by the earlier ones."""
+    field, arity = polys[0].field, polys[0].arity
+    linear = [Polynomial(field, arity, {
+        tuple(int(k == i) for k in range(arity)): c for i, c in enumerate(row)})
+        for row in rows]
+    polys = list(polys)
+    while linear:
+        lin, *linear = linear
+        if lin.is_zero():
+            return None
+        arity = lin.arity
+        pivot = max(next(i for i, x in enumerate(e) if x) for e in lin.terms)
+        x = Polynomial.variable(field, arity, pivot)
+        coeff = lin.coefficient(tuple(int(k == pivot) for k in range(arity)))
+        images = [Polynomial.variable(field, arity, i) for i in range(arity)]
+        images[pivot] = (lin - x * coeff) * field.neg(field.inv(coeff))
+        rewritten = [q.substitute(images).drop_variable(pivot)
+                     for q in polys + linear]
+        polys, linear = rewritten[:len(polys)], rewritten[len(polys):]
+    return polys
+
+
+@st.composite
+def restrictions(draw):
+    """Homogeneous polynomials and up to arity-1 coefficient rows, some of
+    them zero or combinations of earlier rows, over a small and two large
+    primes."""
+    p = draw(st.sampled_from([5, 32003, 2**31 - 1]))
+    field = PrimeField(p)
+    arity = draw(st.integers(2, 5))
+    coefficient = st.one_of(st.sampled_from([0, 0, 1, p - 1]),
+                            st.integers(0, p - 1))
+
+    def form(degree):
+        monomial = st.lists(st.integers(0, arity - 1), min_size=degree,
+                            max_size=degree).map(
+            lambda v: tuple(v.count(i) for i in range(arity)))
+        return st.dictionaries(monomial, st.integers(1, p - 1), min_size=1,
+                               max_size=4).map(
+            lambda terms: Polynomial(field, arity, terms))
+
+    polys = draw(st.lists(st.integers(1, 3).flatmap(form), min_size=1,
+                          max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(0, arity - 1))):
+        if rows and draw(st.integers(0, 3)) == 0:
+            r, s = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            a, b = draw(coefficient), draw(coefficient)
+            rows.append([(a * x + b * y) % p for x, y in zip(r, s)])
+        else:
+            rows.append(draw(st.lists(coefficient, min_size=arity,
+                                      max_size=arity)))
+    return polys, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(restrictions())
+def test_restriction_matches_sequential_reference(case):
+    """One echelon form and one substitution per polynomial give the same
+    polynomials, term for term and in the same ring, as restricting to one
+    linear form after another; both report a dependent row alike."""
+    polys, rows = case
+    mine = maps._restrict_to_subspace(polys, rows)
+    ref = reference_restrict(polys, rows)
+    if ref is None:
+        assert mine is None
+    else:
+        assert mine is not None
+        assert ([(g.arity, g.terms) for g in mine]
+                == [(g.arity, g.terms) for g in ref])
+
+
+def all_ones(rng, length, p):
+    return [1] * length
+
+
+def test_dependent_linear_forms_raise(monkeypatch):
+    """With every random vector all ones, the two linear forms of the j = 0
+    slice on P^2 coincide."""
+    monkeypatch.setattr(maps, "_random_nonzero_vector", all_ones)
+    phi = RationalMapSpec([P("x0"), P("x1"), P("x2")])
+    with pytest.raises(SpecializationError) as err:
+        multidegrees(phi, CFG)
+    sub = derive_seed(CFG.seed, 0, 0)
+    assert str(err.value) == f"degenerate random linear form [seeds: {sub}]"
+    assert err.value.seeds == (sub,)
+
+
+def test_saturant_vanishing_on_the_slice_raises(monkeypatch):
+    """With every random vector all ones, the j = 0 slice of P^1 is the
+    point x0 + x1 = 0, on which the saturant x0 + x1 vanishes."""
+    monkeypatch.setattr(maps, "_random_nonzero_vector", all_ones)
+    line = ("x0", "x1")
+    phi = RationalMapSpec([P("x0", line), P("x1", line)])
+    with pytest.raises(SpecializationError) as err:
+        multidegrees(phi, CFG)
+    sub = derive_seed(CFG.seed, 0, 0)
+    assert str(err.value) == ("saturating combination vanished on the slice "
+                              f"[seeds: {sub}]")
+    assert err.value.seeds == (sub,)

@@ -1,6 +1,6 @@
 import pytest
 
-from toricpolar.errors import ParseError
+from toricpolar.errors import ParseError, PreconditionError
 from toricpolar.field import PrimeField
 from toricpolar.parse import parse_polynomial
 from toricpolar.poly import Polynomial
@@ -88,6 +88,18 @@ def test_bad_character():
 def test_juxtaposition_needs_star():
     with pytest.raises(ParseError):
         P("2x0")
+
+
+@pytest.mark.parametrize("name", ["1x", "x 1", "", "x-1", "x1 ", "_x", "x\u00e9"])
+def test_variable_names_must_be_identifiers(name):
+    # a name the grammar cannot write would be a coordinate no text mentions
+    with pytest.raises(PreconditionError, match="is not an identifier"):
+        parse_polynomial("x0", ("x0", name), F)
+
+
+def test_identifier_variable_names_accepted():
+    f = parse_polynomial("a_1 + Z9*b", ("a_1", "Z9", "b"), F)
+    assert f.terms == {(1, 0, 0): 1, (0, 1, 1): 1}
 
 
 from hypothesis import given, settings
