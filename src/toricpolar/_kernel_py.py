@@ -6,19 +6,49 @@ return fresh dicts and never mutate their arguments, except where noted.
 
 This is the package's only term kernel: every `PrimeField` carries this
 module as `field.kernel`, whatever its prime, and the polynomial and
-Gröbner code call it through that attribute.  `normal_form_terms` keeps
-its pending terms in a heap (Monagan & Pearce, "Sparse polynomial division
-using a heap", J. Symbolic Comput. 46, 2011).
+Gröbner code call it through that attribute.
 
 Monomial-order codes (`kind`):
   0  graded reverse lexicographic
   1  lexicographic
   2  block elimination: grevlex on the first `block` variables, ties broken
      by grevlex on the rest
+
+`order_key` defines each order once, as a tuple of nonnegative linear
+forms in the exponents compared left to right: grevlex uses the partial
+sums deg, deg - e_{n-1}, deg - e_{n-1} - e_{n-2}, ..., e_0; lex uses the
+e_i themselves; a block order uses the grevlex forms of each block.
+`leading_exponent` and `MonomialOrder.key` read the order from it.
+
+`normal_form_terms` keeps its pending terms in a heap (Monagan & Pearce,
+"Sparse polynomial division using a heap", J. Symbolic Comput. 46, 2011)
+and works on packed monomials (Monagan & Pearce, "Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", CASC 2007;
+Bachmann & Schönemann, "Monomial representations for Gröbner bases
+computations", ISSAC 1998).  A `Reducers` object packs each exponent e
+into one int made of two packs, in fields `width` bits wide, each topped
+by a guard bit (G is the mask of all guard bits):
+
+  order pack         the order's forms, the first one in the most
+                     significant field, so integer comparison is the order;
+  divisibility pack  the exponents, one per field, below the order pack, so
+                     x^a divides x^b exactly when ((b | G) - a) & G == G.
+
+Both packs are linear in e, so integer addition is monomial multiplication.
+The reducers are packed once, when they join a basis.  The width comes
+from the data: every form is at most the total degree, and the fields hold
+twice the largest total degree of the reducers and of the polynomial being
+reduced.  A grevlex reduction never leaves that range; under lex and block
+orders a product can.  Its fields are then below twice the field range, so
+a guard bit is set: the call re-packs its reducers at twice the width and
+starts again.  Only the remainder is unpacked; it is the same dict, in the
+same insertion order, as a reduction on exponent tuples gives.
 """
 
+from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
-from operator import add, le, neg, sub
+from itertools import accumulate
+from operator import add, le, mul, sub
 
 GREVLEX = 0
 LEX = 1
@@ -59,30 +89,28 @@ def exp_cmp(e1, e2, kind, block):
     return _grevlex_cmp_range(e1, e2, block, n)
 
 
-def _grevlex_key(e):
-    return (-sum(e), e[::-1])
+def _grevlex_forms(e):
+    # partial sums e_0 + ... + e_k, largest k first: deg, deg - e_{n-1}, ...
+    return tuple(accumulate(e))[::-1]
 
 
-def _lex_key(e):
-    return tuple(map(neg, e))
+def _block_forms(block, e):
+    # the grevlex forms of e[:block], then those of e[block:]
+    return (tuple(accumulate(e[:block]))[::-1]
+            + tuple(accumulate(e[block:]))[::-1])
 
 
-def _order_key(kind, block):
-    """Sort key under which the largest monomial in the order comes first.
+def order_key(kind, block):
+    """The order's key: exponent tuple -> tuple of its linear forms.
 
-    Keys of distinct exponents differ, so sorting (or a heap) by key alone
-    agrees with exp_cmp.
+    A larger key is a larger monomial, and distinct exponents have distinct
+    keys, so sorting (or a heap) by key alone agrees with exp_cmp.
     """
     if kind == GREVLEX:
-        return _grevlex_key
+        return _grevlex_forms
     if kind == LEX:
-        return _lex_key
-
-    def block_key(e):
-        # grevlex keys of e[:block] and of e[block:], joined
-        return (-sum(e[:block]), e[block - 1::-1],
-                -sum(e[block:]), e[:block - 1:-1])
-    return block_key
+        return tuple
+    return partial(_block_forms, block)
 
 
 def exp_add(e, d):
@@ -104,7 +132,7 @@ def exp_divides(d, e):
 
 def leading_exponent(terms, kind, block):
     """Largest exponent of `terms` in the order, or None when empty."""
-    return min(terms, key=_order_key(kind, block), default=None)
+    return max(terms, key=order_key(kind, block), default=None)
 
 
 def add_terms(a, b, p):
@@ -175,45 +203,150 @@ def mul_terms(a, b, p):
     return r
 
 
-def normal_form_terms(f, lead_exps, lead_invs, tails, p, kind, block):
-    """Fully reduce `f` modulo a list of reducers.
+def _width_for(degree):
+    """Field width that holds twice `degree`."""
+    return (2 * degree).bit_length()
 
-    Reducer i has leading exponent lead_exps[i], inverse leading coefficient
-    lead_invs[i] and tail terms tails[i] (the reducer minus its leading
-    term).  Each step reduces the largest pending term by the first reducer
-    whose leading exponent divides it.  Returns the remainder, none of whose
-    terms is divisible by any lead_exps[i].
 
-    The pending terms live in `h`; every key of `h` has exactly one entry
-    in the heap, which pops the largest monomial first.  A coefficient that
-    cancels stays in `h` as 0, so that its entry is not pushed twice, and
-    is skipped when popped.
+@lru_cache(maxsize=256)
+def _layout(kind, block, arity, width):
+    """Weights, guard mask, unpacking shifts and field mask of the packs at
+    `width`.  The divisibility pack fills fields 0 .. n-1 and the order pack
+    the fields above it, the first form in the top field.  Weight i is the
+    pack of x_i, so the pack of e is the sum of e_i times weight i."""
+    key = order_key(kind, block)
+    step = width + 1
+    top = arity + len(key((0,) * arity)) - 1
+    weights = []
+    for i in range(arity):
+        w = 1 << i * step
+        for k, f in enumerate(key(tuple(int(j == i) for j in range(arity)))):
+            w += f << (top - k) * step
+        weights.append(w)
+    guards = sum(1 << (j * step + width) for j in range(top + 1))
+    return (tuple(weights), guards, tuple(i * step for i in range(arity)),
+            (1 << width) - 1)
+
+
+class Reducers:
+    """Reducers for `normal_form_terms`, packed once under one order.
+
+    `append` adds a reducer: its terms, leading exponent and inverse
+    leading coefficient.  Its tail (the terms but the leading one) is packed
+    then and kept only packed; `subset` reuses the packed reducers.
+    `normal_form_terms` widens the fields in place when a reduction would
+    overflow them.
     """
-    key = _order_key(kind, block)
-    h = dict(f)
-    heap = [(key(e), e) for e in h]
+
+    __slots__ = ("kind", "block", "arity", "width", "weights", "guards",
+                 "shifts", "mask", "entries")
+
+    def __init__(self, kind, block, arity):
+        self.kind = kind
+        self.block = block
+        self.arity = arity
+        self.entries = []  # (packed lead, inverse coefficient, packed tail)
+        self._set_width(0)
+
+    def _set_width(self, width):
+        """Set the field width; entries packed before must be redone."""
+        self.width = width
+        self.weights, self.guards, self.shifts, self.mask = _layout(
+            self.kind, self.block, self.arity, width)
+
+    def pack(self, e):
+        return sum(map(mul, e, self.weights))
+
+    def unpack(self, x):
+        mask = self.mask
+        return tuple([x >> s & mask for s in self.shifts])
+
+    def widen(self, width):
+        """Re-pack at `width` when it is wider than the current width."""
+        if width <= self.width:
+            return
+        unpack = self.unpack
+        plain = [(unpack(lead), inv, [(unpack(x), c) for x, c in tail])
+                 for lead, inv, tail in self.entries]
+        self._set_width(width)
+        pack = self.pack
+        self.entries = [(pack(lead), inv, [(pack(e), c) for e, c in tail])
+                        for lead, inv, tail in plain]
+
+    def append(self, terms, lead, inv):
+        self.widen(_width_for(max(map(sum, terms))))
+        pack = self.pack
+        self.entries.append((pack(lead), inv, [(pack(e), c) for e, c in
+                                               terms.items() if e != lead]))
+
+    def subset(self, indices):
+        """The reducers at `indices`, in that order, sharing this packing."""
+        out = Reducers(self.kind, self.block, self.arity)
+        out._set_width(self.width)
+        entries = self.entries
+        out.entries = [entries[i] for i in indices]
+        return out
+
+
+def normal_form_terms(f, reducers, p):
+    """Fully reduce `f` modulo a `Reducers` list.
+
+    Each step reduces the largest pending term by the first reducer whose
+    leading exponent divides it.  Returns the remainder, none of whose terms
+    is divisible by any leading exponent, with its terms in decreasing
+    order (so its first key is its leading exponent).  When a product
+    overflows the packed fields, `reducers` is re-packed twice as wide and
+    the reduction starts again, so the remainder does not depend on the
+    width.
+    """
+    reducers.widen(_width_for(max(map(sum, f), default=0)))
+    while True:
+        r = _reduce_packed(f, reducers, p)
+        if r is not None:
+            unpack = reducers.unpack
+            return {unpack(x): c for x, c in r}
+        reducers.widen(2 * reducers.width)
+
+
+def _reduce_packed(f, reducers, p):
+    """Packed remainder as (exponent, coefficient) pairs in the order they
+    were found, or None when a product overflowed its fields.
+
+    The pending terms live in `h`; every key of `h` has exactly one entry,
+    negated, in the heap, which pops the largest monomial first.  A
+    coefficient that cancels stays in `h` as 0, so that its entry is not
+    pushed twice, and is skipped when popped.  Only a new key can overflow:
+    its fields are below twice the field range, so a set guard bit shows it.
+    """
+    pack = reducers.pack
+    guards = reducers.guards
+    entries = reducers.entries
+    h = {pack(e): c for e, c in f.items()}
+    heap = [-x for x in h]
     heapify(heap)
-    r = {}
-    reducers = list(zip(lead_exps, lead_invs, tails))
+    r = []
     while heap:
-        u = heappop(heap)[1]
+        u = -heappop(heap)
         c = h.pop(u)
         if not c:
             continue
-        for lead, inv, tail in reducers:
-            if all(map(le, lead, u)):
+        ug = u | guards
+        for lead, inv, tail in entries:
+            if (ug - lead) & guards == guards:
                 break
         else:
-            r[u] = c
+            r.append((u, c))
             continue
         q = c * inv % p
-        d = tuple(map(sub, u, lead))
-        for te, tc in tail.items():
-            e = tuple(map(add, te, d))
+        d = u - lead
+        for tx, tc in tail:
+            e = tx + d
             s = h.get(e)
             if s is None:
+                if e & guards:
+                    return None
                 h[e] = -q * tc % p
-                heappush(heap, (key(e), e))
+                heappush(heap, -e)
             else:
                 h[e] = (s - q * tc) % p
     return r

@@ -54,8 +54,8 @@ class GroebnerBasis:
     """Reduced Gröbner basis: monic elements, no term of one divisible by
     the leading term of another."""
 
-    __slots__ = ("field", "arity", "order", "elements",
-                 "_lead_exps", "_lead_invs", "_tails")
+    __slots__ = ("field", "arity", "order", "elements", "_lead_exps",
+                 "_reducers")
 
     def __init__(self, field: PrimeField, arity: int, order: MonomialOrder,
                  elements: Sequence[Polynomial]):
@@ -63,26 +63,28 @@ class GroebnerBasis:
         self.arity = arity
         self.order = order
         self.elements = tuple(elements)
-        self._lead_exps = []
-        self._lead_invs = []
-        self._tails = []
-        for g in self.elements:
-            e, c = g.leading_term(order)
-            self._lead_exps.append(e)
-            self._lead_invs.append(field.inv(c))
-            tail = dict(g.terms)
-            del tail[e]
-            self._tails.append(tail)
+        self._lead_exps = [g.leading_term(order)[0] for g in self.elements]
+        self._reducers = None
 
     def leading_exponents(self) -> tuple[tuple, ...]:
         return tuple(self._lead_exps)
 
+    def _packed(self):
+        """The elements packed as kernel reducers, on first use (most bases
+        only give their leading exponents)."""
+        if self._reducers is None:
+            red = self.field.kernel.Reducers(self.order.code,
+                                             self.order.block, self.arity)
+            for g, e in zip(self.elements, self._lead_exps):
+                red.append(g.terms, e, self.field.inv(g.terms[e]))
+            self._reducers = red
+        return self._reducers
+
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.field != self.field or f.arity != self.arity:
             raise ValueError("polynomial from a different ring")
-        r = self.field.kernel.normal_form_terms(
-            f.terms, self._lead_exps, self._lead_invs, self._tails,
-            self.field.p, self.order.code, self.order.block)
+        r = self.field.kernel.normal_form_terms(f.terms, self._packed(),
+                                                self.field.p)
         return Polynomial(self.field, self.arity, r, _clean=True)
 
     def contains(self, f: Polynomial) -> bool:
@@ -92,14 +94,15 @@ class GroebnerBasis:
         """Debug check of the defining property."""
         k = self.field.kernel
         p = self.field.p
-        lead, invs, elems = self._lead_exps, self._lead_invs, self.elements
+        lead, elems = self._lead_exps, self.elements
+        invs = [self.field.inv(g.terms[e]) for g, e in zip(elems, lead)]
+        reducers = self._packed()
         for i in range(len(elems)):
             for j in range(i + 1, len(elems)):
                 s = _s_terms(k, p, elems[i].terms, lead[i], invs[i],
                              elems[j].terms, lead[j], invs[j],
                              k.exp_lcm(lead[i], lead[j]))
-                if k.normal_form_terms(s, lead, invs, self._tails, p,
-                                       self.order.code, self.order.block):
+                if k.normal_form_terms(s, reducers, p):
                     return False
         return True
 
@@ -143,19 +146,17 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
 
     basis: list[dict] = []  # monic elements as term dicts
     lead: list[tuple] = []
-    invs: list[int] = []
-    tails: list[dict] = []
+    reducers = k.Reducers(order.code, order.block, I.arity)
     sugar: list[int] = []
     active: list[int] = []
     live: dict[tuple[int, int], tuple] = {}
     heap: list[tuple] = []
 
     def reduce_terms(terms: dict) -> dict:
-        return k.normal_form_terms(terms, lead, invs, tails, p,
-                                   order.code, order.block)
+        return k.normal_form_terms(terms, reducers, p)
 
     def append(terms: dict, s: int):
-        e = k.leading_exponent(terms, order.code, order.block)
+        e = next(iter(terms))  # a remainder lists its terms largest first
         if terms[e] != 1:
             terms = k.scale_terms(terms, fld.inv(terms[e]), p)
         h = len(basis)
@@ -177,10 +178,7 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
                 del live[(a, b)]
         basis.append(terms)
         lead.append(e)
-        invs.append(1)
-        tail = dict(terms)
-        del tail[e]
-        tails.append(tail)
+        reducers.append(terms, e, 1)
         sugar.append(s)
         dh = sum(e)
         for i, m in kept:
@@ -216,10 +214,8 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     active.sort(key=lambda i: order.key(lead[i]))
     reduced = []
     for i in active:
-        others = [j for j in active if j != i]
-        r = k.normal_form_terms(basis[i], [lead[j] for j in others],
-                                [1] * len(others), [tails[j] for j in others],
-                                p, order.code, order.block)
+        others = reducers.subset([j for j in active if j != i])
+        r = k.normal_form_terms(basis[i], others, p)
         reduced.append(Polynomial(fld, I.arity, r, _clean=True))
     result = GroebnerBasis(fld, I.arity, order, reduced)
     if _DEBUG_CHECK_BASES and not result.s_polynomials_reduce_to_zero():

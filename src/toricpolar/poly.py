@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from . import _kernel_py
 from .errors import PreconditionError
 from .field import PrimeField
 
@@ -33,23 +34,17 @@ class MonomialOrder:
             raise ValueError(f"unknown monomial order {self.kind!r}")
         if self.kind == "block" and self.block < 1:
             raise ValueError("block order needs a positive leading block")
+        object.__setattr__(self, "_key",
+                           _kernel_py.order_key(self.code, self.block))
 
     @property
     def code(self) -> int:
         return self._CODES[self.kind]
 
-    def key(self, e: tuple):
-        """Sort key: bigger key = bigger monomial."""
-        if self.kind == "grevlex":
-            return _grevlex_key(e)
-        if self.kind == "lex":
-            return e
-        k = self.block
-        return (_grevlex_key(e[:k]), _grevlex_key(e[k:]))
-
-
-def _grevlex_key(e: tuple):
-    return (sum(e), tuple(-x for x in reversed(e)))
+    def key(self, e: tuple) -> tuple:
+        """Sort key: bigger key = bigger monomial.  It is the tuple of the
+        order's linear forms in e (see `_kernel_py.order_key`)."""
+        return self._key(e)
 
 
 GREVLEX = MonomialOrder("grevlex")
@@ -290,19 +285,21 @@ class Polynomial:
             for i, x in enumerate(e):
                 if x > max_exp[i]:
                     max_exp[i] = x
-        one = Polynomial.constant(target_field, target_arity, 1)
         powers = []
-        for i in range(self.arity):
-            row = [one]
-            for _ in range(max_exp[i]):
-                row.append(row[-1] * images[i])
+        for g, top in zip(images, max_exp):
+            row = [g]  # row[x - 1] is g^x
+            for _ in range(top - 1):
+                row.append(row[-1] * g)
             powers.append(row)
         out = Polynomial.zero(target_field, target_arity)
         for e, c in self.terms.items():
-            term = Polynomial.constant(target_field, target_arity, c)
+            term = None
             for i, x in enumerate(e):
                 if x:
-                    term = term * powers[i][x]
+                    power = powers[i][x - 1]
+                    term = power * c if term is None else term * power
+            if term is None:
+                term = Polynomial.constant(target_field, target_arity, c)
             out = out + term
         return out
 

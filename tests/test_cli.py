@@ -1,11 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import toricpolar
 from toricpolar.cli import main
 from toricpolar.parse import MAX_NESTING
 
@@ -180,19 +185,38 @@ CREMONA_4 = ("x0*x1*x2*x3 + x0*x1*x2*x4 + x0*x1*x3*x4 + x0*x2*x3*x4 "
 
 # Exact stdout captured before the Buchberger pair queue was rewritten; any
 # change of selection strategy must reproduce it byte for byte.
-@pytest.mark.parametrize("argv, stdout", [
-    (["--poly", "x1^2+x0*x1+x0*x2", "--vars", "x0,x1,x2"],
-     '{"map": "toric", "n": 2, "degree": 1, "multidegrees": [1, 2, 1], '
-     '"prime": 2147483647, "seed": 0, "trials": 2}\n'),
-    (["--poly", CUSP, "--vars", "x0,x1,x2", "--seed", "9", "--trials", "3"],
-     '{"map": "toric", "n": 2, "degree": 2, "multidegrees": [1, 3, 2], '
-     '"prime": 2147483647, "seed": 9, "trials": 3}\n'),
-    (["--poly", CREMONA_4, "--vars", "x0,x1,x2,x3,x4"],
-     '{"map": "toric", "n": 4, "degree": 1, "multidegrees": [1, 4, 6, 4, 1], '
-     '"prime": 2147483647, "seed": 0, "trials": 2}\n'),
-], ids=["readme-quadric", "cuspidal-cubic", "cremona-4"])
+GOLDEN = {
+    "readme-quadric": (
+        ["--poly", "x1^2+x0*x1+x0*x2", "--vars", "x0,x1,x2"],
+        '{"map": "toric", "n": 2, "degree": 1, "multidegrees": [1, 2, 1], '
+        '"prime": 2147483647, "seed": 0, "trials": 2}\n'),
+    "cuspidal-cubic": (
+        ["--poly", CUSP, "--vars", "x0,x1,x2", "--seed", "9", "--trials", "3"],
+        '{"map": "toric", "n": 2, "degree": 2, "multidegrees": [1, 3, 2], '
+        '"prime": 2147483647, "seed": 9, "trials": 3}\n'),
+    "cremona-4": (
+        ["--poly", CREMONA_4, "--vars", "x0,x1,x2,x3,x4"],
+        '{"map": "toric", "n": 4, "degree": 1, "multidegrees": [1, 4, 6, 4, 1], '
+        '"prime": 2147483647, "seed": 0, "trials": 2}\n'),
+}
+
+
+@pytest.mark.parametrize("argv, stdout", GOLDEN.values(), ids=GOLDEN.keys())
 def test_multidegrees_json_golden(argv, stdout):
     assert run_cli(["multidegrees", *argv, "--json"]) == (0, stdout)
+
+
+def test_golden_under_python_O_with_basis_checks():
+    """`python -O` strips asserts, so the kernel's overflow checks must be
+    plain branches; TORICPOLAR_DEBUG=1 re-checks every basis through the
+    packed reducers.  Neither may change the output."""
+    argv, stdout = GOLDEN["cremona-4"]
+    src = Path(toricpolar.__file__).resolve().parent.parent
+    env = dict(os.environ, TORICPOLAR_DEBUG="1", PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "toricpolar", "multidegrees", *argv,
+         "--json"], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
 
 
 def nested(depth):

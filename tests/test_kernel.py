@@ -1,11 +1,13 @@
 """The term kernel against plain references.
 
-`normal_form_terms` keeps its pending terms in a heap.  The reference below
-is the earlier version, which finds each leading term by scanning with
-`exp_cmp`.  Both reduce the largest pending term by the first divisor, so
-they must return the same remainder even when the reducers are not a
-Gröbner basis.  The term arithmetic is checked against dicts summed term
-by term, reduced mod p, with zero coefficients dropped.
+`normal_form_terms` keeps its pending terms, packed into ints, in a heap.
+The reference below works on exponent tuples and finds each leading term
+by scanning with `exp_cmp`.  Both reduce the largest pending term by the
+first divisor, so they must return the same remainder, in the same
+insertion order, even when the reducers are not a Gröbner basis.  The
+order keys and the packs are checked against `exp_cmp` and the tuple
+helpers, and the term arithmetic against dicts summed term by term,
+reduced mod p, with zero coefficients dropped.
 """
 
 import pytest
@@ -13,6 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricpolar import _kernel_py as k
+from toricpolar.field import PrimeField
+from toricpolar.groebner import Ideal, buchberger
+from toricpolar.poly import LEX, MonomialOrder, Polynomial, block_order
 
 PRIMES = [2, 3, 13, 2**31 - 1]
 
@@ -55,6 +60,20 @@ def split(g, p, kind, block):
     return lead, pow(tail.pop(lead), p - 2, p), tail
 
 
+def pack_reducers(lead_exps, lead_invs, tails, kind, block, arity):
+    """The tuple reducers of the reference, packed for the kernel."""
+    reducers = k.Reducers(kind, block, arity)
+    for lead, inv, tail in zip(lead_exps, lead_invs, tails):
+        reducers.append({lead: 1, **tail}, lead, inv)
+    return reducers
+
+
+def kernel_normal_form(arity, f, lead_exps, lead_invs, tails, p, kind,
+                       block):
+    reducers = pack_reducers(lead_exps, lead_invs, tails, kind, block, arity)
+    return k.normal_form_terms(f, reducers, p)
+
+
 @st.composite
 def reductions(draw):
     """A prime, an order (every block split included), f and reducers."""
@@ -69,20 +88,90 @@ def reductions(draw):
     gs = draw(st.lists(st.dictionaries(exps, coeffs, min_size=1, max_size=5),
                        max_size=4))
     parts = [split(g, p, kind, block) for g in gs]
-    return (f, [s[0] for s in parts], [s[1] for s in parts],
-            [s[2] for s in parts], p, kind, block)
+    return arity, (f, [s[0] for s in parts], [s[1] for s in parts],
+                   [s[2] for s in parts], p, kind, block)
 
 
 @settings(max_examples=400, deadline=None)
 @given(reductions())
-def test_normal_form_matches_linear_scan(case):
-    assert k.normal_form_terms(*case) == reference_normal_form(*case)
+def test_normal_form_matches_linear_scan(drawn):
+    arity, case = drawn
+    r = kernel_normal_form(arity, *case)
+    assert list(r.items()) == list(reference_normal_form(*case).items())
+    kind, block = case[-2:]
+    assert list(r) == sorted(r, key=k.order_key(kind, block), reverse=True)
+
+
+# Products whose exponents exceed 2^16, under lex and under a block order:
+# fixed 16-bit fields could not hold them.
+@pytest.mark.parametrize("order, g, f, expected", [
+    (LEX, {(1, 0): 1, (0, 40000): -1}, {(2, 0): 1, (1, 1): 1},
+     [((0, 80000), 1), ((0, 40001), 1)]),
+    (block_order(1), {(1, 0, 0): 1, (0, 70000, 1): -1},
+     {(2, 0, 0): 1, (1, 0, 3): 1},
+     [((0, 140000, 2), 1), ((0, 70000, 4), 1)]),
+], ids=["lex", "block"])
+def test_exponents_beyond_sixteen_bits(order, g, f, expected):
+    field = PrimeField(32003)
+    arity = len(next(iter(f)))
+    G = buchberger(Ideal([Polynomial(field, arity, g)]), order)
+    r = G.normal_form(Polynomial(field, arity, f))
+    assert list(r.terms.items()) == expected
+    lead, inv, tail = split(G.elements[0].terms, field.p, order.code,
+                            order.block)
+    ref = reference_normal_form(f, [lead], [inv], [tail], field.p,
+                                order.code, order.block)
+    assert list(ref.items()) == expected
+
+
+def test_overflow_repacks_twice_as_wide():
+    # x0^100 modulo x0 - x1^3 under lex (p = 13) is x1^300.  The reducers
+    # are packed for degree 100, in fields that end at 255; x1^258 sets a
+    # guard bit and the reduction runs again in 16-bit fields.
+    reducers = k.Reducers(k.LEX, 0, 2)
+    reducers.append({(1, 0): 1, (0, 3): 12}, (1, 0), 1)
+    assert reducers.width == 3
+    r = k.normal_form_terms({(100, 0): 1}, reducers, 13)
+    assert list(r.items()) == [((0, 300), 1)]
+    assert reducers.width == 16
+
+
+@st.composite
+def exponent_pairs(draw):
+    """An order (every block split included) and two exponents; small
+    entries make ties in degree and in the leading variables likely."""
+    arity = draw(st.integers(1, 6))
+    kind, block = draw(st.sampled_from(
+        [(k.GREVLEX, 0), (k.LEX, 0)]
+        + [(k.BLOCK, b) for b in range(1, arity + 1)]))
+    exps = st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, 2**20))]
+                     * arity)
+    return kind, block, draw(exps), draw(exps)
+
+
+@settings(max_examples=400, deadline=None)
+@given(exponent_pairs())
+def test_order_key_and_packs_agree_with_exp_cmp(drawn):
+    kind, block, e1, e2 = drawn
+    c = k.exp_cmp(e1, e2, kind, block)
+    key = MonomialOrder(["grevlex", "lex", "block"][kind], block).key
+    assert (key(e1) > key(e2)) - (key(e1) < key(e2)) == c
+    assert k.leading_exponent({e1: 1, e2: 1}, kind, block) == (
+        e1 if c >= 0 else e2)
+    packs = k.Reducers(kind, block, len(e1))
+    packs.widen((sum(e1) + sum(e2)).bit_length())
+    x1, x2 = packs.pack(e1), packs.pack(e2)
+    assert (x1 > x2) - (x1 < x2) == c
+    assert packs.unpack(x1) == e1
+    assert packs.pack(k.exp_add(e1, e2)) == x1 + x2
+    g = packs.guards
+    assert (((x2 | g) - x1) & g == g) == k.exp_divides(e1, e2)
 
 
 @settings(max_examples=200, deadline=None)
 @given(reductions())
-def test_leading_exponent_matches_linear_scan(case):
-    f, _, _, tails, _, kind, block = case
+def test_leading_exponent_matches_linear_scan(drawn):
+    f, _, _, tails, _, kind, block = drawn[1]
     for terms in [f, {}, *tails]:
         assert (k.leading_exponent(terms, kind, block)
                 == reference_leading_exponent(terms, kind, block))
@@ -158,4 +247,4 @@ def test_cancelled_term(f, expected):
     case = (f, [(2, 0, 0), (1, 1, 0)], [1, 1],
             [MINUS_X2_SQUARED] * 2, 13, k.GREVLEX, 0)
     assert reference_normal_form(*case) == expected
-    assert k.normal_form_terms(*case) == expected
+    assert kernel_normal_form(3, *case) == expected
