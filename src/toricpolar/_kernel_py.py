@@ -43,6 +43,32 @@ orders a product can.  Its fields are then below twice the field range, so
 a guard bit is set: the call re-packs its reducers at twice the width and
 starts again.  Only the remainder is unpacked; it is the same dict, in the
 same insertion order, as a reduction on exponent tuples gives.
+
+The divisor index finds the first reducer whose leading exponent divides
+a term without a loop over the reducers.  It is one int of n slots, one
+per reducer, the first reducer in the top slot.  A slot is a divisibility
+pack (`arity` fields with their guards, g is their mask) with one flag bit
+above it.  Slot k holds g - a_k, where a_k is the divisibility pack of
+lead k; `ones` holds 1 in every slot.  For a term with divisibility pack b:
+
+  (b * ones + index) & (g * ones)   each slot holds (b | g) - a_k masked to
+                                    its guards: no field borrows, so a
+                                    guard stays set where a_k <= b there;
+  + (flag - g) * ones, & flags      a slot whose guards are all set carries
+                                    into its flag bit, and no other does;
+  .bit_length()                     the top flag: the first divisor in list
+                                    order, or 0 when there is none.
+
+So the divisor chosen, and with it every remainder and basis, is the one a
+scan of the list gives.  The order pack is left out of the index: its
+forms are linear with nonnegative coefficients, so x^a | x^b already gives
+form(a) <= form(b) for every form, and comparing them would only widen the
+slots.
+
+Pending coefficients are plain ints: a reduction step adds q * c with
+q = p - (c_u * inv mod p), and a coefficient is reduced mod p once, when
+its term is popped.  A popped coefficient that is 0 mod p is a cancelled
+term and is dropped, so remainder coefficients stay in 1..p-1.
 """
 
 from functools import lru_cache, partial
@@ -211,9 +237,12 @@ def _width_for(degree):
 @lru_cache(maxsize=256)
 def _layout(kind, block, arity, width):
     """Weights, guard mask, unpacking shifts and field mask of the packs at
-    `width`.  The divisibility pack fills fields 0 .. n-1 and the order pack
-    the fields above it, the first form in the top field.  Weight i is the
-    pack of x_i, so the pack of e is the sum of e_i times weight i."""
+    `width`, then the divisor index's slot width, the mask of the
+    divisibility pack and its guards.  The divisibility pack fills fields
+    0 .. n-1 and the order pack the fields above it, the first form in the
+    top field.  Weight i is the pack of x_i, so the pack of e is the sum of
+    e_i times weight i.  An index slot is a divisibility pack with one flag
+    bit above it."""
     key = order_key(kind, block)
     step = width + 1
     top = arity + len(key((0,) * arity)) - 1
@@ -224,8 +253,9 @@ def _layout(kind, block, arity, width):
             w += f << (top - k) * step
         weights.append(w)
     guards = sum(1 << (j * step + width) for j in range(top + 1))
+    low = (1 << arity * step) - 1
     return (tuple(weights), guards, tuple(i * step for i in range(arity)),
-            (1 << width) - 1)
+            (1 << width) - 1, arity * step + 1, low, guards & low)
 
 
 class Reducers:
@@ -236,23 +266,44 @@ class Reducers:
     then and kept only packed; `subset` reuses the packed reducers.
     `normal_form_terms` widens the fields in place when a reduction would
     overflow them.
+
+    The divisor index has one `slot`-bit slot per reducer, the first
+    reducer in the top slot: `index` holds in each slot the divisibility
+    guards minus the leading exponent's divisibility pack, and `ones` holds
+    1 in each slot.  `append` extends both by one shift-or; `subset` and
+    `widen` rebuild them.
     """
 
     __slots__ = ("kind", "block", "arity", "width", "weights", "guards",
-                 "shifts", "mask", "entries")
+                 "shifts", "mask", "slot", "low", "low_guards", "entries",
+                 "index", "ones")
 
-    def __init__(self, kind, block, arity):
+    def __init__(self, kind, block, arity, width=0, entries=()):
         self.kind = kind
         self.block = block
         self.arity = arity
-        self.entries = []  # (packed lead, inverse coefficient, packed tail)
-        self._set_width(0)
+        self._set_width(width)
+        self._set_entries(list(entries))
 
     def _set_width(self, width):
         """Set the field width; entries packed before must be redone."""
         self.width = width
-        self.weights, self.guards, self.shifts, self.mask = _layout(
-            self.kind, self.block, self.arity, width)
+        (self.weights, self.guards, self.shifts, self.mask, self.slot,
+         self.low, self.low_guards) = _layout(self.kind, self.block,
+                                              self.arity, width)
+
+    def _set_entries(self, entries):
+        """Set the entries, packed at this width, and build their index.
+        An entry is (packed lead, inverse coefficient, packed tail)."""
+        self.entries = entries
+        slot = self.slot
+        low = self.low
+        g = self.low_guards
+        index = 0
+        for lead, _, _ in entries:
+            index = index << slot | g - (lead & low)
+        self.index = index
+        self.ones = ((1 << slot * len(entries)) - 1) // ((1 << slot) - 1)
 
     def pack(self, e):
         return sum(map(mul, e, self.weights))
@@ -270,22 +321,24 @@ class Reducers:
                  for lead, inv, tail in self.entries]
         self._set_width(width)
         pack = self.pack
-        self.entries = [(pack(lead), inv, [(pack(e), c) for e, c in tail])
-                        for lead, inv, tail in plain]
+        self._set_entries([(pack(lead), inv, [(pack(e), c) for e, c in tail])
+                           for lead, inv, tail in plain])
 
     def append(self, terms, lead, inv):
         self.widen(_width_for(max(map(sum, terms))))
         pack = self.pack
-        self.entries.append((pack(lead), inv, [(pack(e), c) for e, c in
-                                               terms.items() if e != lead]))
+        x = pack(lead)
+        self.entries.append((x, inv, [(pack(e), c) for e, c in terms.items()
+                                      if e != lead]))
+        slot = self.slot
+        self.index = self.index << slot | self.low_guards - (x & self.low)
+        self.ones = self.ones << slot | 1
 
     def subset(self, indices):
         """The reducers at `indices`, in that order, sharing this packing."""
-        out = Reducers(self.kind, self.block, self.arity)
-        out._set_width(self.width)
         entries = self.entries
-        out.entries = [entries[i] for i in indices]
-        return out
+        return Reducers(self.kind, self.block, self.arity, self.width,
+                        [entries[i] for i in indices])
 
 
 def normal_form_terms(f, reducers, p):
@@ -313,31 +366,39 @@ def _reduce_packed(f, reducers, p):
     were found, or None when a product overflowed its fields.
 
     The pending terms live in `h`; every key of `h` has exactly one entry,
-    negated, in the heap, which pops the largest monomial first.  A
-    coefficient that cancels stays in `h` as 0, so that its entry is not
-    pushed twice, and is skipped when popped.  Only a new key can overflow:
-    its fields are below twice the field range, so a set guard bit shows it.
+    negated, in the heap, which pops the largest monomial first.  A pending
+    coefficient is a plain int, reduced mod p only when it is popped; one
+    that is then 0 has cancelled and is skipped.  The first divisor of a
+    popped term comes from the divisor index in a fixed number of big-int
+    operations.  Only a new key can overflow: its fields are below twice the
+    field range, so a set guard bit shows it.
     """
     pack = reducers.pack
     guards = reducers.guards
     entries = reducers.entries
+    n = len(entries)
+    slot = reducers.slot
+    low = reducers.low
+    index, ones = reducers.index, reducers.ones
+    guard_slots = reducers.low_guards * ones
+    flags = ones << slot - 1
+    carry = flags - guard_slots
     h = {pack(e): c for e, c in f.items()}
     heap = [-x for x in h]
     heapify(heap)
     r = []
     while heap:
         u = -heappop(heap)
-        c = h.pop(u)
+        c = h.pop(u) % p
         if not c:
             continue
-        ug = u | guards
-        for lead, inv, tail in entries:
-            if (ug - lead) & guards == guards:
-                break
-        else:
+        hit = ((((u & low) * ones + index) & guard_slots) + carry
+               & flags).bit_length()
+        if not hit:
             r.append((u, c))
             continue
-        q = c * inv % p
+        lead, inv, tail = entries[n - hit // slot]
+        q = p - c * inv % p
         d = u - lead
         for tx, tc in tail:
             e = tx + d
@@ -345,8 +406,51 @@ def _reduce_packed(f, reducers, p):
             if s is None:
                 if e & guards:
                     return None
-                h[e] = -q * tc % p
+                h[e] = q * tc
                 heappush(heap, -e)
             else:
-                h[e] = (s - q * tc) % p
+                h[e] = s + q * tc
     return r
+
+
+def divide_terms(f, g, p):
+    """The quotient f / g when g divides f exactly, else None; g is nonzero.
+
+    A heap division under grevlex on packed monomials: the largest pending
+    term is divided by the leading term of g, and the first one that it
+    does not divide gives None.  The quotient lists its terms largest
+    first.  The leading term of g has the largest total degree of g, so no
+    pending term has a larger total degree than f, and fields that hold
+    twice the larger of the two degrees never overflow.
+    """
+    lead = leading_exponent(g, GREVLEX, 0)
+    degree = max(sum(lead), max(map(sum, f), default=0))
+    weights, guards, shifts, mask = _layout(GREVLEX, 0, len(lead),
+                                            _width_for(degree))[:4]
+    x = sum(map(mul, lead, weights))
+    inv = pow(g[lead], -1, p)
+    tail = [(sum(map(mul, e, weights)), c) for e, c in g.items() if e != lead]
+    h = {sum(map(mul, e, weights)): c for e, c in f.items()}
+    heap = [-u for u in h]
+    heapify(heap)
+    quotient = []
+    while heap:
+        u = -heappop(heap)
+        c = h.pop(u) % p
+        if not c:
+            continue
+        if ((u | guards) - x) & guards != guards:
+            return None
+        c = c * inv % p
+        d = u - x
+        quotient.append((d, c))
+        q = p - c
+        for tx, tc in tail:
+            e = tx + d
+            s = h.get(e)
+            if s is None:
+                h[e] = q * tc
+                heappush(heap, -e)
+            else:
+                h[e] = s + q * tc
+    return {tuple([d >> s & mask for s in shifts]): c for d, c in quotient}

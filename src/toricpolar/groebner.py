@@ -52,18 +52,24 @@ class Ideal:
 
 class GroebnerBasis:
     """Reduced Gröbner basis: monic elements, no term of one divisible by
-    the leading term of another."""
+    the leading term of another.
+
+    `leads`, when given, are the elements' leading exponents (`buchberger`
+    knows them); otherwise they are found by a scan of each element.
+    """
 
     __slots__ = ("field", "arity", "order", "elements", "_lead_exps",
                  "_reducers")
 
     def __init__(self, field: PrimeField, arity: int, order: MonomialOrder,
-                 elements: Sequence[Polynomial]):
+                 elements: Sequence[Polynomial],
+                 leads: Sequence[tuple] | None = None):
         self.field = field
         self.arity = arity
         self.order = order
         self.elements = tuple(elements)
-        self._lead_exps = [g.leading_term(order)[0] for g in self.elements]
+        self._lead_exps = (list(leads) if leads is not None else
+                           [g.leading_term(order)[0] for g in self.elements])
         self._reducers = None
 
     def leading_exponents(self) -> tuple[tuple, ...]:
@@ -217,7 +223,8 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
         others = reducers.subset([j for j in active if j != i])
         r = k.normal_form_terms(basis[i], others, p)
         reduced.append(Polynomial(fld, I.arity, r, _clean=True))
-    result = GroebnerBasis(fld, I.arity, order, reduced)
+    result = GroebnerBasis(fld, I.arity, order, reduced,
+                           [lead[i] for i in active])
     if _DEBUG_CHECK_BASES and not result.s_polynomials_reduce_to_zero():
         raise ToricPolarError(
             f"Gröbner basis check failed: an S-polynomial of the "

@@ -381,22 +381,9 @@ class Polynomial:
         self._check_compatible(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        k = self.field.kernel
-        p = self.field.p
-        dlt = divisor.leading_term(GREVLEX)
-        dexp, dcoeff = dlt
-        dinv = self.field.inv(dcoeff)
-        rem = dict(self.terms)
-        quot = {}
-        while rem:
-            u = k.leading_exponent(rem, GREVLEX.code, 0)
-            if not k.exp_divides(dexp, u):
-                return None
-            q = rem[u] * dinv % p
-            d = k.exp_sub(u, dexp)
-            quot[d] = q
-            rem = k.sub_terms(rem, k.term_mul(divisor.terms, d, q, p), p)
-        return self._wrap(quot)
+        quotient = self.field.kernel.divide_terms(self.terms, divisor.terms,
+                                                  self.field.p)
+        return None if quotient is None else self._wrap(quotient)
 
     # ---------------------------------------------------------------- printing
 

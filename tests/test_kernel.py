@@ -10,6 +10,8 @@ helpers, and the term arithmetic against dicts summed term by term,
 reduced mod p, with zero coefficients dropped.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,6 +136,109 @@ def test_overflow_repacks_twice_as_wide():
     r = k.normal_form_terms({(100, 0): 1}, reducers, 13)
     assert list(r.items()) == [((0, 300), 1)]
     assert reducers.width == 16
+
+
+def random_reducers(rng, count, arity, p, kind, block):
+    """`count` random reducers as the reference takes them.  Leads repeat
+    with different tails, so several reducers divide the same terms and
+    only the first one in list order gives the reference's remainder."""
+    exps = [tuple(rng.randint(0, 2) for _ in range(arity))
+            for _ in range(count // 3 + 1)]
+    parts = []
+    for _ in range(count):
+        g = {rng.choice(exps): rng.randrange(1, p)}
+        for _ in range(rng.randint(0, 4)):
+            g[tuple(rng.randint(0, 3) for _ in range(arity))] = (
+                rng.randrange(1, p))
+        parts.append(split(g, p, kind, block))
+    return tuple(list(column) for column in zip(*parts))
+
+
+def random_terms(rng, arity, p, size, top=4):
+    return {tuple(rng.randint(0, top) for _ in range(arity)):
+            rng.randrange(1, p) for _ in range(size)}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_divisor_index_over_many_words(seed):
+    # 70-90 reducers in 3 variables: the index spans well over 64 bits,
+    # and the repeated leads give many terms several divisors.
+    rng = random.Random(seed)
+    p = rng.choice(PRIMES)
+    kind, block = rng.choice([(k.GREVLEX, 0), (k.LEX, 0), (k.BLOCK, 1)])
+    leads, invs, tails = random_reducers(rng, rng.randint(70, 90), 3, p,
+                                         kind, block)
+    reducers = pack_reducers(leads, invs, tails, kind, block, 3)
+    assert reducers.index.bit_length() > 10 * 64
+    for _ in range(5):
+        f = random_terms(rng, 3, p, 12)
+        r = k.normal_form_terms(f, reducers, p)
+        assert list(r.items()) == list(reference_normal_form(
+            f, leads, invs, tails, p, kind, block).items())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_divisor_index_after_append_and_subset(seed):
+    # Reduce, append, reduce again: the index grows with the list.  A
+    # subset in a shuffled order must rank its divisors in its own order.
+    rng = random.Random(100 + seed)
+    p = rng.choice(PRIMES)
+    kind, block = rng.choice([(k.GREVLEX, 0), (k.LEX, 0), (k.BLOCK, 2)])
+    leads, invs, tails = random_reducers(rng, 40, 4, p, kind, block)
+    reducers = k.Reducers(kind, block, 4)
+    for i, (lead, inv, tail) in enumerate(zip(leads, invs, tails)):
+        reducers.append({lead: 1, **tail}, lead, inv)
+        f = random_terms(rng, 4, p, 6)
+        r = k.normal_form_terms(f, reducers, p)
+        assert list(r.items()) == list(reference_normal_form(
+            f, leads[:i + 1], invs[:i + 1], tails[:i + 1], p, kind,
+            block).items())
+    order = rng.sample(range(40), 25)
+    part = reducers.subset(order)
+    for _ in range(5):
+        f = random_terms(rng, 4, p, 8)
+        r = k.normal_form_terms(f, part, p)
+        assert list(r.items()) == list(reference_normal_form(
+            f, [leads[i] for i in order], [invs[i] for i in order],
+            [tails[i] for i in order], p, kind, block).items())
+
+
+def test_divisor_index_rebuilt_when_widened_mid_reduction():
+    # Lex, p = 13: x0^400 is reduced by x0 - x1^3 (the first of two
+    # reducers with lead x0), which overflows the 10-bit fields at x1^1026.
+    # After re-packing at 20 bits the index must still find x1^260 - x2
+    # for the powers of x1: the remainder is x1^160*x2^4.
+    leads = [(1, 0, 0), (0, 260, 0), (1, 0, 0)]
+    tails = [{(0, 3, 0): 12}, {(0, 0, 1): 12}, {(0, 0, 1): 12}]
+    case = ({(400, 0, 0): 1}, leads, [1, 1, 1], tails, 13, k.LEX, 0)
+    reducers = pack_reducers(*case[1:4], k.LEX, 0, 3)
+    assert reducers.width == 10
+    r = k.normal_form_terms(case[0], reducers, 13)
+    assert reducers.width == 20
+    assert list(r.items()) == [((0, 160, 4), 1)]
+    assert list(reference_normal_form(*case).items()) == [((0, 160, 4), 1)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_deferred_reduction_cancels_and_stays_in_range(p):
+    # x_i - x_12 for i < 12 (grevlex leads x_i).  Each of x_0 .. x_11
+    # adds to x_12, which f also holds with coefficient -12: twelve
+    # updates, and the sum is 0 mod p.  The squares x_i^2 (i < 11) each
+    # reach x_12^2 through x_i*x_12: 22 updates, 11 in all, nonzero mod p.
+    n = 13
+    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    leads = unit[:12]
+    tails = [{unit[12]: p - 1}] * 12
+    f = {e: 1 for e in unit[:12]}
+    if 12 % p:
+        f[unit[12]] = -12 % p
+    f.update({k.exp_add(e, e): 1 for e in unit[:11]})
+    case = (f, leads, [1] * 12, tails, p, k.GREVLEX, 0)
+    r = kernel_normal_form(n, *case)
+    square = k.exp_add(unit[12], unit[12])
+    assert r == reference_normal_form(*case) == {square: 11 % p}
+    assert unit[12] not in r
+    assert all(1 <= c <= p - 1 for c in r.values())
 
 
 @st.composite

@@ -167,6 +167,61 @@ def test_exact_divide():
     assert f.exact_divide(P("x2")) is None
 
 
+def reference_exact_divide(f, g, p):
+    """Plain dict long division under grevlex: the quotient, or None at the
+    first leading term of the remainder that lead(g) does not divide."""
+    lead = max(g, key=GREVLEX.key)
+    inv = pow(g[lead], p - 2, p)
+    rem = dict(f)
+    quotient = {}
+    while rem:
+        u = max(rem, key=GREVLEX.key)
+        if any(a > b for a, b in zip(lead, u)):
+            return None
+        q = rem[u] * inv % p
+        d = tuple(b - a for a, b in zip(lead, u))
+        quotient[d] = q
+        for e, c in g.items():
+            m = tuple(a + b for a, b in zip(e, d))
+            s = (rem.get(m, 0) - q * c) % p
+            if s:
+                rem[m] = s
+            else:
+                rem.pop(m, None)
+    return quotient
+
+
+@st.composite
+def division_cases(draw):
+    """g (nonzero), h and a small perturbation r, over one of four primes."""
+    field = PrimeField(draw(st.sampled_from([3, 13, 32003, F.p])))
+    arity = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * arity)
+    terms = st.dictionaries(exps, st.integers(1, field.p - 1), max_size=6)
+    g = draw(terms.filter(bool))
+    return tuple(Polynomial(field, arity, t)
+                 for t in (g, draw(terms), draw(terms.filter(bool))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_cases())
+def test_exact_divide_matches_long_division(case):
+    g, h, r = case
+    p = g.field.p
+    q = (g * h).exact_divide(g)
+    assert q == h
+    assert list(q.terms.items()) == list(
+        reference_exact_divide((g * h).terms, g.terms, p).items())
+    for f in (g * h + r, r):
+        want = reference_exact_divide(f.terms, g.terms, p)
+        got = f.exact_divide(g)
+        if want is None:
+            assert got is None
+        else:
+            assert list(got.terms.items()) == list(want.items())
+            assert got * g == f
+
+
 def test_evaluate():
     cubic = P("4*x1^3 - x0*x1^2 - 18*x0*x1*x2 + 27*x0*x2^2 + 4*x0^2*x2")
     assert cubic.evaluate([1, 0, 0]) == 0
