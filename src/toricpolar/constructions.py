@@ -12,11 +12,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Callable, Sequence
 
 from . import classes, curves
 from .errors import PreconditionError, ToricPolarError
 from .field import PrimeField
+from .gcdtools import multivariate_gcd
 from .maps import (RandomizationConfig, derive_seed, gradient_map,
                    monomial_pullback, multidegrees, random_translate,
                    topological_degree, toric_polar_map)
@@ -410,7 +412,6 @@ def verify_propositions(seed: int = 0,
             key = tuple(sorted((a, b)))
             if key in pairs:
                 continue
-            from .gcdtools import multivariate_gcd
             if not multivariate_gcd(polys[a], polys[b]).is_constant():
                 continue
             pairs.add(key)
@@ -475,7 +476,6 @@ def verify_propositions(seed: int = 0,
     results.append(_run("hyperplane-arrangements", check_arrangements))
 
     def check_cremona_dolgachev():
-        from math import comb
         for n in (2, 3):
             got = multidegrees(toric_polar_map(cremona_poly(n, field)), cfg).values
             want = tuple(comb(n, j) for j in range(n + 1))

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError, ToricPolarError
-from .gcdtools import multivariate_gcd, squarefree_part
+from .gcdtools import (binary_form_distinct_roots, multivariate_gcd,
+                       squarefree_part)
 from .groebner import (Ideal, eliminate, hilbert_dim_degree, intersect,
                        saturate, vector_space_dimension)
 from .maps import RandomizationConfig, topological_degree, toric_polar_map
@@ -78,7 +79,6 @@ def fundamental_incidence(f: Polynomial) -> int:
 
 def _line_counts(f: Polynomial) -> tuple[int, int, int]:
     """Distinct points of the curve on each coordinate line."""
-    from .gcdtools import binary_form_distinct_roots
     counts = []
     for j in range(3):
         restricted = f.set_variable_zero(j)

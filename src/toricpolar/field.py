@@ -1,7 +1,7 @@
 """Prime fields F_p used as exact coefficient domains.
 
 Elements are plain Python ints reduced into [0, p).  The field object
-carries the modulus, a few arithmetic helpers and the term kernel
+carries the modulus, inversion and the term kernel
 (`toricpolar._kernel_py`) that the polynomial and Gröbner code call for
 the hot term arithmetic.
 """
@@ -55,29 +55,11 @@ class PrimeField:
                                     "ranges handled here")
         self.p = p
 
-    def reduce(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in F_p")
-        return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return a * self.inv(b) % self.p
+        return pow(a, -1, self.p)
 
     def symmetric(self, a: int) -> int:
         """Representative of a in (-p/2, p/2], for readable printing."""

@@ -1,25 +1,19 @@
 """Multivariate gcd, squarefree parts and distinct-root counts over F_p.
 
-The gcd uses content/primitive-part recursion with a pseudo-remainder
-sequence in a chosen main variable.  The squarefree part of a homogeneous
-form divides it by the gcd of its partial derivatives; in characteristic
-larger than the degree this is exact, so it involves no randomness.
+The gcd of two polynomials in several variables is f*g / lcm(f, g), where
+the lcm generates the principal ideal (f) ∩ (g) and comes from the Gröbner
+engine's `intersect` (Cox, Little & O'Shea, Ideals, Varieties, and
+Algorithms, §4.3-4.4); in one variable the Euclidean algorithm is used.
+The squarefree part of a homogeneous form divides it by the gcd of its
+partial derivatives; in characteristic larger than the degree this is
+exact, so it involves no randomness.
 """
 
 from __future__ import annotations
 
 from .errors import PreconditionError, ToricPolarError
+from .groebner import Ideal, intersect
 from .poly import GREVLEX, Polynomial
-
-
-def _coefficients_in(f: Polynomial, v: int) -> dict[int, Polynomial]:
-    """View f as univariate in x_v: degree -> coefficient polynomial."""
-    rows: dict[int, dict] = {}
-    for e, c in f.terms.items():
-        d = e[:v] + (0,) + e[v + 1:]
-        rows.setdefault(e[v], {})[d] = c
-    return {k: Polynomial(f.field, f.arity, t, _clean=True)
-            for k, t in rows.items()}
 
 
 def _univariate_gcd(f: Polynomial, g: Polynomial, v: int) -> Polynomial:
@@ -64,36 +58,6 @@ def _univariate_gcd(f: Polynomial, g: Polynomial, v: int) -> Polynomial:
     return Polynomial(field, f.arity, out, _clean=True)
 
 
-def _content_and_primitive(f: Polynomial, v: int):
-    coeffs = _coefficients_in(f, v)
-    content = None
-    for g in coeffs.values():
-        content = g if content is None else multivariate_gcd(content, g)
-        if content.is_constant():
-            break
-    if content.is_constant():
-        return Polynomial.constant(f.field, f.arity, 1), f
-    primitive = f.exact_divide(content)
-    if primitive is None:
-        raise ToricPolarError("content does not divide the polynomial")
-    return content, primitive
-
-
-def _pseudo_remainder(a: Polynomial, b: Polynomial, v: int) -> Polynomial:
-    """Pseudo-remainder of a by b in the variable x_v."""
-    db = b.degree_in(v)
-    lb = _coefficients_in(b, v)[db]
-    r = a
-    while not r.is_zero() and r.degree_in(v) >= db:
-        dr = r.degree_in(v)
-        lr = _coefficients_in(r, v)[dr]
-        shift = Polynomial.monomial(r.field, r.arity,
-                                    tuple(dr - db if i == v else 0
-                                          for i in range(r.arity)))
-        r = r * lb - b * (lr * shift)
-    return r
-
-
 def multivariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic greatest common divisor; not both inputs may be zero."""
     if f.field != g.field or f.arity != g.arity:
@@ -109,28 +73,15 @@ def multivariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         return Polynomial.constant(f.field, f.arity, 1)
     if len(used) == 1:
         return _univariate_gcd(f, g, used[0])
-    v = used[-1]
-    if f.degree_in(v) == 0 or g.degree_in(v) == 0:
-        # one input does not involve the main variable: gcd divides contents
-        other = f if f.degree_in(v) == 0 else g
-        rest = g if f.degree_in(v) == 0 else f
-        content, _ = _content_and_primitive(rest, v)
-        return multivariate_gcd(other, content)
-    cf, pf = _content_and_primitive(f, v)
-    cg, pg = _content_and_primitive(g, v)
-    c = multivariate_gcd(cf, cg)
-    a, b = pf, pg
-    if a.degree_in(v) < b.degree_in(v):
-        a, b = b, a
-    while not b.is_zero():
-        r = _pseudo_remainder(a, b, v)
-        if r.is_zero():
-            a, b = b, r
-            break
-        _, r = _content_and_primitive(r, v)
-        a, b = b, r
-    _, a = _content_and_primitive(a, v)
-    return (c * a).scaled_to_monic(GREVLEX)
+    lcm = intersect(Ideal([f]), Ideal([g])).generators
+    if len(lcm) != 1:
+        raise ToricPolarError(f"intersection of two principal ideals has "
+                              f"{len(lcm)} basis elements, not one")
+    gcd = (f * g).exact_divide(lcm[0])
+    if gcd is None:
+        raise ToricPolarError("lcm from the intersection does not divide "
+                              "the product")
+    return gcd.scaled_to_monic(GREVLEX)
 
 
 def squarefree_part(f: Polynomial) -> Polynomial:

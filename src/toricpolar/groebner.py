@@ -255,21 +255,21 @@ def eliminate(I: Ideal, drop: Iterable[int]) -> Ideal:
         return I
     if any(not 0 <= v < m for v in drop) or len(drop) >= m:
         raise PreconditionError("dropped variables must be a proper subset")
-    kept = [v for v in range(m) if v not in drop]
-    perm = [0] * m  # old index -> new index
-    for pos, v in enumerate(drop):
-        perm[v] = pos
-    for pos, v in enumerate(kept):
-        perm[v] = len(drop) + pos
-    permuted = [g.permute_variables(perm) for g in I.generators]
-    G = buchberger(Ideal(permuted, field=I.field, arity=m), block_order(len(drop)))
-    inv = [0] * m
-    for old, new in enumerate(perm):
-        inv[new] = old
-    out = []
-    for g in G.elements:
-        if all(all(e[i] == 0 for i in range(len(drop))) for e in g.terms):
-            out.append(g.permute_variables(inv))
+    k = len(drop)
+    # new index -> old index: the dropped variables move to the front; they
+    # are there already when saturate and intersect drop x_0
+    back = drop + [v for v in range(m) if v not in drop]
+    relabel = back != list(range(m))
+    if relabel:
+        perm = [0] * m  # old index -> new index
+        for new, old in enumerate(back):
+            perm[old] = new
+        I = Ideal([g.permute_variables(perm) for g in I.generators],
+                  field=I.field, arity=m)
+    G = buchberger(I, block_order(k))
+    out = [g for g in G.elements if not any(any(e[:k]) for e in g.terms)]
+    if relabel:
+        out = [g.permute_variables(back) for g in out]
     return Ideal(out, field=I.field, arity=m)
 
 

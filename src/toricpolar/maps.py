@@ -225,7 +225,7 @@ def _echelon_mod_p(rows: list[list[int]], p: int):
         col = next((i for i in reversed(range(len(r))) if r[i]), None)
         if col is None:
             return None
-        inv = pow(r[col], p - 2, p)
+        inv = pow(r[col], -1, p)
         r = [a * inv % p for a in r]
         for k, (pcol, prow) in enumerate(pivots):
             f = prow[col]

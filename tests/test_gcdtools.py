@@ -7,6 +7,7 @@ from toricpolar.errors import PreconditionError, ToricPolarError
 from toricpolar.field import PrimeField
 from toricpolar.gcdtools import (binary_form_distinct_roots, multivariate_gcd,
                                  squarefree_part)
+from toricpolar.groebner import Ideal
 from toricpolar.parse import parse_polynomial
 from toricpolar.poly import Polynomial
 
@@ -136,7 +137,17 @@ def _not_a_divisor(f, g):
     return Polynomial.variable(f.field, f.arity, 0) + 1
 
 
-@pytest.mark.parametrize("site", ["squarefree_part", "content_and_primitive",
+def _bad_lcm(count):
+    """A stand-in for `intersect` whose basis has `count` elements that do
+    not divide the product of the inputs."""
+    def intersect(I, J):
+        x = Polynomial.variable(I.field, I.arity, 0)
+        return Ideal([x + i + 1 for i in range(count)])
+    return intersect
+
+
+@pytest.mark.parametrize("site", ["squarefree_part", "intersection_lcm",
+                                  "intersection_not_principal",
                                   "univariate_squarefree", "toric_polar_map"])
 def test_broken_gcd_invariant_raises(monkeypatch, site):
     """Each place that relies on a gcd dividing its input raises a
@@ -145,9 +156,12 @@ def test_broken_gcd_invariant_raises(monkeypatch, site):
         if site == "squarefree_part":
             monkeypatch.setattr(gcdtools, "multivariate_gcd", _not_a_divisor)
             squarefree_part(P("(x0^2 - x1*x2)^2"))
-        elif site == "content_and_primitive":
-            monkeypatch.setattr(gcdtools, "multivariate_gcd", _not_a_divisor)
-            gcdtools._content_and_primitive(P("x0^2*x1 + x0*x2^2"), 0)
+        elif site == "intersection_lcm":
+            monkeypatch.setattr(gcdtools, "intersect", _bad_lcm(1))
+            multivariate_gcd(P("x0^2*x1 + x0*x2^2"), P("x1*x2"))
+        elif site == "intersection_not_principal":
+            monkeypatch.setattr(gcdtools, "intersect", _bad_lcm(2))
+            multivariate_gcd(P("x0^2*x1 + x0*x2^2"), P("x1*x2"))
         elif site == "univariate_squarefree":
             monkeypatch.setattr(curves, "multivariate_gcd", _not_a_divisor)
             curves._univariate_squarefree(P("x1^3 - x1"), 1)

@@ -1,4 +1,5 @@
-"""Differential tests of the Gröbner engine against sympy's groebner.
+"""Differential tests of the Gröbner engine against sympy's groebner, and
+of the gcd taken from it against sympy's gcd.
 
 sympy computes over GF(p) with its own Buchberger implementation, so it is
 an oracle that shares no code with toricpolar.  Both sides order variables
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from toricpolar.field import PrimeField
+from toricpolar.gcdtools import multivariate_gcd
 from toricpolar.groebner import (Ideal, buchberger, eliminate,
                                  hilbert_dim_degree, intersect, saturate)
 from toricpolar.poly import GREVLEX, LEX, Polynomial
@@ -212,3 +214,38 @@ def test_hilbert_dim_degree_matches_counting_over_sympy(ideal):
     data = hilbert_dim_degree(Ideal(gens))
     assert (data.projective_dimension, data.degree) == hilbert_by_counting(
         gens, n)
+
+
+@st.composite
+def gcd_cases(draw):
+    """h*f and h*g for random nonzero f, g, h of degree at most 2 in 1-4
+    variables, all homogeneous or all affine, over a small and two large
+    primes."""
+    p = draw(st.sampled_from([3, 32003, 2**31 - 1]))
+    n = draw(st.integers(1, 4))
+    homogeneous = draw(st.booleans())
+
+    def poly():
+        d = draw(st.integers(0, 2))
+        exps = [e for e in itertools.product(range(3), repeat=n)
+                if (sum(e) == d if homogeneous else sum(e) <= 2)]
+        terms = draw(st.dictionaries(st.sampled_from(exps),
+                                     st.integers(1, p - 1),
+                                     min_size=1, max_size=3))
+        return Polynomial(PrimeField(p), n, terms)
+
+    f, g, h = poly(), poly(), poly()
+    return p, h * f, h * g
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(gcd_cases())
+def test_multivariate_gcd_matches_sympy(case):
+    p, a, b = case
+    xs = sympy.symbols(f"x0:{a.arity}")
+    d = sympy.Poly(sympy.gcd(to_sympy(a, xs), to_sympy(b, xs), modulus=p),
+                   *xs, modulus=p)
+    want = Polynomial(a.field, a.arity,
+                      {tuple(e): int(c) for e, c in d.terms()})
+    assert multivariate_gcd(a, b) == want.scaled_to_monic()

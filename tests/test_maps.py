@@ -327,7 +327,7 @@ def reference_restrict(polys, rows):
         x = Polynomial.variable(field, arity, pivot)
         coeff = lin.coefficient(tuple(int(k == pivot) for k in range(arity)))
         images = [Polynomial.variable(field, arity, i) for i in range(arity)]
-        images[pivot] = (lin - x * coeff) * field.neg(field.inv(coeff))
+        images[pivot] = (lin - x * coeff) * -field.inv(coeff)
         rewritten = [q.substitute(images).drop_variable(pivot)
                      for q in polys + linear]
         polys, linear = rewritten[:len(polys)], rewritten[len(polys):]

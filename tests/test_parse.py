@@ -18,7 +18,7 @@ def test_cuspidal_cubic_parses_to_five_terms():
     assert len(f.terms) == 5
     assert f.is_homogeneous() and f.homogeneous_degree() == 3
     assert f.coefficient((0, 3, 0)) == 4
-    assert f.coefficient((1, 1, 1)) == F.reduce(-18)
+    assert f.coefficient((1, 1, 1)) == -18 % F.p
 
 
 def test_cancellation_gives_zero():
