@@ -44,6 +44,21 @@ a guard bit is set: the call re-packs its reducers at twice the width and
 starts again.  Only the remainder is unpacked; it is the same dict, in the
 same insertion order, as a reduction on exponent tuples gives.
 
+`buchberger` keeps its elements packed from pair to basis.  Each is a
+monic entry of one `Reducers` list and has no other copy.
+`s_polynomial_remainder` packs the lcm m of two leads once, widening first
+to hold twice its degree, and shifts each tail by one int add: its terms
+times m / lead are the tail packs plus (pack of m) - (pack of lead), the
+second tail's coefficients negated.  The S-polynomial's leading terms
+cancel, so they are never built.  The packed remainder, largest term
+first, joins the list through `Reducers.append_remainder`: made monic, not
+re-packed, only its lead unpacked.  When an S-polynomial term or a product
+sets a guard bit, the list is re-packed twice as wide and the S-polynomial
+is built again from the re-packed entries; `reduce_tails`, the final
+tail-reduction pass and the one place where whole elements are unpacked,
+retries the same way.  A remainder does not depend on the width, so the
+basis does not either.
+
 The divisor index finds the first reducer whose leading exponent divides
 a term without a loop over the reducers.  It is one int of n slots, one
 per reducer, the first reducer in the top slot.  A slot is a divisibility
@@ -71,10 +86,10 @@ its term is popped.  A popped coefficient that is 0 mod p is a cancelled
 term and is dropped, so remainder coefficients stay in 1..p-1.
 """
 
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
-from operator import add, le, mul, sub
+from operator import add, le, mul, or_, sub
 
 GREVLEX = 0
 LEX = 1
@@ -263,9 +278,9 @@ class Reducers:
 
     `append` adds a reducer: its terms, leading exponent and inverse
     leading coefficient.  Its tail (the terms but the leading one) is packed
-    then and kept only packed; `subset` reuses the packed reducers.
-    `normal_form_terms` widens the fields in place when a reduction would
-    overflow them.
+    then and kept only packed; `append_remainder` adds a remainder that is
+    packed already.  `subset` reuses the packed reducers.  The reductions
+    widen the fields in place when a product would overflow them.
 
     The divisor index has one `slot`-bit slot per reducer, the first
     reducer in the top slot: `index` holds in each slot the divisibility
@@ -327,9 +342,24 @@ class Reducers:
     def append(self, terms, lead, inv):
         self.widen(_width_for(max(map(sum, terms))))
         pack = self.pack
-        x = pack(lead)
-        self.entries.append((x, inv, [(pack(e), c) for e, c in terms.items()
-                                      if e != lead]))
+        self._add(pack(lead), inv,
+                  [(pack(e), c) for e, c in terms.items() if e != lead])
+
+    def append_remainder(self, r, p):
+        """Append a packed remainder (largest term first) made monic, as it
+        is: its terms fit the fields they were found in.  Returns its
+        leading exponent, the only term unpacked."""
+        x, c = r[0]
+        tail = r[1:]
+        if c != 1:
+            inv = pow(c, -1, p)
+            tail = [(y, d * inv % p) for y, d in tail]
+        self._add(x, 1, tail)
+        return self.unpack(x)
+
+    def _add(self, x, inv, tail):
+        """Add the entry (x, inv, tail) and its slot in the index."""
+        self.entries.append((x, inv, tail))
         slot = self.slot
         self.index = self.index << slot | self.low_guards - (x & self.low)
         self.ones = self.ones << slot | 1
@@ -352,18 +382,87 @@ def normal_form_terms(f, reducers, p):
     the reduction starts again, so the remainder does not depend on the
     width.
     """
+    r = normal_form_packed(f, reducers, p)
+    unpack = reducers.unpack
+    return {unpack(x): c for x, c in r}
+
+
+def normal_form_packed(f, reducers, p):
+    """The remainder of `normal_form_terms`, left packed at the width of
+    `reducers`: (packed exponent, coefficient) pairs, largest first."""
     reducers.widen(_width_for(max(map(sum, f), default=0)))
     while True:
-        r = _reduce_packed(f, reducers, p)
+        pack = reducers.pack
+        r = _reduce_packed({pack(e): c for e, c in f.items()}, reducers, p)
         if r is not None:
-            unpack = reducers.unpack
-            return {unpack(x): c for x, c in r}
+            return r
         reducers.widen(2 * reducers.width)
 
 
-def _reduce_packed(f, reducers, p):
-    """Packed remainder as (exponent, coefficient) pairs in the order they
-    were found, or None when a product overflowed its fields.
+def _s_polynomial(reducers, i, j, m):
+    """The S-polynomial of the monic entries i and j, whose leading
+    exponents have lcm m, as a packed dict with plain-int coefficients, or
+    None when a term overflows its fields.  The leading terms cancel, so
+    only the tails are shifted: by M - lead, M the pack of m."""
+    entries = reducers.entries
+    x = reducers.pack(m)
+    lead, _, tail = entries[i]
+    d = x - lead
+    h = {t + d: c for t, c in tail}
+    lead, _, tail = entries[j]
+    d = x - lead
+    for t, c in tail:
+        e = t + d
+        h[e] = h.get(e, 0) - c
+    if reduce(or_, h, 0) & reducers.guards:
+        return None
+    return h
+
+
+def s_polynomial_remainder(reducers, i, j, m, p):
+    """Packed remainder, largest term first, of the S-polynomial of the
+    monic entries i and j of `reducers` (their leading exponents have lcm
+    m) modulo all the entries.  The fields first hold twice the degree of
+    m; on an overflow they double and the S-polynomial is built again from
+    the re-packed entries."""
+    reducers.widen(_width_for(sum(m)))
+    while True:
+        h = _s_polynomial(reducers, i, j, m)
+        if h is not None:
+            r = _reduce_packed(h, reducers, p)
+            if r is not None:
+                return r
+        reducers.widen(2 * reducers.width)
+
+
+def reduce_tails(basis, p):
+    """The monic entries of `basis`, a minimal basis, each with its tail
+    reduced by the others: dicts of unpacked terms, largest first.  No
+    lead divides a smaller monomial, so an entry's own lead never divides
+    a term of its tail, and each tail is reduced by all the entries; the
+    divisor found first is the one the others give.  An overflow widens
+    `basis` and starts that entry again."""
+    unpack = basis.unpack
+    out = []
+    for i in range(len(basis.entries)):
+        while True:
+            lead, _, tail = basis.entries[i]
+            r = _reduce_packed(dict(tail), basis, p)
+            if r is not None:
+                break
+            basis.widen(2 * basis.width)
+        f = {unpack(lead): 1}
+        for x, c in r:
+            f[unpack(x)] = c
+        out.append(f)
+    return out
+
+
+def _reduce_packed(h, reducers, p):
+    """Packed remainder of the packed dict `h`, which it consumes, as
+    (exponent, coefficient) pairs in the order they were found, or None
+    when a product overflowed its fields.  The keys of `h` must fit the
+    fields; its coefficients are plain ints.
 
     The pending terms live in `h`; every key of `h` has exactly one entry,
     negated, in the heap, which pops the largest monomial first.  A pending
@@ -373,7 +472,6 @@ def _reduce_packed(f, reducers, p):
     operations.  Only a new key can overflow: its fields are below twice the
     field range, so a set guard bit shows it.
     """
-    pack = reducers.pack
     guards = reducers.guards
     entries = reducers.entries
     n = len(entries)
@@ -383,7 +481,6 @@ def _reduce_packed(f, reducers, p):
     guard_slots = reducers.low_guards * ones
     flags = ones << slot - 1
     carry = flags - guard_slots
-    h = {pack(e): c for e, c in f.items()}
     heap = [-x for x in h]
     heapify(heap)
     r = []

@@ -31,6 +31,10 @@ class Ideal:
     arity: int
     generators: tuple[Polynomial, ...]
 
+    # the reduced grevlex basis of the ideal, when its generators are that
+    # basis and their leads are known (`eliminate` sets it); not a field
+    _grevlex = None
+
     def __init__(self, generators: Sequence[Polynomial], field: PrimeField | None = None,
                  arity: int | None = None):
         gens = tuple(g for g in generators if not g.is_zero())
@@ -122,7 +126,9 @@ class GroebnerBasis:
 def _s_terms(k, p: int, f: dict, fe: tuple, f_inv: int, g: dict, ge: tuple,
              g_inv: int, lcm_exp: tuple) -> dict:
     """Terms of the S-polynomial of f and g, given each leading exponent and
-    the inverse of each leading coefficient."""
+    the inverse of each leading coefficient.  The debug check builds its
+    S-polynomials here, on term dicts, apart from the packed builder that
+    `buchberger` uses."""
     a = k.term_mul(f, k.exp_sub(lcm_exp, fe), f_inv, p)
     b = k.term_mul(g, k.exp_sub(lcm_exp, ge), g_inv, p)
     return k.sub_terms(a, b, p)
@@ -143,6 +149,15 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     active set.  A dropped old pair is deleted from `live` and skipped when
     the heap returns it.  The active set ends as the minimal basis, which
     one tail-reduction pass turns into the reduced basis.
+
+    The elements live only packed, as the entries of one kernel `Reducers`
+    list (see `_kernel_py`): a pair's S-polynomial is built from the two
+    packed entries, reduced packed, made monic and appended as it is.  Only
+    leading exponents are unpacked, for the criteria and the sugar, and the
+    generators' remainders, for their sugar; a whole element is unpacked
+    once, when the tail-reduction pass returns it.  The fields hold twice
+    the degree of a pair's lcm and double when a product overflows them;
+    the remainders do not depend on the width.
     """
     fld = I.field
     k = fld.kernel
@@ -150,22 +165,18 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     lcm_of = k.exp_lcm
     divides = k.exp_divides
 
-    basis: list[dict] = []  # monic elements as term dicts
-    lead: list[tuple] = []
+    # the elements, monic, as packed entries; lead[h] is the leading
+    # exponent of entry h
     reducers = k.Reducers(order.code, order.block, I.arity)
+    lead: list[tuple] = []
     sugar: list[int] = []
     active: list[int] = []
     live: dict[tuple[int, int], tuple] = {}
     heap: list[tuple] = []
 
-    def reduce_terms(terms: dict) -> dict:
-        return k.normal_form_terms(terms, reducers, p)
-
-    def append(terms: dict, s: int):
-        e = next(iter(terms))  # a remainder lists its terms largest first
-        if terms[e] != 1:
-            terms = k.scale_terms(terms, fld.inv(terms[e]), p)
-        h = len(basis)
+    def append(r: list, s: int):
+        e = reducers.append_remainder(r, p)
+        h = len(lead)
         # pairs (i, h): M and F criteria against the other new pairs; pairs
         # with coprime leading terms serve as witnesses, then the product
         # criterion drops them
@@ -182,9 +193,7 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
             if (divides(e, m) and lcm_of(lead[a], e) != m
                     and lcm_of(lead[b], e) != m):
                 del live[(a, b)]
-        basis.append(terms)
         lead.append(e)
-        reducers.append(terms, e, 1)
         sugar.append(s)
         dh = sum(e)
         for i, m in kept:
@@ -199,17 +208,18 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
 
     gens = sorted(I.generators, key=lambda g: order.key(g.leading_term(order)[0]))
     for g in gens:
-        r = reduce_terms(g.terms)
+        r = k.normal_form_packed(g.terms, reducers, p)
         if r:
-            append(r, max(g.total_degree(), max(sum(e) for e in r)))
+            unpack = reducers.unpack
+            append(r, max(g.total_degree(),
+                          max(sum(unpack(x)) for x, _ in r)))
 
     while heap:
         s, _, i, j = heapq.heappop(heap)
         m = live.pop((i, j), None)
         if m is None:
             continue
-        r = reduce_terms(_s_terms(k, p, basis[i], lead[i], 1,
-                                  basis[j], lead[j], 1, m))
+        r = k.s_polynomial_remainder(reducers, i, j, m, p)
         if r:
             append(r, s)
 
@@ -218,11 +228,8 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     # Reducing each by the others keeps its leading term, so one pass
     # leaves the reduced basis.
     active.sort(key=lambda i: order.key(lead[i]))
-    reduced = []
-    for i in active:
-        others = reducers.subset([j for j in active if j != i])
-        r = k.normal_form_terms(basis[i], others, p)
-        reduced.append(Polynomial(fld, I.arity, r, _clean=True))
+    reduced = [Polynomial(fld, I.arity, r, _clean=True)
+               for r in k.reduce_tails(reducers.subset(active), p)]
     result = GroebnerBasis(fld, I.arity, order, reduced,
                            [lead[i] for i in active])
     if _DEBUG_CHECK_BASES and not result.s_polynomials_reduce_to_zero():
@@ -247,7 +254,8 @@ def eliminate(I: Ideal, drop: Iterable[int]) -> Ideal:
 
     The returned ideal lives in the same ring; its generators do not
     involve the dropped variables and form a reduced Gröbner basis of the
-    elimination ideal under the order induced on the kept variables.
+    elimination ideal under the order induced on the kept variables, which
+    is grevlex; the ideal carries that basis.
     """
     drop = sorted(set(drop))
     m = I.arity
@@ -267,14 +275,39 @@ def eliminate(I: Ideal, drop: Iterable[int]) -> Ideal:
         I = Ideal([g.permute_variables(perm) for g in I.generators],
                   field=I.field, arity=m)
     G = buchberger(I, block_order(k))
-    out = [g for g in G.elements if not any(any(e[:k]) for e in g.terms)]
+    # an element is free of the dropped variables exactly when its
+    # block-order lead is; the kept elements are the reduced basis of the
+    # elimination ideal under grevlex on the kept variables, with the same
+    # leads
+    kept = [(g, e) for g, e in zip(G.elements, G.leading_exponents())
+            if not any(e[:k])]
     if relabel:
-        out = [g.permute_variables(back) for g in out]
-    return Ideal(out, field=I.field, arity=m)
+        kept = [(g.permute_variables(back), tuple(map(e.__getitem__, perm)))
+                for g, e in kept]
+    return _basis_ideal(I.field, m, kept)
+
+
+def _basis_ideal(field: PrimeField, arity: int,
+                 kept: Sequence[tuple[Polynomial, tuple]]) -> Ideal:
+    """The ideal generated by a reduced grevlex basis, given as (element,
+    leading exponent) pairs, which it carries for `hilbert_dim_degree`."""
+    ideal = Ideal([g for g, _ in kept], field=field, arity=arity)
+    object.__setattr__(ideal, "_grevlex", GroebnerBasis(
+        field, arity, GREVLEX, ideal.generators, [e for _, e in kept]))
+    return ideal
+
+
+def _drop_first_variable(E: Ideal) -> Ideal:
+    """E, free of x_0, in the ring without x_0, with its basis."""
+    G = E._grevlex
+    return _basis_ideal(E.field, E.arity - 1,
+                        [(g.drop_variable(0), e[1:])
+                         for g, e in zip(G.elements, G.leading_exponents())])
 
 
 def saturate(I: Ideal, g: Polynomial) -> Ideal:
-    """I : g^infinity, via an auxiliary variable t and the generator 1 - t*g."""
+    """I : g^infinity, via an auxiliary variable t and the generator 1 - t*g.
+    Its generators are its reduced grevlex basis, which it carries."""
     if g.is_zero():
         raise PreconditionError("cannot saturate by the zero polynomial")
     if g.field != I.field or g.arity != I.arity:
@@ -284,9 +317,7 @@ def saturate(I: Ideal, g: Polynomial) -> Ideal:
     t = Polynomial.variable(I.field, m + 1, 0)
     rab = Polynomial.constant(I.field, m + 1, 1) - t * _adjoin_variable_first(g)
     J = Ideal(lifted + [rab], field=I.field, arity=m + 1)
-    E = eliminate(J, {0})
-    return Ideal([h.drop_variable(0) for h in E.generators],
-                 field=I.field, arity=m)
+    return _drop_first_variable(eliminate(J, {0}))
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
@@ -298,9 +329,8 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     one = Polynomial.constant(I.field, m + 1, 1)
     gens = [t * _adjoin_variable_first(h) for h in I.generators]
     gens += [(one - t) * _adjoin_variable_first(h) for h in J.generators]
-    E = eliminate(Ideal(gens, field=I.field, arity=m + 1), {0})
-    return Ideal([h.drop_variable(0) for h in E.generators],
-                 field=I.field, arity=m)
+    return _drop_first_variable(
+        eliminate(Ideal(gens, field=I.field, arity=m + 1), {0}))
 
 
 # --------------------------------------------------------------------------
@@ -434,16 +464,22 @@ def _hilbert_data(lead: Sequence[tuple], arity: int, divides) -> HilbertData:
 def hilbert_dim_degree(I: Ideal | GroebnerBasis) -> HilbertData:
     """Dimension and degree of Proj of the quotient by a homogeneous ideal.
 
-    An `Ideal` gets its grevlex basis first; a `GroebnerBasis` is used as
-    given, since any basis of a homogeneous ideal has the same Hilbert
-    function as its ideal of leading terms.
+    An `Ideal` gets its grevlex basis first, unless it carries it (the
+    results of `eliminate`, `saturate` and `intersect` do); a
+    `GroebnerBasis` is used as given, since any basis of a homogeneous
+    ideal has the same Hilbert function as its ideal of leading terms.
     """
     gens = I.generators if isinstance(I, Ideal) else I.elements
     if not all(g.is_homogeneous() for g in gens):
         raise PreconditionError("Hilbert data needs a homogeneous ideal")
-    G = buchberger(I, GREVLEX) if isinstance(I, Ideal) else I
+    G = _grevlex_basis(I) if isinstance(I, Ideal) else I
     return _hilbert_data(G.leading_exponents(), G.arity,
                          G.field.kernel.exp_divides)
+
+
+def _grevlex_basis(I: Ideal) -> GroebnerBasis:
+    """The reduced grevlex basis of I: the one it carries, else computed."""
+    return buchberger(I, GREVLEX) if I._grevlex is None else I._grevlex
 
 
 def vector_space_dimension(I: Ideal) -> int:
@@ -453,7 +489,7 @@ def vector_space_dimension(I: Ideal) -> int:
     term ideal is then a polynomial, and its value at 1 is the count.
     Input with positive-dimensional quotient is rejected.
     """
-    G = buchberger(I, GREVLEX)
+    G = _grevlex_basis(I)
     data = _hilbert_data(G.leading_exponents(), I.arity,
                          I.field.kernel.exp_divides)
     if data.projective_dimension >= 0:

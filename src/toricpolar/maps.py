@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from .errors import PreconditionError, SpecializationError, ToricPolarError
 from .field import DEFAULT_PRIME, PrimeField, is_prime
 from .gcdtools import multivariate_gcd, squarefree_part
-from .groebner import GroebnerBasis, Ideal, hilbert_dim_degree, saturate
-from .poly import GREVLEX, Polynomial
+from .groebner import Ideal, hilbert_dim_degree, saturate
+from .poly import Polynomial
 
 _MASK64 = (1 << 64) - 1
 
@@ -275,10 +275,9 @@ def _slice_degree(phi: RationalMapSpec, j: int, seed: int, trial: int) -> int:
         raise SpecializationError("saturating combination vanished on the "
                                   "slice", (sub,))
     arity = saturant.arity
-    # the saturation is already the reduced grevlex basis of its ideal
-    sliced = saturate(Ideal(gens, field=fld, arity=arity), saturant)
+    # the saturation carries its reduced grevlex basis, leads included
     data = hilbert_dim_degree(
-        GroebnerBasis(fld, arity, GREVLEX, sliced.generators))
+        saturate(Ideal(gens, field=fld, arity=arity), saturant))
     if data.projective_dimension == -1:
         return 0
     if data.projective_dimension != 0:

@@ -1,8 +1,13 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from toricpolar import _kernel_py as kernel
 from toricpolar import groebner
 from toricpolar.errors import PreconditionError, ToricPolarError
 from toricpolar.field import PrimeField
@@ -105,6 +110,66 @@ def test_debug_check_raises_without_assert(monkeypatch):
                         lambda self: False)
     with pytest.raises(ToricPolarError, match=r"2-element basis under the lex"):
         buchberger(Ideal([P("x0 - x1"), P("x2^2 - x1")]), LEX)
+
+
+def _drop_smallest_term(real):
+    """A packed S-polynomial builder that loses the smallest term."""
+    def s_polynomial(reducers, i, j, m):
+        h = real(reducers, i, j, m)
+        if h:
+            del h[min(h)]
+        return h
+    return s_polynomial
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)],
+                         ids=["grevlex", "lex", "block"])
+def test_debug_check_catches_a_broken_packed_s_polynomial(monkeypatch,
+                                                          order):
+    """The debug check builds its S-polynomials from the elements' term
+    dicts (`_s_terms`), not with the kernel's packed builder that
+    `buchberger` uses, so a fault in that builder cannot hide itself."""
+    monkeypatch.setattr(groebner, "_DEBUG_CHECK_BASES", True)
+    monkeypatch.setattr(kernel, "_s_polynomial",
+                        _drop_smallest_term(kernel._s_polynomial))
+    with pytest.raises(ToricPolarError, match="does not reduce to zero"):
+        buchberger(Ideal([P("x0*x1 - x2^2"), P("x1^2 - x0*x2")]), order)
+
+
+BROKEN_BUILDER_UNDER_O = """
+from toricpolar import _kernel_py as kernel
+from toricpolar.errors import ToricPolarError
+from toricpolar.field import PrimeField
+from toricpolar.groebner import Ideal, buchberger
+from toricpolar.parse import parse_polynomial
+
+real = kernel._s_polynomial
+
+
+def s_polynomial(reducers, i, j, m):
+    h = real(reducers, i, j, m)
+    del h[min(h)]
+    return h
+
+
+kernel._s_polynomial = s_polynomial
+F = PrimeField()
+gens = [parse_polynomial(t, ("x0", "x1", "x2"), F)
+        for t in ("x0*x1 - x2^2", "x1^2 - x0*x2")]
+try:
+    buchberger(Ideal(gens))
+except ToricPolarError:
+    print(__debug__, "ToricPolarError")
+"""
+
+
+def test_debug_check_catches_a_broken_packed_s_polynomial_under_python_O():
+    src = Path(groebner.__file__).resolve().parent.parent
+    env = dict(os.environ, TORICPOLAR_DEBUG="1", PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", BROKEN_BUILDER_UNDER_O],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "False ToricPolarError\n", "")
 
 
 # --- normal form ----------------------------------------------------------------
@@ -211,6 +276,39 @@ def test_intersect_affine_points():
     GX, GE = buchberger(X), buchberger(expected)
     assert all(GE.contains(g) for g in X.generators)
     assert all(GX.contains(g) for g in expected.generators)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_eliminations_carry_their_reduced_grevlex_basis(seed):
+    """`eliminate`, `saturate` and `intersect` return the reduced grevlex
+    basis of their result and carry it with its leads, read off the
+    block-order leads of the kept elements.  It must be the basis a fresh
+    grevlex `buchberger` gives: elements, their order, term insertion order
+    and leads."""
+    rng = random.Random(900 + seed)
+    arity = rng.randint(2, 4)
+    homogeneous = rng.random() < 0.5
+
+    def draw(degree, terms):
+        if homogeneous:
+            return random_homogeneous(F, rng, arity, degree, terms)
+        f = Polynomial.zero(F, arity)
+        while f.is_zero():
+            f = random_polynomial(F, rng, arity, degree, terms)
+        return f
+
+    I = Ideal([draw(rng.randint(1, 3), 4) for _ in range(rng.randint(1, 3))])
+    other = [draw(rng.randint(1, 2), 3) for _ in range(2)]
+    drop = rng.sample(range(arity), rng.randint(1, arity - 1))
+    results = [eliminate(I, drop), saturate(I, other[0]),
+               intersect(I, Ideal(other))]
+    for J in results:
+        fresh = buchberger(Ideal(J.generators, field=F, arity=arity), GREVLEX)
+        carried = J._grevlex
+        assert carried.elements == J.generators
+        assert [list(g.terms.items()) for g in carried.elements] == [
+            list(g.terms.items()) for g in fresh.elements]
+        assert carried.leading_exponents() == fresh.leading_exponents()
 
 
 # --- hilbert data ------------------------------------------------------------------

@@ -3,20 +3,24 @@ of the gcd taken from it against sympy's gcd.
 
 sympy computes over GF(p) with its own Buchberger implementation, so it is
 an oracle that shares no code with toricpolar.  Both sides order variables
-x0 > x1 > x2 in grevlex and lex.
+x0 > x1 > x2 in grevlex and lex, and in the block order `block_order(1)`,
+which sympy spells as a ProductOrder of two grevlex blocks.
 """
 
 import itertools
 
+import pytest
 import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from sympy.polys.orderings import ProductOrder, grevlex
 
+from toricpolar import _kernel_py as kernel
 from toricpolar.field import PrimeField
 from toricpolar.gcdtools import multivariate_gcd
 from toricpolar.groebner import (Ideal, buchberger, eliminate,
                                  hilbert_dim_degree, intersect, saturate)
-from toricpolar.poly import GREVLEX, LEX, Polynomial
+from toricpolar.poly import GREVLEX, LEX, Polynomial, block_order
 
 P = 32003
 F = PrimeField(P)
@@ -79,6 +83,48 @@ def test_buchberger_matches_sympy_lex(ideal):
     n, gens = ideal
     G = buchberger(Ideal(gens), LEX)
     assert canonical(ours(G)) == canonical(sympy_basis(gens, n, "lex"))
+
+
+# block_order(1): grevlex on x0, then grevlex on the other variables
+BLOCK_1 = ProductOrder((grevlex, lambda m: m[:1]),
+                       (grevlex, lambda m: m[1:]))
+
+
+@pytest.mark.parametrize("order, theirs", [(LEX, "lex"),
+                                           (block_order(1), BLOCK_1)],
+                         ids=["lex", "block"])
+def test_buchberger_widening_in_the_pair_loop_matches_sympy(monkeypatch,
+                                                            order, theirs):
+    """x0^2 - x2^5 and x1 - x0 + x0^2*x2^12: an S-polynomial reduction
+    overflows its packed fields, which double in the middle of the pair
+    loop; the basis must still be sympy's."""
+    doubled = []
+    pairs = []
+    real_widen = kernel.Reducers.widen
+    real_remainder = kernel.s_polynomial_remainder
+
+    def widen(self, width):
+        # a doubling inside a pair's reduction, not the lcm's own widening
+        if (pairs and width == 2 * self.width
+                and width != kernel._width_for(sum(pairs[-1]))):
+            doubled.append(width)
+        real_widen(self, width)
+
+    def remainder(reducers, i, j, m, p):
+        pairs.append(m)
+        try:
+            return real_remainder(reducers, i, j, m, p)
+        finally:
+            pairs.pop()
+
+    monkeypatch.setattr(kernel.Reducers, "widen", widen)
+    monkeypatch.setattr(kernel, "s_polynomial_remainder", remainder)
+    gens = [Polynomial(F, 3, {(2, 0, 0): 1, (0, 0, 5): P - 1}),
+            Polynomial(F, 3, {(0, 1, 0): 1, (1, 0, 0): P - 1,
+                              (2, 0, 12): 1})]
+    G = buchberger(Ideal(gens), order)
+    assert doubled
+    assert canonical(ours(G)) == canonical(sympy_basis(gens, 3, theirs))
 
 
 @settings(max_examples=60, deadline=None,

@@ -10,6 +10,7 @@ helpers, and the term arithmetic against dicts summed term by term,
 reduced mod p, with zero coefficients dropped.
 """
 
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from toricpolar import _kernel_py as k
 from toricpolar.field import PrimeField
-from toricpolar.groebner import Ideal, buchberger
+from toricpolar.groebner import Ideal, _s_terms, buchberger
 from toricpolar.poly import LEX, MonomialOrder, Polynomial, block_order
 
 PRIMES = [2, 3, 13, 2**31 - 1]
@@ -353,3 +354,189 @@ def test_cancelled_term(f, expected):
             [MINUS_X2_SQUARED] * 2, 13, k.GREVLEX, 0)
     assert reference_normal_form(*case) == expected
     assert kernel_normal_form(3, *case) == expected
+
+
+# --- the packed pair path of `buchberger` ---------------------------------
+
+
+def monic(g, p, kind, block):
+    """`g` made monic, and its leading exponent."""
+    lead, inv, _ = split(g, p, kind, block)
+    return lead, {e: c * inv % p for e, c in g.items()}
+
+
+def s_reference(elements, i, j, p, kind, block):
+    """The remainder of S(f_i, f_j) as the dict path takes it: the
+    S-polynomial from `_s_terms`, reduced by `normal_form_terms` over the
+    same elements packed on their own."""
+    (li, fi), (lj, fj) = elements[i], elements[j]
+    m = k.exp_lcm(li, lj)
+    reducers = k.Reducers(kind, block, len(li))
+    for lead, f in elements:
+        reducers.append(f, lead, 1)
+    return m, k.normal_form_terms(
+        _s_terms(k, p, fi, li, 1, fj, lj, 1, m), reducers, p)
+
+
+def packed_s_remainder(reducers, i, j, m, p):
+    unpack = reducers.unpack
+    return {unpack(x): c
+            for x, c in k.s_polynomial_remainder(reducers, i, j, m, p)}
+
+
+def counting_widen(monkeypatch):
+    """Record (width before, width asked for) of every `Reducers.widen`
+    call that widens."""
+    calls = []
+    real = k.Reducers.widen
+
+    def widen(self, width):
+        if width > self.width:
+            calls.append((self.width, width))
+        real(self, width)
+    monkeypatch.setattr(k.Reducers, "widen", widen)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_packed_s_polynomial_matches_dict_path(seed):
+    # Random monic elements, some with exponents up to 40 so that lex and
+    # block reductions outgrow the first width; every pair is reduced by
+    # all the elements, packed path against dict path, in both remainders'
+    # insertion order.
+    rng = random.Random(500 + seed)
+    arity = rng.randint(2, 4)
+    p = rng.choice(PRIMES)
+    kind, block = rng.choice([(k.GREVLEX, 0), (k.LEX, 0)]
+                             + [(k.BLOCK, b) for b in range(1, arity)])
+    top = rng.choice([3, 40])
+    count = rng.randint(2, 6)
+    elements = []
+    if rng.random() < 0.5:
+        # x_a - c*x_b^t, a < b: under lex it multiplies degrees by t
+        a, b = sorted(rng.sample(range(arity), 2))
+        unit = [tuple(int(v == w) for v in range(arity)) for w in (a, b)]
+        elements.append(monic({unit[0]: 1, tuple(
+            rng.randint(5, 12) * x for x in unit[1]): rng.randrange(1, p)},
+            p, kind, block))
+    while len(elements) < count:
+        g = random_terms(rng, arity, p, rng.randint(1, 5), top)
+        if any(g):
+            elements.append(monic(g, p, kind, block))
+    # packed as `buchberger` keeps remainders: in fields that just hold
+    # them, not twice their degree
+    reducers = k.Reducers(kind, block, arity)
+    reducers.widen(max(sum(e) for _, f in elements for e in f).bit_length())
+    key = k.order_key(kind, block)
+    for _, f in elements:
+        reducers.append_remainder(
+            [(reducers.pack(e), c)
+             for e, c in sorted(f.items(), key=lambda t: key(t[0]),
+                                reverse=True)], p)
+    for i, j in itertools.combinations(range(len(elements)), 2):
+        m, expected = s_reference(elements, i, j, p, kind, block)
+        r = packed_s_remainder(reducers, i, j, m, p)
+        assert list(r.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("kind, block, elements, i, j, widths", [
+    # x0^40 - x1 and x0 - x1^4 under lex: the lcm x0^40 fits the 7-bit
+    # fields, but reducing x0^39*x1^4 by x0 - x1^4 reaches x1^128.
+    (k.LEX, 0, [((40, 0), {(40, 0): 1, (0, 1): 12}),
+                ((1, 0), {(1, 0): 1, (0, 4): 12})], 0, 1, [(7, 14)]),
+    # block order, x0 | x1, x2: the elements fit 7 bits, their lcm
+    # x1^60*x2^60 needs 8 before it is packed.
+    (k.BLOCK, 1, [((0, 60, 0), {(0, 60, 0): 1, (1, 0, 1): 1}),
+                  ((0, 0, 60), {(0, 0, 60): 1, (1, 1, 0): 5})], 0, 1,
+     [(7, 8)]),
+    # block order, x0 | x1: x0 - x1^90 reduces x0^3*x1 past 8 bits.
+    (k.BLOCK, 1, [((3, 0), {(3, 0): 1, (0, 2): 3}),
+                  ((1, 0), {(1, 0): 1, (0, 90): 12})], 0, 1, [(8, 16)]),
+], ids=["lex-reduction", "block-lcm", "block-reduction"])
+def test_packed_s_polynomial_widens(monkeypatch, kind, block, elements, i, j,
+                                    widths):
+    p = 13
+    reducers = k.Reducers(kind, block, len(elements[0][0]))
+    for lead, f in elements:
+        reducers.append(f, lead, 1)
+    calls = counting_widen(monkeypatch)
+    m, expected = s_reference(elements, i, j, p, kind, block)
+    calls.clear()
+    r = packed_s_remainder(reducers, i, j, m, p)
+    assert calls == widths
+    assert list(r.items()) == list(expected.items())
+
+
+def test_packed_s_polynomial_rebuilt_after_overflow(monkeypatch):
+    # Remainders join the list at the width they were found at: here x0 -
+    # x1^7 and x0*x1 + 1 under lex, in 3-bit fields.  Their S-polynomial
+    # -x1^8 - 1 overflows while it is built, so the fields double and it
+    # is built again from the re-packed entries.
+    p = 13
+    reducers = k.Reducers(k.LEX, 0, 2)
+    reducers.widen(3)
+    pack = reducers.pack
+    reducers.append_remainder([(pack((1, 0)), 1), (pack((0, 7)), 12)], p)
+    reducers.append_remainder([(pack((1, 1)), 2), (pack((0, 0)), 2)], p)
+    calls = counting_widen(monkeypatch)
+    r = packed_s_remainder(reducers, 0, 1, (1, 1), p)
+    assert calls == [(3, 6)]
+    assert list(r.items()) == [((0, 8), 12), ((0, 0), 12)]
+
+
+def test_append_remainder_makes_monic_without_repacking():
+    p = 13
+    reducers = k.Reducers(k.GREVLEX, 0, 2)
+    reducers.widen(4)
+    pack = reducers.pack
+    r = [(pack((2, 0)), 3), (pack((1, 1)), 6), (pack((0, 1)), 1)]
+    assert reducers.append_remainder(r, p) == (2, 0)
+    assert reducers.entries == [(pack((2, 0)), 1,
+                                 [(pack((1, 1)), 2), (pack((0, 1)), 9)])]
+    assert reducers.width == 4
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_reduce_tails_matches_reduction_by_the_others(seed):
+    # A minimal basis: leads of one total degree never divide each other.
+    # Tails are terms below the lead, up to degree 30 under lex and block.
+    rng = random.Random(700 + seed)
+    arity = rng.randint(2, 4)
+    p = rng.choice(PRIMES)
+    kind, block = rng.choice([(k.GREVLEX, 0), (k.LEX, 0), (k.BLOCK, 1)])
+    key = k.order_key(kind, block)
+    degree = rng.randint(1, 4)
+    leads = list({tuple(rng.choice([c for c in itertools.product(
+        range(degree + 1), repeat=arity) if sum(c) == degree]))
+        for _ in range(rng.randint(1, 5))})
+    leads.sort(key=key)
+    elements = []
+    for lead in leads:
+        top = 30 if kind != k.GREVLEX and rng.random() < 0.5 else degree
+        tail = {e: c for e, c in random_terms(rng, arity, p, 6, top).items()
+                if key(e) < key(lead)}
+        elements.append((lead, {lead: 1, **tail}))
+    basis = k.Reducers(kind, block, arity)
+    for lead, f in elements:
+        basis.append(f, lead, 1)
+    reduced = k.reduce_tails(basis.subset(range(len(elements))), p)
+    for i, (lead, f) in enumerate(elements):
+        others = basis.subset([j for j in range(len(elements)) if j != i])
+        expected = k.normal_form_terms(f, others, p)
+        assert list(reduced[i].items()) == list(expected.items())
+
+
+def test_reduce_tails_widens(monkeypatch):
+    # Lex: x0 - x1^100 and x1^3 - x2^50.  Reducing x1^100 by x1^3 - x2^50
+    # ends at x1*x2^1650, past the 8-bit fields: one doubling, to 16.
+    p = 13
+    elements = [((0, 3, 0), {(0, 3, 0): 1, (0, 0, 50): 12}),
+                ((1, 0, 0), {(1, 0, 0): 1, (0, 100, 0): 12})]
+    basis = k.Reducers(k.LEX, 0, 3)
+    for lead, f in elements:
+        basis.append(f, lead, 1)
+    calls = counting_widen(monkeypatch)
+    reduced = k.reduce_tails(basis, p)
+    assert calls == [(8, 16)]
+    assert list(reduced[1].items()) == [((1, 0, 0), 1), ((0, 1, 1650), 12)]
+    assert reduced[0] == elements[0][1]
