@@ -459,9 +459,8 @@ def test_packed_s_polynomial_widens(monkeypatch, kind, block, elements, i, j,
     reducers = k.Reducers(kind, block, len(elements[0][0]))
     for lead, f in elements:
         reducers.append(f, lead, 1)
-    calls = counting_widen(monkeypatch)
     m, expected = s_reference(elements, i, j, p, kind, block)
-    calls.clear()
+    calls = counting_widen(monkeypatch)
     r = packed_s_remainder(reducers, i, j, m, p)
     assert calls == widths
     assert list(r.items()) == list(expected.items())
