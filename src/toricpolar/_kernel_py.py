@@ -40,9 +40,11 @@ from the data: every form is at most the total degree, and the fields hold
 twice the largest total degree of the reducers and of the polynomial being
 reduced.  A grevlex reduction never leaves that range; under lex and block
 orders a product can.  Its fields are then below twice the field range, so
-a guard bit is set: the call re-packs its reducers at twice the width and
-starts again.  Only the remainder is unpacked; it is the same dict, in the
-same insertion order, as a reduction on exponent tuples gives.
+a guard bit is set.  One retry loop, `_reduce_widening`, serves every
+reduction: it re-packs the reducers at twice the width, builds the packed
+input again and starts over.  Only the remainder is unpacked; it is the
+same dict, in the same insertion order, as a reduction on exponent tuples
+gives.
 
 `buchberger` keeps its elements packed from pair to basis.  Each is a
 monic entry of one `Reducers` list and has no other copy.
@@ -52,12 +54,11 @@ times m / lead are the tail packs plus (pack of m) - (pack of lead), the
 second tail's coefficients negated.  The S-polynomial's leading terms
 cancel, so they are never built.  The packed remainder, largest term
 first, joins the list through `Reducers.append_remainder`: made monic, not
-re-packed, only its lead unpacked.  When an S-polynomial term or a product
-sets a guard bit, the list is re-packed twice as wide and the S-polynomial
-is built again from the re-packed entries; `reduce_tails`, the final
-tail-reduction pass and the one place where whole elements are unpacked,
-retries the same way.  A remainder does not depend on the width, so the
-basis does not either.
+re-packed, only its lead unpacked.  An S-polynomial term that sets a guard
+bit goes through the same retry: the S-polynomial is built again from the
+re-packed entries.  `reduce_tails` is the final tail-reduction pass and
+the one place where whole elements are unpacked.  A remainder does not
+depend on the width, so the basis does not either.
 
 The divisor index finds the first reducer whose leading exponent divides
 a term without a loop over the reducers.  It is one int of n slots, one
@@ -213,19 +214,6 @@ def scale_terms(a, c, p):
         w = v * c % p
         if w:
             r[e] = w
-    return r
-
-
-def term_mul(a, d, c, p):
-    """Multiply `a` by the single term c * x^d."""
-    c %= p
-    if c == 0:
-        return {}
-    r = {}
-    for e, v in a.items():
-        w = v * c % p
-        if w:
-            r[tuple(map(add, e, d))] = w
     return r
 
 
@@ -390,12 +378,24 @@ def normal_form_terms(f, reducers, p):
 def normal_form_packed(f, reducers, p):
     """The remainder of `normal_form_terms`, left packed at the width of
     `reducers`: (packed exponent, coefficient) pairs, largest first."""
-    reducers.widen(_width_for(max(map(sum, f), default=0)))
+    return _reduce_widening(
+        reducers, max(map(sum, f), default=0),
+        lambda: {reducers.pack(e): c for e, c in f.items()}, p)
+
+
+def _reduce_widening(reducers, degree, build, p):
+    """Packed remainder of the packed dict that `build()` makes at the
+    current width of `reducers`, largest term first.  The fields first hold
+    twice `degree`.  When `build` returns None or a product overflows, they
+    double and `build` runs again on the re-packed entries, so the
+    remainder does not depend on the width."""
+    reducers.widen(_width_for(degree))
     while True:
-        pack = reducers.pack
-        r = _reduce_packed({pack(e): c for e, c in f.items()}, reducers, p)
-        if r is not None:
-            return r
+        h = build()
+        if h is not None:
+            r = _reduce_packed(h, reducers, p)
+            if r is not None:
+                return r
         reducers.widen(2 * reducers.width)
 
 
@@ -425,14 +425,8 @@ def s_polynomial_remainder(reducers, i, j, m, p):
     m) modulo all the entries.  The fields first hold twice the degree of
     m; on an overflow they double and the S-polynomial is built again from
     the re-packed entries."""
-    reducers.widen(_width_for(sum(m)))
-    while True:
-        h = _s_polynomial(reducers, i, j, m)
-        if h is not None:
-            r = _reduce_packed(h, reducers, p)
-            if r is not None:
-                return r
-        reducers.widen(2 * reducers.width)
+    return _reduce_widening(reducers, sum(m),
+                            partial(_s_polynomial, reducers, i, j, m), p)
 
 
 def reduce_tails(basis, p):
@@ -445,13 +439,8 @@ def reduce_tails(basis, p):
     unpack = basis.unpack
     out = []
     for i in range(len(basis.entries)):
-        while True:
-            lead, _, tail = basis.entries[i]
-            r = _reduce_packed(dict(tail), basis, p)
-            if r is not None:
-                break
-            basis.widen(2 * basis.width)
-        f = {unpack(lead): 1}
+        r = _reduce_widening(basis, 0, lambda: dict(basis.entries[i][2]), p)
+        f = {unpack(basis.entries[i][0]): 1}
         for x, c in r:
             f[unpack(x)] = c
         out.append(f)

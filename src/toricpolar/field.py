@@ -11,14 +11,19 @@ from .errors import PreconditionError
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1, Mersenne
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The primes up to 41 decide every n below psi_13, the smallest strong
+# pseudoprime to all of them (Sorenson & Webster, Math. Comp. 86, 2017).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981  # psi_13
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n below 3.3 * 10^24."""
+    """Deterministic Miller-Rabin for n below psi_13 (3.3 * 10^24)."""
+    if n >= _MR_BOUND:
+        raise PreconditionError(f"modulus {n} is not below {_MR_BOUND}")
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
     d = n - 1

@@ -56,24 +56,19 @@ class Ideal:
 
 class GroebnerBasis:
     """Reduced Gröbner basis: monic elements, no term of one divisible by
-    the leading term of another.
-
-    `leads`, when given, are the elements' leading exponents (`buchberger`
-    knows them); otherwise they are found by a scan of each element.
+    the leading term of another; `leads` are their leading exponents.
     """
 
     __slots__ = ("field", "arity", "order", "elements", "_lead_exps",
                  "_reducers")
 
     def __init__(self, field: PrimeField, arity: int, order: MonomialOrder,
-                 elements: Sequence[Polynomial],
-                 leads: Sequence[tuple] | None = None):
+                 elements: Sequence[Polynomial], leads: Sequence[tuple]):
         self.field = field
         self.arity = arity
         self.order = order
         self.elements = tuple(elements)
-        self._lead_exps = (list(leads) if leads is not None else
-                           [g.leading_term(order)[0] for g in self.elements])
+        self._lead_exps = list(leads)
         self._reducers = None
 
     def leading_exponents(self) -> tuple[tuple, ...]:
@@ -129,8 +124,8 @@ def _s_terms(k, p: int, f: dict, fe: tuple, f_inv: int, g: dict, ge: tuple,
     the inverse of each leading coefficient.  The debug check builds its
     S-polynomials here, on term dicts, apart from the packed builder that
     `buchberger` uses."""
-    a = k.term_mul(f, k.exp_sub(lcm_exp, fe), f_inv, p)
-    b = k.term_mul(g, k.exp_sub(lcm_exp, ge), g_inv, p)
+    a = k.mul_terms(f, {k.exp_sub(lcm_exp, fe): f_inv}, p)
+    b = k.mul_terms(g, {k.exp_sub(lcm_exp, ge): g_inv}, p)
     return k.sub_terms(a, b, p)
 
 
@@ -258,9 +253,15 @@ def eliminate(I: Ideal, drop: Iterable[int]) -> Ideal:
     is grevlex; the ideal carries that basis.
     """
     drop = sorted(set(drop))
-    m = I.arity
     if not drop:
         return I
+    return _basis_ideal(I.field, I.arity, _eliminated(I, drop))
+
+
+def _eliminated(I: Ideal, drop: list[int]) -> list[tuple[Polynomial, tuple]]:
+    """The reduced grevlex basis of I eliminated by `drop` (sorted, not
+    empty): (element, leading exponent) pairs in the ring of I."""
+    m = I.arity
     if any(not 0 <= v < m for v in drop) or len(drop) >= m:
         raise PreconditionError("dropped variables must be a proper subset")
     k = len(drop)
@@ -284,7 +285,7 @@ def eliminate(I: Ideal, drop: Iterable[int]) -> Ideal:
     if relabel:
         kept = [(g.permute_variables(back), tuple(map(e.__getitem__, perm)))
                 for g, e in kept]
-    return _basis_ideal(I.field, m, kept)
+    return kept
 
 
 def _basis_ideal(field: PrimeField, arity: int,
@@ -297,12 +298,11 @@ def _basis_ideal(field: PrimeField, arity: int,
     return ideal
 
 
-def _drop_first_variable(E: Ideal) -> Ideal:
-    """E, free of x_0, in the ring without x_0, with its basis."""
-    G = E._grevlex
-    return _basis_ideal(E.field, E.arity - 1,
+def _eliminate_first_variable(J: Ideal) -> Ideal:
+    """J eliminated by x_0, in the ring without x_0, with its basis."""
+    return _basis_ideal(J.field, J.arity - 1,
                         [(g.drop_variable(0), e[1:])
-                         for g, e in zip(G.elements, G.leading_exponents())])
+                         for g, e in _eliminated(J, [0])])
 
 
 def saturate(I: Ideal, g: Polynomial) -> Ideal:
@@ -316,8 +316,8 @@ def saturate(I: Ideal, g: Polynomial) -> Ideal:
     lifted = [_adjoin_variable_first(h) for h in I.generators]
     t = Polynomial.variable(I.field, m + 1, 0)
     rab = Polynomial.constant(I.field, m + 1, 1) - t * _adjoin_variable_first(g)
-    J = Ideal(lifted + [rab], field=I.field, arity=m + 1)
-    return _drop_first_variable(eliminate(J, {0}))
+    return _eliminate_first_variable(
+        Ideal(lifted + [rab], field=I.field, arity=m + 1))
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
@@ -329,8 +329,8 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     one = Polynomial.constant(I.field, m + 1, 1)
     gens = [t * _adjoin_variable_first(h) for h in I.generators]
     gens += [(one - t) * _adjoin_variable_first(h) for h in J.generators]
-    return _drop_first_variable(
-        eliminate(Ideal(gens, field=I.field, arity=m + 1), {0}))
+    return _eliminate_first_variable(
+        Ideal(gens, field=I.field, arity=m + 1))
 
 
 # --------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 randomized computation of their multidegrees.
 
 The multidegree d_j is the degree of the closure of the preimage of a
-general codimension-j linear subspace.  It is computed by slicing: j random
-combinations of the map's coordinates, restricted to n-j random linear forms
-(one echelon form mod p; its free variables are the j+1 coordinates), a
-saturation by one further random coordinate combination to excise the base
-locus, and Hilbert-series degree extraction.  Independent trials with fresh
-randomness must agree, otherwise a SpecializationError is raised.
+general codimension-j linear subspace; d_0 = 1 by definition.  For j = 1..n
+it is computed by slicing: j random combinations of the map's coordinates,
+restricted to n-j random linear forms (one echelon form mod p; its free
+variables are the j+1 coordinates), a saturation by one further random
+coordinate combination to excise the base locus, and Hilbert-series degree
+extraction.  Independent trials with fresh randomness must agree, otherwise
+a SpecializationError names the slices that disagree.
 """
 
 from __future__ import annotations
@@ -257,9 +258,9 @@ def _restrict_to_subspace(polys: list[Polynomial],
 
 
 def _slice_degree(phi: RationalMapSpec, j: int, seed: int, trial: int) -> int:
-    """Degree of the saturated slice computing d_j, for one trial; the free
-    variables of the echelon form of the n-j linear forms are its j+1
-    coordinates."""
+    """Degree of the saturated slice computing d_j, 1 <= j <= n, for one
+    trial; the free variables of the echelon form of the n-j linear forms
+    are its j+1 coordinates."""
     sub = derive_seed(seed, j, trial)
     rng = random.Random(sub)
     fld = phi.field
@@ -291,27 +292,29 @@ def multidegrees(phi: RationalMapSpec,
                  cfg: RandomizationConfig | None = None) -> MultidegreeVector:
     """Multidegrees d_0, ..., d_n of the map, with trial agreement.
 
-    Each (j, trial) task draws its own deterministic sub-seed, so results
-    are reproducible.  All trials must produce identical vectors.
+    d_0 = 1 by definition; each trial slices d_1, ..., d_n, each (j, trial)
+    with its own deterministic sub-seed, so results are reproducible.  All
+    trials must agree with trial 0; the error names each slice that differs
+    as (j, trial, sub-seed), in trial 0 and in the first trial that differs.
     """
     if cfg is None:
         cfg = RandomizationConfig(prime=phi.field.p)
     if cfg.prime != phi.field.p:
         raise ValueError("configuration prime differs from the map's field")
-    outcomes = []
-    for trial in range(cfg.trials):
-        vec = tuple(_slice_degree(phi, j, cfg.seed, trial)
-                    for j in range(phi.n + 1))
-        outcomes.append(vec)
-    if any(v != outcomes[0] for v in outcomes[1:]):
-        raise SpecializationError(
-            f"trials disagree: {outcomes}; rerun with a fresh seed or prime",
-            tuple(derive_seed(cfg.seed, j, t)
-                  for t in range(cfg.trials) for j in range(phi.n + 1)))
+    outcomes = [(1, *(_slice_degree(phi, j, cfg.seed, trial)
+                      for j in range(1, phi.n + 1)))
+                for trial in range(cfg.trials)]
     vec = outcomes[0]
-    if vec[0] != 1:
-        raise SpecializationError(f"computed d_0 = {vec[0]}, expected 1",
-                                  (cfg.seed,))
+    for trial, other in enumerate(outcomes[1:], 1):
+        slices = [(j, t, derive_seed(cfg.seed, j, t))
+                  for j in range(1, phi.n + 1) if other[j] != vec[j]
+                  for t in (0, trial)]
+        if slices:
+            raise SpecializationError(
+                f"trials disagree: {vec} in trial 0, {other} in trial "
+                f"{trial}, at (j, trial, sub-seed) "
+                f"{', '.join(map(str, slices))}; rerun with a fresh seed or "
+                "prime", tuple(s for _, _, s in slices))
     if phi.n >= 1 and vec[1] != phi.coordinate_degree:
         raise SpecializationError(
             f"computed d_1 = {vec[1]} but the reduced coordinates have "

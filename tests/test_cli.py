@@ -126,6 +126,15 @@ def test_precondition_exit_code():
     assert code == 3
 
 
+@pytest.mark.parametrize("prime", ["318665857834031151167461",
+                                   "3317044064679887385961981"])
+def test_pseudoprime_modulus_exit_code(prime):
+    """psi_12 is composite; psi_13 is at the bound of the primality test."""
+    code, out = run_cli(["multidegrees", "--poly", "x0+x1+x2",
+                         "--vars", "x0,x1,x2", "--prime", prime, "--json"])
+    assert (code, out) == (3, "")
+
+
 def test_readme_library_example():
     from toricpolar import (PrimeField, RandomizationConfig,
                             csm_standard_complement, multidegrees,

@@ -3,6 +3,7 @@ import pytest
 from toricpolar import _kernel_py
 from toricpolar.errors import PreconditionError
 from toricpolar.field import DEFAULT_PRIME, PrimeField, is_prime
+from toricpolar.maps import RandomizationConfig
 
 
 def test_default_prime_is_mersenne():
@@ -15,9 +16,24 @@ def test_default_prime_is_mersenne():
     (65521, True), (65519, True), (65517, False),
     (999999937, True), (2147483647, True), (2147483649, False),
     (10**18 + 9, True), (10**18 + 7, False),
+    # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to 2..37
+    (318665857834031151167461, False),
+    (3317044064679887385961813, True),  # the largest prime below psi_13
 ])
 def test_is_prime(n, expected):
     assert is_prime(n) == expected
+
+
+# psi_13 = 1287836182261 * 2575672364521, a strong pseudoprime to 2..41,
+# and the Mersenne prime 2^89 - 1 above it
+@pytest.mark.parametrize("n", [3317044064679887385961981, 2**89 - 1])
+def test_is_prime_rejects_moduli_from_psi_13(n):
+    with pytest.raises(PreconditionError):
+        is_prime(n)
+    with pytest.raises(PreconditionError):
+        PrimeField(n)
+    with pytest.raises(PreconditionError):
+        RandomizationConfig(prime=n)
 
 
 def test_rejects_composite_modulus():

@@ -331,8 +331,9 @@ def test_term_arithmetic_matches_dict_reference(case):
     assert k.neg_terms(a, p) == reference_terms([(e, -v) for e, v in A], p)
     assert k.scale_terms(a, c, p) == reference_terms(
         [(e, c * v) for e, v in A], p)
-    assert k.term_mul(a, d, c, p) == reference_terms(
-        [(exp_sum(e, d), c * v) for e, v in A], p)
+    # times one term: the terms of `a` shifted, in their order
+    assert list(k.mul_terms(a, {d: c}, p).items()) == list(reference_terms(
+        [(exp_sum(e, d), c * v) for e, v in A], p).items())
     assert k.mul_terms(a, b, p) == reference_terms(
         [(exp_sum(ea, eb), va * vb) for ea, va in A for eb, vb in B], p)
     assert (a, b) == (a_before, b_before)

@@ -207,16 +207,36 @@ def test_multidegrees_reproducible():
 
 
 def test_trial_disagreement_raises(monkeypatch):
-    import toricpolar.maps as maps
+    """Only the slices that differ from trial 0 are named, for trial 0 and
+    for the first trial that disagrees."""
 
     def fickle(phi, j, seed, trial):
-        return 1 if j == 0 else 2 + trial
+        return 3 if j == 1 else 2 + (trial == 2)
 
     monkeypatch.setattr(maps, "_slice_degree", fickle)
     with pytest.raises(SpecializationError) as err:
-        multidegrees(toric_polar_map(P(CUSP)), CFG)
-    assert "disagree" in str(err.value)
-    assert err.value.seeds
+        multidegrees(toric_polar_map(P(CUSP)),
+                     RandomizationConfig(seed=CFG.seed, trials=3))
+    s0, s2 = derive_seed(CFG.seed, 2, 0), derive_seed(CFG.seed, 2, 2)
+    assert str(err.value) == (
+        "trials disagree: (1, 3, 2) in trial 0, (1, 3, 3) in trial 2, at "
+        f"(j, trial, sub-seed) (2, 0, {s0}), (2, 2, {s2}); rerun with a "
+        f"fresh seed or prime [seeds: {s0}, {s2}]")
+    assert err.value.seeds == (s0, s2)
+
+
+def test_slices_start_at_j_1(monkeypatch):
+    """d_0 is 1 by definition: no trial slices it."""
+    calls = []
+    real = maps._slice_degree
+
+    def recording(phi, j, seed, trial):
+        calls.append((j, trial))
+        return real(phi, j, seed, trial)
+
+    monkeypatch.setattr(maps, "_slice_degree", recording)
+    assert multidegrees(toric_polar_map(P(CUSP)), CFG).values == (1, 3, 2)
+    assert calls == [(1, 0), (2, 0), (1, 1), (2, 1)]
 
 
 def test_config_prime_must_match():
@@ -287,8 +307,9 @@ def test_monomial_pullback_preserves_topological_degree():
 
 
 def test_one_block_order_basis_per_slice(monkeypatch):
-    """Each slice computes one Gröbner basis, the block-order one inside
-    `saturate`; Hilbert extraction reuses it instead of a grevlex basis."""
+    """Each slice j = 1..n computes one Gröbner basis, the block-order one
+    inside `saturate`; Hilbert extraction reuses it instead of a grevlex
+    basis."""
     import toricpolar.groebner as groebner
     from toricpolar.constructions import cremona_poly
 
@@ -303,7 +324,7 @@ def test_one_block_order_basis_per_slice(monkeypatch):
     monkeypatch.setattr(groebner, "buchberger", counting)
     md = multidegrees(phi, CFG)
     assert md.values == (1, 3, 3, 1)
-    assert orders == ["block"] * ((phi.n + 1) * CFG.trials)
+    assert orders == ["block"] * (phi.n * CFG.trials)
 
 
 # --- the linear restriction of a slice ----------------------------------------
@@ -389,26 +410,26 @@ def all_ones(rng, length, p):
 
 
 def test_dependent_linear_forms_raise(monkeypatch):
-    """With every random vector all ones, the two linear forms of the j = 0
-    slice on P^2 coincide."""
+    """With every random vector all ones, the two linear forms of the j = 1
+    slice on P^3 coincide."""
     monkeypatch.setattr(maps, "_random_nonzero_vector", all_ones)
-    phi = RationalMapSpec([P("x0"), P("x1"), P("x2")])
+    space = ("x0", "x1", "x2", "x3")
+    phi = RationalMapSpec([P(x, space) for x in space])
     with pytest.raises(SpecializationError) as err:
         multidegrees(phi, CFG)
-    sub = derive_seed(CFG.seed, 0, 0)
+    sub = derive_seed(CFG.seed, 1, 0)
     assert str(err.value) == f"degenerate random linear form [seeds: {sub}]"
     assert err.value.seeds == (sub,)
 
 
 def test_saturant_vanishing_on_the_slice_raises(monkeypatch):
-    """With every random vector all ones, the j = 0 slice of P^1 is the
-    point x0 + x1 = 0, on which the saturant x0 + x1 vanishes."""
+    """With every random vector all ones, the j = 1 slice of P^2 is the
+    line x0 + x1 + x2 = 0, on which the saturant x0 + x1 + x2 vanishes."""
     monkeypatch.setattr(maps, "_random_nonzero_vector", all_ones)
-    line = ("x0", "x1")
-    phi = RationalMapSpec([P("x0", line), P("x1", line)])
+    phi = RationalMapSpec([P("x0"), P("x1"), P("x2")])
     with pytest.raises(SpecializationError) as err:
         multidegrees(phi, CFG)
-    sub = derive_seed(CFG.seed, 0, 0)
+    sub = derive_seed(CFG.seed, 1, 0)
     assert str(err.value) == ("saturating combination vanished on the slice "
                               f"[seeds: {sub}]")
     assert err.value.seeds == (sub,)
