@@ -4,6 +4,16 @@ The gcd of two polynomials in several variables is f*g / lcm(f, g), where
 the lcm generates the principal ideal (f) ∩ (g) and comes from the Gröbner
 engine's `intersect` (Cox, Little & O'Shea, Ideals, Varieties, and
 Algorithms, §4.3-4.4); in one variable the Euclidean algorithm is used.
+
+Most gcds met here are 1, and two homogeneous inputs are first tested on a
+line x = a*s + b, drawn once per (p, number of variables) from a fixed
+seed.  If f(a) and g(a) are nonzero and the univariate gcd of f(a*s + b)
+and g(a*s + b) is constant, then gcd(f, g) = 1: a common factor h has
+h(a) != 0, as it divides f, so h(a*s + b) keeps the degree of h and
+divides both restrictions.  The test never answers 1 wrongly, in any
+characteristic; when it is inconclusive, `intersect` decides as before.
+The gcd is unique, so the answer never depends on the line.
+
 The squarefree part of a homogeneous form divides it by the gcd of its
 partial derivatives; in characteristic larger than the degree this is
 exact, so it involves no randomness.
@@ -11,51 +21,106 @@ exact, so it involves no randomness.
 
 from __future__ import annotations
 
+import random
+
 from .errors import PreconditionError, ToricPolarError
 from .groebner import Ideal, intersect
 from .poly import GREVLEX, Polynomial
 
 
+def _euclid(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd of two univariate polynomials mod p, given as coefficient
+    lists lowest degree first (both are consumed); not both zero."""
+    def strip(c):
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    a, b = strip(a), strip(b)
+    while b:
+        inv = pow(b[-1], -1, p)
+        # a mod b, in place; a leading coefficient is dropped once cleared
+        while len(a) >= len(b):
+            q = a[-1] * inv % p
+            if q:
+                shift = len(a) - len(b)
+                for i, bc in enumerate(b):
+                    a[i + shift] = (a[i + shift] - q * bc) % p
+            a.pop()
+        a, b = b, strip(a)
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
 def _univariate_gcd(f: Polynomial, g: Polynomial, v: int) -> Polynomial:
     """Monic Euclidean gcd of two polynomials involving only x_v."""
-    field = f.field
-
     def as_coeffs(h):
         c = [0] * (h.degree_in(v) + 1)
         for e, coeff in h.terms.items():
             c[e[v]] = coeff
         return c
 
-    p = field.p
-
-    def strip(c):
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    def poly_mod(a, b):
-        inv = field.inv(b[-1])
-        a = a[:]
-        while len(a) >= len(b):
-            if a[-1]:
-                q = a[-1] * inv % p
-                shift = len(a) - len(b)
-                for i, bc in enumerate(b):
-                    a[i + shift] = (a[i + shift] - q * bc) % p
-            a.pop()
-        return strip(a)
-
-    a, b = strip(as_coeffs(f)), strip(as_coeffs(g))
-    while b:
-        a, b = b, poly_mod(a, b)
-    lead_inv = field.inv(a[-1])
     out = {}
-    for k, c in enumerate(a):
+    for k, c in enumerate(_euclid(as_coeffs(f), as_coeffs(g), f.field.p)):
         if c:
             e = [0] * f.arity
             e[v] = k
-            out[tuple(e)] = c * lead_inv % p
-    return Polynomial(field, f.arity, out, _clean=True)
+            out[tuple(e)] = c
+    return Polynomial(f.field, f.arity, out, _clean=True)
+
+
+_lines: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+
+
+def _line(p: int, arity: int) -> tuple[list[int], list[int]]:
+    """The points a and b of the line x = a*s + b used for (p, arity); a
+    fixed seed draws them, so every run uses the same line."""
+    line = _lines.get((p, arity))
+    if line is None:
+        rng = random.Random(f"gcd line {p} {arity}")
+        line = _lines[p, arity] = ([rng.randrange(p) for _ in range(arity)],
+                                   [rng.randrange(p) for _ in range(arity)])
+    return line
+
+
+def _coprime_on_line(f: Polynomial, g: Polynomial) -> bool:
+    """True when the nonzero forms f and g restrict to the line of `_line`
+    with their full degrees and with a constant gcd, which proves
+    gcd(f, g) = 1; False means no conclusion.
+
+    The restrictions are built with Kronecker packing: x_i = a_i*s + b_i is
+    the int b_i + (a_i << w), so one int product multiplies coefficient
+    lists, and the slots, with w bits each, hold the exact integer
+    coefficients of sum c * prod (a_i*s + b_i)^e_i (all nonnegative and
+    below p * (2p)^d * number of terms), reduced mod p once at the end.
+    """
+    p = f.field.p
+    a, b = _line(p, f.arity)
+    df, dg = f.total_degree(), g.total_degree()
+    d = max(df, dg)
+    w = ((d + 1) * p.bit_length() + d
+         + max(len(f.terms), len(g.terms)).bit_length())
+    powers = []
+    for ai, bi in zip(a, b):
+        x = bi + (ai << w)
+        row = [1]
+        for _ in range(d):
+            row.append(row[-1] * x)
+        powers.append(row)
+    mask = (1 << w) - 1
+
+    def restrict(h, degree):
+        total = 0
+        for e, c in h.terms.items():
+            for row, k in zip(powers, e):
+                if k:
+                    c *= row[k]
+            total += c
+        return [(total >> (w * j) & mask) % p for j in range(degree + 1)]
+
+    rf, rg = restrict(f, df), restrict(g, dg)
+    # the top coefficients are f(a) and g(a)
+    return bool(rf[-1] and rg[-1]) and len(_euclid(rf, rg, p)) == 1
 
 
 def multivariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -73,6 +138,8 @@ def multivariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         return Polynomial.constant(f.field, f.arity, 1)
     if len(used) == 1:
         return _univariate_gcd(f, g, used[0])
+    if f.is_homogeneous() and g.is_homogeneous() and _coprime_on_line(f, g):
+        return Polynomial.constant(f.field, f.arity, 1)
     lcm = intersect(Ideal([f]), Ideal([g])).generators
     if len(lcm) != 1:
         raise ToricPolarError(f"intersection of two principal ideals has "

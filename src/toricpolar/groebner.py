@@ -253,9 +253,12 @@ def eliminate(I: Ideal, drop: Iterable[int]) -> Ideal:
     is grevlex; the ideal carries that basis.
     """
     drop = sorted(set(drop))
-    if not drop:
-        return I
-    return _basis_ideal(I.field, I.arity, _eliminated(I, drop))
+    if drop:
+        kept = _eliminated(I, drop)
+    else:
+        G = buchberger(I, GREVLEX)
+        kept = list(zip(G.elements, G.leading_exponents()))
+    return _basis_ideal(I.field, I.arity, kept)
 
 
 def _eliminated(I: Ideal, drop: list[int]) -> list[tuple[Polynomial, tuple]]:

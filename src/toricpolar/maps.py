@@ -149,7 +149,10 @@ def toric_polar_map(f: Polynomial, seed: int = 0) -> RationalMapSpec:
               for i in range(f.arity)]
     spec = RationalMapSpec(coords)
     # for reduced input coprime to the coordinate monomials the common gcd
-    # is already trivial
+    # is already trivial.  This catches a squarefree part that keeps a
+    # repeated factor, not a gcd that wrongly answers 1: that error keeps
+    # the factor in f_red and in the coordinates alike, so the degrees
+    # agree, and the d_1 check in `multidegrees` is the one that fails.
     if spec.coordinate_degree != f_red.total_degree():
         raise ToricPolarError(
             f"toric polar coordinates have degree {spec.coordinate_degree} "

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from toricpolar import curves, gcdtools, maps
-from toricpolar.errors import PreconditionError, ToricPolarError
+from toricpolar.errors import (PreconditionError, SpecializationError,
+                               ToricPolarError)
 from toricpolar.field import PrimeField
 from toricpolar.gcdtools import (binary_form_distinct_roots, multivariate_gcd,
                                  squarefree_part)
-from toricpolar.groebner import Ideal
+from toricpolar.groebner import Ideal, intersect
 from toricpolar.parse import parse_polynomial
 from toricpolar.poly import Polynomial
 
@@ -157,11 +158,12 @@ def test_broken_gcd_invariant_raises(monkeypatch, site):
             monkeypatch.setattr(gcdtools, "multivariate_gcd", _not_a_divisor)
             squarefree_part(P("(x0^2 - x1*x2)^2"))
         elif site == "intersection_lcm":
+            # the common factor x0 keeps the pair from the line certificate
             monkeypatch.setattr(gcdtools, "intersect", _bad_lcm(1))
-            multivariate_gcd(P("x0^2*x1 + x0*x2^2"), P("x1*x2"))
+            multivariate_gcd(P("x0*x1 + x0*x2"), P("x0*x2"))
         elif site == "intersection_not_principal":
             monkeypatch.setattr(gcdtools, "intersect", _bad_lcm(2))
-            multivariate_gcd(P("x0^2*x1 + x0*x2^2"), P("x1*x2"))
+            multivariate_gcd(P("x0*x1 + x0*x2"), P("x0*x2"))
         elif site == "univariate_squarefree":
             monkeypatch.setattr(curves, "multivariate_gcd", _not_a_divisor)
             curves._univariate_squarefree(P("x1^3 - x1"), 1)
@@ -170,3 +172,60 @@ def test_broken_gcd_invariant_raises(monkeypatch, site):
             # in the toric polar coordinates
             monkeypatch.setattr(maps, "squarefree_part", lambda f: f)
             maps.toric_polar_map(P("(x0 + x1 + x2)^2"))
+
+
+# --- the line certificate -----------------------------------------------------
+
+
+def _refuse_intersect(I, J):
+    raise AssertionError("intersect reached")
+
+
+def test_coprime_pairs_skip_the_intersection(monkeypatch):
+    """Random forms whose lcm from the intersection is their product, so
+    that their gcd is 1, are certified on the line without calling
+    `intersect`."""
+    rng = random.Random(41)
+    pairs = []
+    while len(pairs) < 30:
+        arity = rng.randint(2, 5)
+        f = random_homogeneous(F, rng, arity, rng.randint(1, 4), max_terms=5)
+        g = random_homogeneous(F, rng, arity, rng.randint(1, 4), max_terms=5)
+        lcm, = intersect(Ideal([f]), Ideal([g])).generators
+        if lcm.total_degree() == f.total_degree() + g.total_degree():
+            pairs.append((f, g))
+    monkeypatch.setattr(gcdtools, "intersect", _refuse_intersect)
+    for f, g in pairs:
+        assert multivariate_gcd(f, g) == Polynomial.constant(F, f.arity, 1)
+
+
+def test_degree_drop_on_the_line_falls_back(monkeypatch):
+    """A form vanishing at the line's direction a loses degree on the line,
+    so the certificate says nothing and `intersect` decides, even for a
+    coprime pair."""
+    a, _ = gcdtools._line(F.p, 3)
+    # a[1]*x0 - a[0]*x1 vanishes at a
+    f = P(f"{a[1]}*x0 - {a[0]}*x1")
+    g = P("x0^2 - x1*x2")
+    assert f.evaluate(a) == 0 and not f.is_zero()
+    assert not gcdtools._coprime_on_line(f, g)
+    calls = []
+    real = gcdtools.intersect
+    monkeypatch.setattr(gcdtools, "intersect",
+                        lambda I, J: calls.append(1) or real(I, J))
+    assert multivariate_gcd(f, g) == P("1")
+    assert calls == [1]
+
+
+def test_wrong_certificate_is_caught_by_the_d1_check(monkeypatch):
+    """A certificate that always answers 1 leaves the square of
+    x0 + x1 + x2 in the reduced part and in the toric coordinates alike, so
+    their degrees agree; the slice computing d_1 disagrees with the
+    coordinate degree and `multidegrees` raises."""
+    monkeypatch.setattr(gcdtools, "_coprime_on_line", lambda f, g: True)
+    phi = maps.toric_polar_map(P("(x0 + x1 + x2)^2*(x0*x1 + x2^2)"))
+    assert phi.coordinate_degree == 4
+    with pytest.raises(SpecializationError,
+                       match="computed d_1 = 3 but the reduced coordinates "
+                             "have degree 4"):
+        maps.multidegrees(phi)

@@ -221,6 +221,21 @@ def test_eliminate_unused_variable_keeps_ideal():
     assert ideal_equal(E, I)
 
 
+def test_eliminate_nothing_gives_the_reduced_basis():
+    """With no variable dropped, the result is still the reduced grevlex
+    basis of the ideal and carries it: the two generators here are not a
+    Gröbner basis (their S-polynomial leaves x1^2*x2)."""
+    I = Ideal([P("x0^2 + x1*x2"), P("x0*x1")])
+    fresh = buchberger(I, GREVLEX)
+    assert len(fresh) == 3
+    for drop in ([], set()):
+        E = eliminate(I, drop)
+        assert E.generators == fresh.elements
+        assert [list(g.terms.items()) for g in E._grevlex.elements] == [
+            list(g.terms.items()) for g in fresh.elements]
+        assert E._grevlex.leading_exponents() == fresh.leading_exponents()
+
+
 def test_eliminate_rejects_everything():
     with pytest.raises(PreconditionError):
         eliminate(Ideal([P2("x0")]), {0, 1})

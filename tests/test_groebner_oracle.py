@@ -1,5 +1,5 @@
 """Differential tests of the Gröbner engine against sympy's groebner, and
-of the gcd taken from it against sympy's gcd.
+of the gcd taken from it, or proved 1 on a line, against sympy's gcd.
 
 sympy computes over GF(p) with its own Buchberger implementation, so it is
 an oracle that shares no code with toricpolar.  Both sides order variables
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from sympy.polys.orderings import ProductOrder, grevlex
 
 from toricpolar import _kernel_py as kernel
+from toricpolar import gcdtools
 from toricpolar.field import PrimeField
 from toricpolar.gcdtools import multivariate_gcd
 from toricpolar.groebner import (Ideal, buchberger, eliminate,
@@ -263,16 +264,17 @@ def test_hilbert_dim_degree_matches_counting_over_sympy(ideal):
 
 
 @st.composite
-def gcd_cases(draw):
-    """h*f and h*g for random nonzero f, g, h of degree at most 2 in 1-4
-    variables, all homogeneous or all affine, over a small and two large
-    primes."""
+def gcd_cases(draw, homogeneous=None, h_degrees=(0, 2)):
+    """h*f and h*g for random nonzero f, g of degree at most 2 and h with
+    degree in `h_degrees` in 1-4 variables, all homogeneous or all affine
+    (drawn unless given), over a small and two large primes."""
     p = draw(st.sampled_from([3, 32003, 2**31 - 1]))
     n = draw(st.integers(1, 4))
-    homogeneous = draw(st.booleans())
+    if homogeneous is None:
+        homogeneous = draw(st.booleans())
 
-    def poly():
-        d = draw(st.integers(0, 2))
+    def poly(low=0, high=2):
+        d = draw(st.integers(low, high))
         exps = [e for e in itertools.product(range(3), repeat=n)
                 if (sum(e) == d if homogeneous else sum(e) <= 2)]
         terms = draw(st.dictionaries(st.sampled_from(exps),
@@ -280,8 +282,18 @@ def gcd_cases(draw):
                                      min_size=1, max_size=3))
         return Polynomial(PrimeField(p), n, terms)
 
-    f, g, h = poly(), poly(), poly()
+    f, g, h = poly(), poly(), poly(*h_degrees)
     return p, h * f, h * g
+
+
+def sympy_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """sympy's monic gcd of a and b over the field of a."""
+    p = a.field.p
+    xs = sympy.symbols(f"x0:{a.arity}")
+    d = sympy.Poly(sympy.gcd(to_sympy(a, xs), to_sympy(b, xs), modulus=p),
+                   *xs, modulus=p)
+    return Polynomial(a.field, a.arity,
+                      {tuple(e): int(c) for e, c in d.terms()}).scaled_to_monic()
 
 
 @settings(max_examples=60, deadline=None,
@@ -289,9 +301,15 @@ def gcd_cases(draw):
 @given(gcd_cases())
 def test_multivariate_gcd_matches_sympy(case):
     p, a, b = case
-    xs = sympy.symbols(f"x0:{a.arity}")
-    d = sympy.Poly(sympy.gcd(to_sympy(a, xs), to_sympy(b, xs), modulus=p),
-                   *xs, modulus=p)
-    want = Polynomial(a.field, a.arity,
-                      {tuple(e): int(c) for e, c in d.terms()})
-    assert multivariate_gcd(a, b) == want.scaled_to_monic()
+    assert multivariate_gcd(a, b) == sympy_gcd(a, b)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(gcd_cases(homogeneous=True, h_degrees=(1, 2)))
+def test_line_certificate_keeps_planted_factors(case):
+    """A nonconstant common factor h of two forms is never certified away
+    on the line, and the gcd still matches sympy's."""
+    p, a, b = case
+    assert not gcdtools._coprime_on_line(a, b)
+    assert multivariate_gcd(a, b) == sympy_gcd(a, b)
