@@ -81,7 +81,7 @@ def _read_polynomial(args, run: RunConfig):
     if not names:
         raise ParseError("empty variable list", 0)
     field = PrimeField(run.prime)
-    return parse_polynomial(text, names, field), names
+    return parse_polynomial(text, names, field)
 
 
 def _emit(report: dict, lines, run: RunConfig):
@@ -93,7 +93,7 @@ def _emit(report: dict, lines, run: RunConfig):
 
 
 def cmd_multidegrees(args, run: RunConfig) -> int:
-    f, _ = _read_polynomial(args, run)
+    f = _read_polynomial(args, run)
     cfg = run.randomization()
     build = gradient_map if args.gradient else toric_polar_map
     md = multidegrees(build(f), cfg)
@@ -117,7 +117,7 @@ def cmd_multidegrees(args, run: RunConfig) -> int:
 
 
 def cmd_csm(args, run: RunConfig) -> int:
-    f, _ = _read_polynomial(args, run)
+    f = _read_polynomial(args, run)
     cfg = run.randomization()
     md = multidegrees(toric_polar_map(f), cfg)
     csm = classes.csm_standard_complement(md)
@@ -144,7 +144,7 @@ def cmd_csm(args, run: RunConfig) -> int:
 
 
 def cmd_curve_report(args, run: RunConfig) -> int:
-    f, _ = _read_polynomial(args, run)
+    f = _read_polynomial(args, run)
     cfg = run.randomization()
     rep = curves.plane_degree_formula(f)
     engine = multidegrees(toric_polar_map(f), cfg).topological_degree
@@ -172,8 +172,7 @@ def cmd_verify(args, run: RunConfig) -> int:
     corpus = None
     if args.corpus:
         corpus = parse_corpus(_read_text(args.corpus))
-    results = verify_propositions(seed=run.seed, cfg=run.randomization(),
-                                  corpus=corpus)
+    results = verify_propositions(run.randomization(), corpus)
     ok = all(r.passed for r in results)
     report = {
         "seed": run.seed,

@@ -261,8 +261,8 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
                 raise PreconditionError(
                     f"corpus line {lineno}: expected multidegrees must be "
                     f"comma-separated integers, got {cols[3]!r}") from None
-        entries.append(CorpusEntry(cols[0], tuple(cols[1].split(",")),
-                                   cols[2], expected))
+        names = tuple(v.strip() for v in cols[1].split(","))
+        entries.append(CorpusEntry(cols[0], names, cols[2], expected))
     return entries
 
 
@@ -306,16 +306,16 @@ def _run(name: str, fn: Callable[[], str | None]) -> CheckResult:
     return CheckResult(name, witness is None, witness)
 
 
-def verify_propositions(seed: int = 0,
-                        cfg: RandomizationConfig | None = None,
+def verify_propositions(cfg: RandomizationConfig | None = None,
                         corpus: Sequence[CorpusEntry] | None = None
                         ) -> list[CheckResult]:
     """Run the whole battery of cross-checks on the corpus.
 
-    Every random object is regenerated from the master seed, so a report is
-    reproducible.  Failures carry a witness string.
+    Every random object is regenerated from the master seed `cfg.seed`, so
+    a report is reproducible.  Failures carry a witness string.
     """
-    cfg = cfg or RandomizationConfig(seed=seed)
+    cfg = cfg or RandomizationConfig()
+    seed = cfg.seed
     field = PrimeField(cfg.prime)
     entries = list(default_corpus() if corpus is None else corpus)
     if not entries:

@@ -12,6 +12,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._kernel_py import exp_divides
 from .errors import PreconditionError, ToricPolarError
 from .field import PrimeField
 from .poly import GREVLEX, MonomialOrder, Polynomial, block_order
@@ -31,10 +32,6 @@ class Ideal:
     arity: int
     generators: tuple[Polynomial, ...]
 
-    # the reduced grevlex basis of the ideal, when its generators are that
-    # basis and their leads are known (`eliminate` sets it); not a field
-    _grevlex = None
-
     def __init__(self, generators: Sequence[Polynomial], field: PrimeField | None = None,
                  arity: int | None = None):
         gens = tuple(g for g in generators if not g.is_zero())
@@ -50,24 +47,21 @@ class Ideal:
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "generators", gens)
 
-    def is_homogeneous(self) -> bool:
-        return all(g.is_homogeneous() for g in self.generators)
 
-
-class GroebnerBasis:
-    """Reduced Gröbner basis: monic elements, no term of one divisible by
-    the leading term of another; `leads` are their leading exponents.
+class GroebnerBasis(Ideal):
+    """The ideal given by its reduced Gröbner basis under `order`: monic
+    generators, no term of one divisible by the leading term of another;
+    `leads` are their leading exponents.
     """
 
-    __slots__ = ("field", "arity", "order", "elements", "_lead_exps",
-                 "_reducers")
+    __slots__ = ("order", "_lead_exps", "_reducers")
 
     def __init__(self, field: PrimeField, arity: int, order: MonomialOrder,
-                 elements: Sequence[Polynomial], leads: Sequence[tuple]):
-        self.field = field
-        self.arity = arity
+                 generators: Sequence[Polynomial], leads: Sequence[tuple]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "generators", tuple(generators))
         self.order = order
-        self.elements = tuple(elements)
         self._lead_exps = list(leads)
         self._reducers = None
 
@@ -75,12 +69,12 @@ class GroebnerBasis:
         return tuple(self._lead_exps)
 
     def _packed(self):
-        """The elements packed as kernel reducers, on first use (most bases
-        only give their leading exponents)."""
+        """The generators packed as kernel reducers, on first use (most
+        bases only give their leading exponents)."""
         if self._reducers is None:
             red = self.field.kernel.Reducers(self.order.code,
                                              self.order.block, self.arity)
-            for g, e in zip(self.elements, self._lead_exps):
+            for g, e in zip(self.generators, self._lead_exps):
                 red.append(g.terms, e, self.field.inv(g.terms[e]))
             self._reducers = red
         return self._reducers
@@ -99,7 +93,7 @@ class GroebnerBasis:
         """Debug check of the defining property."""
         k = self.field.kernel
         p = self.field.p
-        lead, elems = self._lead_exps, self.elements
+        lead, elems = self._lead_exps, self.generators
         invs = [self.field.inv(g.terms[e]) for g, e in zip(elems, lead)]
         reducers = self._packed()
         for i in range(len(elems)):
@@ -112,10 +106,10 @@ class GroebnerBasis:
         return True
 
     def __iter__(self):
-        return iter(self.elements)
+        return iter(self.generators)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.generators)
 
 
 def _s_terms(k, p: int, f: dict, fe: tuple, f_inv: int, g: dict, ge: tuple,
@@ -244,28 +238,20 @@ def _adjoin_variable_first(g: Polynomial) -> Polynomial:
     return g.extend_arity(g.arity + 1, 0)
 
 
-def eliminate(I: Ideal, drop: Iterable[int]) -> Ideal:
-    """Generators of the elimination ideal without the dropped variables.
+def eliminate(I: Ideal, drop: Iterable[int]) -> GroebnerBasis:
+    """The elimination ideal without the dropped variables, given by its
+    reduced grevlex basis.
 
-    The returned ideal lives in the same ring; its generators do not
-    involve the dropped variables and form a reduced Gröbner basis of the
-    elimination ideal under the order induced on the kept variables, which
-    is grevlex; the ideal carries that basis.
+    The basis lives in the same ring; its generators do not involve the
+    dropped variables.  `buchberger` runs under the block order that puts
+    the dropped variables first (grevlex when nothing is dropped), and the
+    elements whose leads are free of them are kept: they are the reduced
+    basis under the order induced on the kept variables, which is grevlex,
+    with the same leads.
     """
     drop = sorted(set(drop))
-    if drop:
-        kept = _eliminated(I, drop)
-    else:
-        G = buchberger(I, GREVLEX)
-        kept = list(zip(G.elements, G.leading_exponents()))
-    return _basis_ideal(I.field, I.arity, kept)
-
-
-def _eliminated(I: Ideal, drop: list[int]) -> list[tuple[Polynomial, tuple]]:
-    """The reduced grevlex basis of I eliminated by `drop` (sorted, not
-    empty): (element, leading exponent) pairs in the ring of I."""
     m = I.arity
-    if any(not 0 <= v < m for v in drop) or len(drop) >= m:
+    if any(not 0 <= v < m for v in drop) or drop and len(drop) >= m:
         raise PreconditionError("dropped variables must be a proper subset")
     k = len(drop)
     # new index -> old index: the dropped variables move to the front; they
@@ -278,39 +264,29 @@ def _eliminated(I: Ideal, drop: list[int]) -> list[tuple[Polynomial, tuple]]:
             perm[old] = new
         I = Ideal([g.permute_variables(perm) for g in I.generators],
                   field=I.field, arity=m)
-    G = buchberger(I, block_order(k))
+    G = buchberger(I, block_order(k) if k else GREVLEX)
     # an element is free of the dropped variables exactly when its
-    # block-order lead is; the kept elements are the reduced basis of the
-    # elimination ideal under grevlex on the kept variables, with the same
-    # leads
-    kept = [(g, e) for g, e in zip(G.elements, G.leading_exponents())
+    # block-order lead is
+    kept =[(g, e) for g, e in zip(G.generators, G.leading_exponents())
             if not any(e[:k])]
     if relabel:
         kept = [(g.permute_variables(back), tuple(map(e.__getitem__, perm)))
                 for g, e in kept]
-    return kept
+    return GroebnerBasis(I.field, m, GREVLEX, [g for g, _ in kept],
+                         [e for _, e in kept])
 
 
-def _basis_ideal(field: PrimeField, arity: int,
-                 kept: Sequence[tuple[Polynomial, tuple]]) -> Ideal:
-    """The ideal generated by a reduced grevlex basis, given as (element,
-    leading exponent) pairs, which it carries for `hilbert_dim_degree`."""
-    ideal = Ideal([g for g, _ in kept], field=field, arity=arity)
-    object.__setattr__(ideal, "_grevlex", GroebnerBasis(
-        field, arity, GREVLEX, ideal.generators, [e for _, e in kept]))
-    return ideal
+def _eliminate_first_variable(J: Ideal) -> GroebnerBasis:
+    """J eliminated by x_0, in the ring without x_0."""
+    E = eliminate(J, [0])
+    return GroebnerBasis(J.field, J.arity - 1, GREVLEX,
+                         [g.drop_variable(0) for g in E.generators],
+                         [e[1:] for e in E.leading_exponents()])
 
 
-def _eliminate_first_variable(J: Ideal) -> Ideal:
-    """J eliminated by x_0, in the ring without x_0, with its basis."""
-    return _basis_ideal(J.field, J.arity - 1,
-                        [(g.drop_variable(0), e[1:])
-                         for g, e in _eliminated(J, [0])])
-
-
-def saturate(I: Ideal, g: Polynomial) -> Ideal:
-    """I : g^infinity, via an auxiliary variable t and the generator 1 - t*g.
-    Its generators are its reduced grevlex basis, which it carries."""
+def saturate(I: Ideal, g: Polynomial) -> GroebnerBasis:
+    """I : g^infinity, via an auxiliary variable t and the generator 1 - t*g,
+    given by its reduced grevlex basis."""
     if g.is_zero():
         raise PreconditionError("cannot saturate by the zero polynomial")
     if g.field != I.field or g.arity != I.arity:
@@ -323,8 +299,9 @@ def saturate(I: Ideal, g: Polynomial) -> Ideal:
         Ideal(lifted + [rab], field=I.field, arity=m + 1))
 
 
-def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """Generators of the intersection, via t*I + (1-t)*J and elimination."""
+def intersect(I: Ideal, J: Ideal) -> GroebnerBasis:
+    """The intersection, via t*I + (1-t)*J and elimination, given by its
+    reduced grevlex basis."""
     if I.field != J.field or I.arity != J.arity:
         raise ValueError("ideals from different rings")
     m = I.arity
@@ -340,11 +317,11 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
 # Hilbert series of monomial quotients
 
 
-def _minimalize_monomials(gens, divides):
+def _minimalize_monomials(gens):
     gens = sorted(set(gens), key=lambda e: (sum(e), e))
     out = []
     for e in gens:
-        if not any(divides(f, e) for f in out):
+        if not any(exp_divides(f, e) for f in out):
             out.append(e)
     return out
 
@@ -368,10 +345,10 @@ def _poly_mul(a, b):
     return out
 
 
-def _hilbert_numerator(gens: list[tuple], divides, memo: dict) -> list[int]:
+def _hilbert_numerator(gens: list[tuple], memo: dict) -> list[int]:
     """Numerator of the Hilbert series of S/monomial ideal over (1-t)^vars,
     by recursive splitting on a pivot variable."""
-    gens = _minimalize_monomials(gens, divides)
+    gens = _minimalize_monomials(gens)
     if not gens:
         return [1]
     if any(sum(e) == 0 for e in gens):
@@ -407,8 +384,8 @@ def _hilbert_numerator(gens: list[tuple], divides, memo: dict) -> list[int]:
     plus = [e for e in gens if e[v] == 0] + [unit]
     colon = [tuple(x - 1 if i == v and x else x for i, x in enumerate(e))
              for e in gens]
-    n_plus = _hilbert_numerator(plus, divides, memo)
-    n_colon = _hilbert_numerator(colon, divides, memo)
+    n_plus = _hilbert_numerator(plus, memo)
+    n_colon = _hilbert_numerator(colon, memo)
     out = _poly_add(n_plus, _poly_shift(n_colon, 1))
     memo[key] = out
     return out
@@ -444,9 +421,9 @@ class HilbertData:
     degree: int | None
 
 
-def _hilbert_data(lead: Sequence[tuple], arity: int, divides) -> HilbertData:
+def _hilbert_data(lead: Sequence[tuple], arity: int) -> HilbertData:
     """Hilbert data of the quotient by the monomial ideal of `lead`."""
-    numerator = _hilbert_numerator(list(lead), divides, {})
+    numerator = _hilbert_numerator(list(lead), {})
     while len(numerator) > 1 and numerator[-1] == 0:
         numerator.pop()
     if numerator == [0]:
@@ -464,37 +441,30 @@ def _hilbert_data(lead: Sequence[tuple], arity: int, divides) -> HilbertData:
     return HilbertData(tuple(numerator), krull - 1, sum(numerator))
 
 
-def hilbert_dim_degree(I: Ideal | GroebnerBasis) -> HilbertData:
+def hilbert_dim_degree(I: Ideal) -> HilbertData:
     """Dimension and degree of Proj of the quotient by a homogeneous ideal.
 
-    An `Ideal` gets its grevlex basis first, unless it carries it (the
-    results of `eliminate`, `saturate` and `intersect` do); a
-    `GroebnerBasis` is used as given, since any basis of a homogeneous
-    ideal has the same Hilbert function as its ideal of leading terms.
+    A `GroebnerBasis` (the results of `eliminate`, `saturate` and
+    `intersect` are) is used as given, since any basis of a homogeneous
+    ideal has the same Hilbert function as its ideal of leading terms; any
+    other `Ideal` gets its grevlex basis first.
     """
-    gens = I.generators if isinstance(I, Ideal) else I.elements
-    if not all(g.is_homogeneous() for g in gens):
+    if not all(g.is_homogeneous() for g in I.generators):
         raise PreconditionError("Hilbert data needs a homogeneous ideal")
-    G = _grevlex_basis(I) if isinstance(I, Ideal) else I
-    return _hilbert_data(G.leading_exponents(), G.arity,
-                         G.field.kernel.exp_divides)
-
-
-def _grevlex_basis(I: Ideal) -> GroebnerBasis:
-    """The reduced grevlex basis of I: the one it carries, else computed."""
-    return buchberger(I, GREVLEX) if I._grevlex is None else I._grevlex
+    G = I if isinstance(I, GroebnerBasis) else buchberger(I, GREVLEX)
+    return _hilbert_data(G.leading_exponents(), G.arity)
 
 
 def vector_space_dimension(I: Ideal) -> int:
     """Dimension of the quotient by a zero-dimensional affine ideal.
 
     The number of standard monomials: the Hilbert series of the leading
-    term ideal is then a polynomial, and its value at 1 is the count.
-    Input with positive-dimensional quotient is rejected.
+    term ideal is then a polynomial, and its value at 1 is the count.  A
+    `GroebnerBasis` is used as given, any other `Ideal` gets its grevlex
+    basis first.  Input with positive-dimensional quotient is rejected.
     """
-    G = _grevlex_basis(I)
-    data = _hilbert_data(G.leading_exponents(), I.arity,
-                         I.field.kernel.exp_divides)
+    G = I if isinstance(I, GroebnerBasis) else buchberger(I, GREVLEX)
+    data = _hilbert_data(G.leading_exponents(), G.arity)
     if data.projective_dimension >= 0:
         raise PreconditionError("ideal is not zero-dimensional")
     return sum(data.numerator)

@@ -279,7 +279,8 @@ def _slice_degree(phi: RationalMapSpec, j: int, seed: int, trial: int) -> int:
         raise SpecializationError("saturating combination vanished on the "
                                   "slice", (sub,))
     arity = saturant.arity
-    # the saturation carries its reduced grevlex basis, leads included
+    # the saturation is a GroebnerBasis (its reduced grevlex basis, leads
+    # included), which hilbert_dim_degree uses as given
     data = hilbert_dim_degree(
         saturate(Ideal(gens, field=fld, arity=arity), saturant))
     if data.projective_dimension == -1:

@@ -192,27 +192,42 @@ CREMONA_4 = ("x0*x1*x2*x3 + x0*x1*x2*x4 + x0*x1*x3*x4 + x0*x2*x3*x4 "
              "+ x1*x2*x3*x4")
 
 
-# Exact stdout captured before the Buchberger pair queue was rewritten; any
-# change of selection strategy must reproduce it byte for byte.
+# Exact stdout captured from earlier versions of the engine; any change of
+# pair selection or of the engine's structure must reproduce it byte for
+# byte.
 GOLDEN = {
     "readme-quadric": (
-        ["--poly", "x1^2+x0*x1+x0*x2", "--vars", "x0,x1,x2"],
+        ["multidegrees", "--poly", "x1^2+x0*x1+x0*x2", "--vars", "x0,x1,x2"],
         '{"map": "toric", "n": 2, "degree": 1, "multidegrees": [1, 2, 1], '
         '"prime": 2147483647, "seed": 0, "trials": 2}\n'),
     "cuspidal-cubic": (
-        ["--poly", CUSP, "--vars", "x0,x1,x2", "--seed", "9", "--trials", "3"],
+        ["multidegrees", "--poly", CUSP, "--vars", "x0,x1,x2", "--seed", "9",
+         "--trials", "3"],
         '{"map": "toric", "n": 2, "degree": 2, "multidegrees": [1, 3, 2], '
         '"prime": 2147483647, "seed": 9, "trials": 3}\n'),
     "cremona-4": (
-        ["--poly", CREMONA_4, "--vars", "x0,x1,x2,x3,x4"],
+        ["multidegrees", "--poly", CREMONA_4, "--vars", "x0,x1,x2,x3,x4"],
         '{"map": "toric", "n": 4, "degree": 1, "multidegrees": [1, 4, 6, 4, 1], '
         '"prime": 2147483647, "seed": 0, "trials": 2}\n'),
+    "verify-seed-0": (
+        ["verify", "--seed", "0"],
+        '{"seed": 0, "prime": 2147483647, "trials": 2, "passed": true, "checks": '
+        '[{"name": "corpus-multidegrees", "passed": true, "witness": null}, '
+        '{"name": "reduced-powers", "passed": true, "witness": null}, '
+        '{"name": "plane-degree-formula", "passed": true, "witness": null}, '
+        '{"name": "general-position", "passed": true, "witness": null}, '
+        '{"name": "reducible-curves", "passed": true, "witness": null}, '
+        '{"name": "pyramid-families", "passed": true, "witness": null}, '
+        '{"name": "monomial-invariance", "passed": true, "witness": null}, '
+        '{"name": "hyperplane-arrangements", "passed": true, "witness": null}, '
+        '{"name": "cremona-dolgachev-multidegrees", "passed": true, '
+        '"witness": null}]}\n'),
 }
 
 
 @pytest.mark.parametrize("argv, stdout", GOLDEN.values(), ids=GOLDEN.keys())
 def test_multidegrees_json_golden(argv, stdout):
-    assert run_cli(["multidegrees", *argv, "--json"]) == (0, stdout)
+    assert run_cli([*argv, "--json"]) == (0, stdout)
 
 
 def test_golden_under_python_O_with_basis_checks():
@@ -223,8 +238,8 @@ def test_golden_under_python_O_with_basis_checks():
     src = Path(toricpolar.__file__).resolve().parent.parent
     env = dict(os.environ, TORICPOLAR_DEBUG="1", PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "toricpolar", "multidegrees", *argv,
-         "--json"], env=env, capture_output=True, text=True, timeout=120)
+        [sys.executable, "-O", "-m", "toricpolar", *argv, "--json"],
+        env=env, capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
 
 

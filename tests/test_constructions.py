@@ -175,6 +175,12 @@ def test_corpus_parses_comments_and_blanks():
     assert entries[0].polynomial(F) == P("x0 + x1 + x2")
 
 
+def test_corpus_strips_variable_names():
+    entries = parse_corpus("cusp | x0, x1 ,x2 | x1^2 + x0*x1 + x0*x2 | 1,2,1\n")
+    assert entries[0].variables == ("x0", "x1", "x2")
+    assert entries[0].polynomial(F) == P("x1^2 + x0*x1 + x0*x2")
+
+
 def test_corpus_rejects_bad_lines():
     with pytest.raises(ValueError):
         parse_corpus("only-a-name\n")
@@ -183,7 +189,7 @@ def test_corpus_rejects_bad_lines():
 # --- harness ----------------------------------------------------------------------
 
 def test_verify_propositions_default_corpus():
-    results = verify_propositions(seed=42)
+    results = verify_propositions(cfg=RandomizationConfig(seed=42))
     failures = [r for r in results if not r.passed]
     assert not failures, failures
     names = {r.name for r in results}
@@ -196,11 +202,11 @@ def test_verify_propositions_default_corpus():
 def test_verify_propositions_flags_wrong_expectation():
     bad = [CorpusEntry("broken_conic", ("x0", "x1", "x2"),
                        "x0^2 - x1*x2", (1, 2, 5))]
-    results = verify_propositions(seed=1, corpus=bad)
+    results = verify_propositions(cfg=RandomizationConfig(seed=1), corpus=bad)
     by_name = {r.name: r for r in results}
     assert not by_name["corpus-multidegrees"].passed
     assert "broken_conic" in by_name["corpus-multidegrees"].witness
 
 
 def test_verify_propositions_empty_corpus():
-    assert verify_propositions(seed=1, corpus=[]) == []
+    assert verify_propositions(cfg=RandomizationConfig(seed=1), corpus=[]) == []

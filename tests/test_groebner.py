@@ -11,7 +11,7 @@ from toricpolar import _kernel_py as kernel
 from toricpolar import groebner
 from toricpolar.errors import PreconditionError, ToricPolarError
 from toricpolar.field import PrimeField
-from toricpolar.groebner import (Ideal, buchberger, eliminate,
+from toricpolar.groebner import (GroebnerBasis, Ideal, buchberger, eliminate,
                                  hilbert_dim_degree, intersect, normal_form,
                                  saturate, vector_space_dimension)
 from toricpolar.parse import parse_polynomial
@@ -32,7 +32,7 @@ def P2(text):
 
 def ideal_equal(I, J):
     """Compare ideals through their reduced Groebner bases."""
-    return buchberger(I).elements == buchberger(J).elements
+    return buchberger(I).generators == buchberger(J).generators
 
 
 # --- buchberger ---------------------------------------------------------------
@@ -77,7 +77,7 @@ def test_buchberger_deterministic():
     gens = [P("x0*x1 - x2^2"), P("x1^2 - x0*x2")]
     a = buchberger(Ideal(gens))
     b = buchberger(Ideal(gens))
-    assert a.elements == b.elements
+    assert a.generators == b.generators
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)],
@@ -88,10 +88,10 @@ def test_buchberger_independent_of_generator_order(order):
     rng = random.Random(5)
     for _ in range(8):
         gens = [random_polynomial(F, rng, 3, 3, max_terms=4) for _ in range(3)]
-        expected = buchberger(Ideal(gens, field=F, arity=3), order).elements
+        expected = buchberger(Ideal(gens, field=F, arity=3), order).generators
         for _ in range(3):
             rng.shuffle(gens)
-            got = buchberger(Ideal(gens, field=F, arity=3), order).elements
+            got = buchberger(Ideal(gens, field=F, arity=3), order).generators
             assert got == expected
 
 
@@ -223,17 +223,17 @@ def test_eliminate_unused_variable_keeps_ideal():
 
 def test_eliminate_nothing_gives_the_reduced_basis():
     """With no variable dropped, the result is still the reduced grevlex
-    basis of the ideal and carries it: the two generators here are not a
-    Gröbner basis (their S-polynomial leaves x1^2*x2)."""
+    basis of the ideal: the two generators here are not a Gröbner basis
+    (their S-polynomial leaves x1^2*x2)."""
     I = Ideal([P("x0^2 + x1*x2"), P("x0*x1")])
     fresh = buchberger(I, GREVLEX)
     assert len(fresh) == 3
     for drop in ([], set()):
         E = eliminate(I, drop)
-        assert E.generators == fresh.elements
-        assert [list(g.terms.items()) for g in E._grevlex.elements] == [
-            list(g.terms.items()) for g in fresh.elements]
-        assert E._grevlex.leading_exponents() == fresh.leading_exponents()
+        assert isinstance(E, GroebnerBasis) and E.order == GREVLEX
+        assert [list(g.terms.items()) for g in E.generators] == [
+            list(g.terms.items()) for g in fresh.generators]
+        assert E.leading_exponents() == fresh.leading_exponents()
 
 
 def test_eliminate_rejects_everything():
@@ -296,10 +296,9 @@ def test_intersect_affine_points():
 @pytest.mark.parametrize("seed", range(40))
 def test_eliminations_carry_their_reduced_grevlex_basis(seed):
     """`eliminate`, `saturate` and `intersect` return the reduced grevlex
-    basis of their result and carry it with its leads, read off the
-    block-order leads of the kept elements.  It must be the basis a fresh
-    grevlex `buchberger` gives: elements, their order, term insertion order
-    and leads."""
+    basis of their result with its leads, read off the block-order leads of
+    the kept elements.  It must be the basis a fresh grevlex `buchberger`
+    gives: elements, their order, term insertion order and leads."""
     rng = random.Random(900 + seed)
     arity = rng.randint(2, 4)
     homogeneous = rng.random() < 0.5
@@ -319,11 +318,37 @@ def test_eliminations_carry_their_reduced_grevlex_basis(seed):
                intersect(I, Ideal(other))]
     for J in results:
         fresh = buchberger(Ideal(J.generators, field=F, arity=arity), GREVLEX)
-        carried = J._grevlex
-        assert carried.elements == J.generators
-        assert [list(g.terms.items()) for g in carried.elements] == [
-            list(g.terms.items()) for g in fresh.elements]
-        assert carried.leading_exponents() == fresh.leading_exponents()
+        assert isinstance(J, GroebnerBasis) and J.order == GREVLEX
+        assert [list(g.terms.items()) for g in J.generators] == [
+            list(g.terms.items()) for g in fresh.generators]
+        assert J.leading_exponents() == fresh.leading_exponents()
+
+
+def test_eliminations_need_no_second_basis(monkeypatch):
+    """The results of `saturate`, `eliminate` and `intersect` are ideals
+    given by their reduced grevlex basis, so the Hilbert data and the
+    vector space dimension read it without another `buchberger` call."""
+    S = saturate(Ideal([P("x0^2*x1"), P("x0*x2^2 - x0^2*x2")]), P("x0"))
+    E = eliminate(Ideal([T("x0 - t"), T("x1 - t")]), {0})
+    X = intersect(Ideal([P2("x0"), P2("x1")]), Ideal([P2("x0"), P2("x1 - 1")]))
+    assert all(isinstance(J, Ideal) for J in (S, E, X))
+
+    def plain(J):
+        return Ideal(J.generators, field=J.field, arity=J.arity)
+
+    expected = (hilbert_dim_degree(plain(S)), hilbert_dim_degree(plain(E)),
+                vector_space_dimension(plain(X)))
+
+    def no_buchberger(*args, **kwargs):
+        raise AssertionError("buchberger called again")
+
+    monkeypatch.setattr(groebner, "buchberger", no_buchberger)
+    got = (hilbert_dim_degree(S), hilbert_dim_degree(E),
+           vector_space_dimension(X))
+    assert got == expected
+    assert [(d.projective_dimension, d.degree) for d in got[:2]] == [
+        (0, 2), (1, 1)]
+    assert got[2] == 2
 
 
 # --- hilbert data ------------------------------------------------------------------

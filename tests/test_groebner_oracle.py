@@ -65,7 +65,7 @@ def canonical(basis):
 
 
 def ours(G):
-    return [dict(g.terms) for g in G.elements]
+    return [dict(g.terms) for g in G.generators]
 
 
 @settings(max_examples=100, deadline=None,

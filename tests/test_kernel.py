@@ -120,7 +120,7 @@ def test_exponents_beyond_sixteen_bits(order, g, f, expected):
     G = buchberger(Ideal([Polynomial(field, arity, g)]), order)
     r = G.normal_form(Polynomial(field, arity, f))
     assert list(r.terms.items()) == expected
-    lead, inv, tail = split(G.elements[0].terms, field.p, order.code,
+    lead, inv, tail = split(G.generators[0].terms, field.p, order.code,
                             order.block)
     ref = reference_normal_form(f, [lead], [inv], [tail], field.p,
                                 order.code, order.block)
