@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import classes, curves
 from .constructions import parse_corpus, verify_propositions
@@ -31,18 +30,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_SPECIALIZATION = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    prime: int
-    seed: int
-    trials: int
-    as_json: bool
-
-    def randomization(self) -> RandomizationConfig:
-        return RandomizationConfig(prime=self.prime, seed=self.seed,
-                                   trials=self.trials)
 
 
 def _add_common(sub: argparse.ArgumentParser, needs_poly=True):
@@ -73,28 +60,28 @@ def _read_text(path: str) -> str:
                       f"{exc.start})") from None
 
 
-def _read_polynomial(args, run: RunConfig):
+def _read_polynomial(args):
     text = args.poly
     if text is None:
         text = _read_text(args.file).strip()
     names = [v.strip() for v in args.vars.split(",") if v.strip()]
     if not names:
         raise ParseError("empty variable list", 0)
-    field = PrimeField(run.prime)
+    field = PrimeField(args.prime)
     return parse_polynomial(text, names, field)
 
 
-def _emit(report: dict, lines, run: RunConfig):
-    if run.as_json:
+def _emit(report: dict, lines, as_json: bool):
+    if as_json:
         print(json.dumps(report, separators=(", ", ": ")))
     else:
         for line in lines:
             print(line)
 
 
-def cmd_multidegrees(args, run: RunConfig) -> int:
-    f = _read_polynomial(args, run)
-    cfg = run.randomization()
+def cmd_multidegrees(args) -> int:
+    f = _read_polynomial(args)
+    cfg = RandomizationConfig(args.prime, args.seed, args.trials)
     build = gradient_map if args.gradient else toric_polar_map
     md = multidegrees(build(f), cfg)
     report = {
@@ -102,9 +89,9 @@ def cmd_multidegrees(args, run: RunConfig) -> int:
         "n": md.n,
         "degree": md.topological_degree,
         "multidegrees": list(md.values),
-        "prime": run.prime,
-        "seed": run.seed,
-        "trials": run.trials,
+        "prime": args.prime,
+        "seed": args.seed,
+        "trials": args.trials,
     }
     lines = [
         f"{report['map']} map on P^{md.n}",
@@ -112,13 +99,13 @@ def cmd_multidegrees(args, run: RunConfig) -> int:
         f"topological degree: {md.topological_degree}"
         + ("" if md.is_dominant() else " (not dominant)"),
     ]
-    _emit(report, lines, run)
+    _emit(report, lines, args.as_json)
     return EXIT_OK
 
 
-def cmd_csm(args, run: RunConfig) -> int:
-    f = _read_polynomial(args, run)
-    cfg = run.randomization()
+def cmd_csm(args) -> int:
+    f = _read_polynomial(args)
+    cfg = RandomizationConfig(args.prime, args.seed, args.trials)
     md = multidegrees(toric_polar_map(f), cfg)
     csm = classes.csm_standard_complement(md)
     chi_u = classes.euler_standard_complement(md)
@@ -129,9 +116,9 @@ def cmd_csm(args, run: RunConfig) -> int:
         "csm": list(csm.coefficients),
         "euler_complement": chi_u,
         "euler_divisor_complement": chi_d,
-        "prime": run.prime,
-        "seed": run.seed,
-        "trials": run.trials,
+        "prime": args.prime,
+        "seed": args.seed,
+        "trials": args.trials,
     }
     lines = [
         f"CSM class of the standard complement in P^{md.n}: "
@@ -139,13 +126,13 @@ def cmd_csm(args, run: RunConfig) -> int:
         f"chi(P^n minus hypersurface and coordinate hyperplanes) = {chi_u}",
         f"chi(hypersurface minus coordinate hyperplanes) = {chi_d}",
     ]
-    _emit(report, lines, run)
+    _emit(report, lines, args.as_json)
     return EXIT_OK
 
 
-def cmd_curve_report(args, run: RunConfig) -> int:
-    f = _read_polynomial(args, run)
-    cfg = run.randomization()
+def cmd_curve_report(args) -> int:
+    f = _read_polynomial(args)
+    cfg = RandomizationConfig(args.prime, args.seed, args.trials)
     rep = curves.plane_degree_formula(f)
     engine = multidegrees(toric_polar_map(f), cfg).topological_degree
     report = {
@@ -164,20 +151,21 @@ def cmd_curve_report(args, run: RunConfig) -> int:
         f"degree formula k^2 - milnor - incidence - tangency = {rep.degree_formula}",
         f"multidegree engine degree = {engine}",
     ]
-    _emit(report, lines, run)
+    _emit(report, lines, args.as_json)
     return EXIT_OK if rep.degree_formula == engine else EXIT_CHECK_FAILED
 
 
-def cmd_verify(args, run: RunConfig) -> int:
+def cmd_verify(args) -> int:
     corpus = None
     if args.corpus:
         corpus = parse_corpus(_read_text(args.corpus))
-    results = verify_propositions(run.randomization(), corpus)
+    cfg = RandomizationConfig(args.prime, args.seed, args.trials)
+    results = verify_propositions(cfg, corpus)
     ok = all(r.passed for r in results)
     report = {
-        "seed": run.seed,
-        "prime": run.prime,
-        "trials": run.trials,
+        "seed": args.seed,
+        "prime": args.prime,
+        "trials": args.trials,
         "passed": ok,
         "checks": [
             {"name": r.name, "passed": r.passed, "witness": r.witness}
@@ -188,7 +176,7 @@ def cmd_verify(args, run: RunConfig) -> int:
              + (f"\n  {r.witness}" if r.witness else "")
              for r in results]
     lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
-    _emit(report, lines, run)
+    _emit(report, lines, args.as_json)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -226,10 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    run = RunConfig(prime=args.prime, seed=args.seed, trials=args.trials,
-                    as_json=args.as_json)
     try:
-        return args.fn(args, run)
+        return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

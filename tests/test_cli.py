@@ -230,6 +230,53 @@ def test_multidegrees_json_golden(argv, stdout):
     assert run_cli([*argv, "--json"]) == (0, stdout)
 
 
+# At p = 11 the slices of several harness maps disagree between trials, and
+# every check that asks for such a map fails with its error as the witness.
+VERIFY_PRIME_11 = (
+    '{"seed": 0, "prime": 11, "trials": 2, "passed": false, "checks":'
+    ' [{"name": "corpus-multidegrees", "passed": false, "witness":'
+    ' "SpecializationError: trials disagree: (1, 3, 2) in trial 0,'
+    ' (1, 3, 1) in trial 1, at (j, trial, sub-seed) (2, 0,'
+    ' 6083125775764789064), (2, 1, 10553184040934533401); rerun with'
+    ' a fresh seed or prime [seeds: 6083125775764789064,'
+    ' 10553184040934533401]"}, {"name": "reduced-powers", "passed":'
+    ' false, "witness": "SpecializationError: trials disagree: (1, 3,'
+    ' 2) in trial 0, (1, 3, 1) in trial 1, at (j, trial, sub-seed)'
+    ' (2, 0, 6083125775764789064), (2, 1, 10553184040934533401);'
+    ' rerun with a fresh seed or prime [seeds: 6083125775764789064,'
+    ' 10553184040934533401]"}, {"name": "plane-degree-formula",'
+    ' "passed": false, "witness": "SpecializationError: trials'
+    ' disagree: (1, 3, 2) in trial 0, (1, 3, 1) in trial 1, at (j,'
+    ' trial, sub-seed) (2, 0, 6083125775764789064), (2, 1,'
+    ' 10553184040934533401); rerun with a fresh seed or prime [seeds:'
+    ' 6083125775764789064, 10553184040934533401]"}, {"name":'
+    ' "general-position", "passed": false, "witness":'
+    ' "SpecializationError: trials disagree: (1, 1, 8) in trial 0,'
+    ' (1, 3, 8) in trial 1, at (j, trial, sub-seed) (1, 0,'
+    ' 12332627357638704939), (1, 1, 16802685488784975189); rerun with'
+    ' a fresh seed or prime [seeds: 12332627357638704939,'
+    ' 16802685488784975189]"}, {"name": "reducible-curves", "passed":'
+    ' false, "witness": "SpecializationError: trials disagree: (1, 5,'
+    ' 6) in trial 0, (1, 5, 7) in trial 1, at (j, trial, sub-seed)'
+    ' (2, 0, 6083125775764789064), (2, 1, 10553184040934533401);'
+    ' rerun with a fresh seed or prime [seeds: 6083125775764789064,'
+    ' 10553184040934533401]"}, {"name": "pyramid-families", "passed":'
+    ' false, "witness": "family (a), n=2, k=None: degree 0"},'
+    ' {"name": "monomial-invariance", "passed": false, "witness":'
+    ' "SpecializationError: trials disagree: (1, 3, 2) in trial 0,'
+    ' (1, 3, 1) in trial 1, at (j, trial, sub-seed) (2, 0,'
+    ' 6083125775764789064), (2, 1, 10553184040934533401); rerun with'
+    ' a fresh seed or prime [seeds: 6083125775764789064,'
+    ' 10553184040934533401]"}, {"name": "hyperplane-arrangements",'
+    ' "passed": true, "witness": null}, {"name":'
+    ' "cremona-dolgachev-multidegrees", "passed": false, "witness":'
+    ' "cremona n=2: (1, 2, 0) != (1, 2, 1)"}]}\n')
+
+
+def test_failing_verify_golden():
+    assert run_cli(["verify", "--prime", "11", "--json"]) == (1, VERIFY_PRIME_11)
+
+
 def test_golden_under_python_O_with_basis_checks():
     """`python -O` strips asserts, so the kernel's overflow checks must be
     plain branches; TORICPOLAR_DEBUG=1 re-checks every basis through the

@@ -199,6 +199,25 @@ def test_verify_propositions_default_corpus():
             "cremona-dolgachev-multidegrees"} <= names
 
 
+def test_verify_propositions_solves_each_map_once(monkeypatch):
+    """Every route to the engine (directly, or through `topological_degree`
+    and the `curves` checks) ends in `maps.multidegrees`."""
+    from toricpolar import constructions, maps
+    solved = []
+
+    def recording(phi, cfg=None):
+        solved.append(tuple(frozenset(c.terms.items())
+                            for c in phi.coordinates))
+        return multidegrees(phi, cfg)
+
+    monkeypatch.setattr(constructions, "multidegrees", recording)
+    monkeypatch.setattr(maps, "multidegrees", recording)
+    results = verify_propositions(cfg=RandomizationConfig(seed=0))
+    assert all(r.passed for r in results)
+    assert len(solved) == 43
+    assert len(set(solved)) == len(solved)
+
+
 def test_verify_propositions_flags_wrong_expectation():
     bad = [CorpusEntry("broken_conic", ("x0", "x1", "x2"),
                        "x0^2 - x1*x2", (1, 2, 5))]

@@ -192,6 +192,32 @@ def test_translated_smooth_quartic_curve():
     assert md.values == (1, 4, 16)
 
 
+def product_coefficients(shifts):
+    """Coefficients of prod_k (t + k), highest power first."""
+    coefficients = [1]
+    for k in shifts:
+        coefficients = [a + k * b for a, b in
+                        zip(coefficients + [0], [0] + coefficients)]
+    return tuple(coefficients)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_braid_arrangement_multidegrees(n):
+    """f = prod_{i<j} (x_i - x_j) in P^n.  The toric multidegrees are the
+    coefficients of prod_{k=1..n} (t + k); the gradient multidegrees are
+    those of prod_{k=2..n} (t + k) followed by a 0, because the arrangement
+    is not essential (Huh 2012)."""
+    x = [Polynomial.variable(F, n + 1, i) for i in range(n + 1)]
+    f = Polynomial.constant(F, n + 1, 1)
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            f = f * (x[i] - x[j])
+    toric = multidegrees(toric_polar_map(f), CFG).values
+    gradient = multidegrees(gradient_map(f), CFG).values
+    assert toric == product_coefficients(range(1, n + 1))
+    assert gradient == product_coefficients(range(2, n + 1)) + (0,)
+
+
 def test_cuspidal_cubic_second_prime():
     F2 = PrimeField(999999937)
     f = parse_polynomial(CUSP, ("x0", "x1", "x2"), F2)
