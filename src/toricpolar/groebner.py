@@ -139,76 +139,139 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     the heap returns it.  The active set ends as the minimal basis, which
     one tail-reduction pass turns into the reduced basis.
 
+    The update works on divisibility packs of its own, as the kernel's
+    divisor index does: exponent i in field i, `width` bits and a guard bit
+    per field.  `width` starts at 8 and grows only when a new lead's
+    exponent does not fit; the leads and `live`, which keeps each pair's
+    lcm packed, are then packed again.  B_k tests each live pair with one
+    guard test and builds tuple lcms only for the pairs whose lcm the new
+    lead divides.  The active leads sit side by side in one int, one slot
+    each with a flag bit on top, so a few big-int operations give lcm(lead,
+    e) in every slot and the flags of the leads that e divides; one more
+    batch per candidate gives the flags of the candidates whose lcm divides
+    its own.  The pairs that survive, and their order, are those of the
+    same criteria on exponent tuples.
+
     The elements live only packed, as the entries of one kernel `Reducers`
     list (see `_kernel_py`): a pair's S-polynomial is built from the two
     packed entries, reduced packed, made monic and appended as it is.  Only
-    leading exponents are unpacked, for the criteria and the sugar, and the
+    leading exponents are unpacked, the lcms of kept pairs, for their sugar
+    and heap key, the lcm of a popped pair, for its S-polynomial, and the
     generators' remainders, for their sugar; a whole element is unpacked
-    once, when the tail-reduction pass returns it.  The fields hold twice
-    the degree of a pair's lcm and double when a product overflows them;
-    the remainders do not depend on the width.
+    once, when the tail-reduction pass returns it.  The `Reducers` fields
+    hold twice the degree of a pair's lcm and double when a product
+    overflows them; the remainders do not depend on the width.
     """
     fld = I.field
     k = fld.kernel
     p = fld.p
     lcm_of = k.exp_lcm
-    divides = k.exp_divides
 
     # the elements, monic, as packed entries; lead[h] is the leading
-    # exponent of entry h
+    # exponent of entry h and packs[h] its pack for the pair update
     reducers = k.Reducers(order.code, order.block, I.arity)
     lead: list[tuple] = []
+    packs: list[int] = []
     sugar: list[int] = []
     active: list[int] = []
-    live: dict[tuple[int, int], tuple] = {}
+    live: dict[tuple[int, int], int] = {}
     heap: list[tuple] = []
 
+    # the layout of the update's packs (see above): `guards` masks their
+    # guard bits, and a slot is one pack with a flag bit above it
+    width, shifts, guards, slot = _lead_layout(I.arity, 8)
+
+    def pack(e):
+        return sum([v << s for v, s in zip(e, shifts)])
+
+    def unpack(x):
+        mask = (1 << width) - 1
+        return tuple([x >> s & mask for s in shifts])
+
     def append(r: list, s: int):
+        nonlocal width, shifts, guards, slot
         e = reducers.append_remainder(r, p)
         h = len(lead)
+        if max(e) >> width:
+            # the only widening: to the width of this lead's exponents
+            plain = [(ab, unpack(m)) for ab, m in live.items()]
+            width, shifts, guards, slot = _lead_layout(
+                I.arity, max(e).bit_length())
+            packs[:] = map(pack, lead)
+            live.update((ab, pack(m)) for ab, m in plain)
+        x = pack(e)
+        # B_k: drop (a, b) when lead(h) divides its lcm strictly on both
+        # sides; one guard test per pair, tuple lcms only where it divides
+        for ab, m in [(ab, m) for ab, m in live.items()
+                      if ((m | guards) - x) & guards == guards]:
+            m = unpack(m)
+            if lcm_of(lead[ab[0]], e) != m and lcm_of(lead[ab[1]], e) != m:
+                del live[ab]
+        # the active leads side by side, active[c] in slot c (slot 0 the
+        # lowest); in each field t keeps its guard where lead >= e, so M
+        # holds lcm(lead, e) in every slot
+        n = len(active)
+        ones = ((1 << n * slot) - 1) // ((1 << slot) - 1)
+        gs = guards * ones
+        flags = ones << slot - 1
+        carry = flags - gs
+        A = 0
+        for i in reversed(active):
+            A = A << slot | packs[i]
+        X = x * ones
+        t = ((A | gs) - X) & gs
+        f = t - (t >> width)
+        M = A & f | X & ~f
         # pairs (i, h): M and F criteria against the other new pairs; pairs
         # with coprime leading terms serve as witnesses, then the product
-        # criterion drops them
-        cand = [(i, lcm_of(lead[i], e)) for i in active]
+        # criterion drops them.  A candidate is dropped when the lcm of a
+        # lower slot, or of a slot kept already, divides its own.
+        full = (1 << slot) - 1
+        below = (1 << n * slot) - 1
         kept = []
-        while cand:
-            i, m = cand.pop()
-            if (m == k.exp_add(lead[i], e)
-                    or not any(divides(q, m) for _, q in cand)
-                    and not any(divides(q, m) for _, q in kept)):
-                kept.append((i, m))
-        # B_k: drop (a, b) when lead(h) divides its lcm strictly on both sides
-        for (a, b), m in list(live.items()):
-            if (divides(e, m) and lcm_of(lead[a], e) != m
-                    and lcm_of(lead[b], e) != m):
-                del live[(a, b)]
+        seen = 0
+        for c in range(n - 1, -1, -1):
+            below >>= slot
+            i = active[c]
+            m = M >> c * slot & full
+            if m != packs[i] + x:
+                hits = (((m * ones | gs) - M & gs) + carry) & flags
+                if hits & (seen | below):
+                    continue
+            kept.append((i, m))
+            seen |= 1 << (c + 1) * slot - 1
         lead.append(e)
+        packs.append(x)
         sugar.append(s)
         dh = sum(e)
         for i, m in kept:
-            if m == k.exp_add(lead[i], e):
+            if m == packs[i] + x:
                 continue
-            d = sum(m)
             live[(i, h)] = m
+            m = unpack(m)
+            d = sum(m)
             heapq.heappush(heap, (max(sugar[i] + d - sum(lead[i]), s + d - dh),
                                   order.key(m), i, h))
-        active[:] = [i for i in active if not divides(e, lead[i])]
+        # the active leads that lead(h) divides leave the active set
+        gone = (t + carry) & flags
+        if gone:
+            active[:] = [i for c, i in enumerate(active)
+                         if not gone >> (c + 1) * slot - 1 & 1]
         active.append(h)
 
     gens = sorted(I.generators, key=lambda g: order.key(g.leading_term(order)[0]))
     for g in gens:
         r = k.normal_form_packed(g.terms, reducers, p)
         if r:
-            unpack = reducers.unpack
             append(r, max(g.total_degree(),
-                          max(sum(unpack(x)) for x, _ in r)))
+                          max(sum(reducers.unpack(x)) for x, _ in r)))
 
     while heap:
         s, _, i, j = heapq.heappop(heap)
         m = live.pop((i, j), None)
         if m is None:
             continue
-        r = k.s_polynomial_remainder(reducers, i, j, m, p)
+        r = k.s_polynomial_remainder(reducers, i, j, unpack(m), p)
         if r:
             append(r, s)
 
@@ -227,6 +290,15 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
             f"{len(result)}-element basis under the {order.kind} order "
             f"(block {order.block}) does not reduce to zero")
     return result
+
+
+def _lead_layout(arity: int, width: int) -> tuple:
+    """`width`, the shifts of the fields of a divisibility pack at that
+    width, the mask of their guard bits, and the width of a slot: the pack
+    and one flag bit above it."""
+    step = width + 1
+    shifts = tuple(range(0, arity * step, step))
+    return width, shifts, sum(1 << s + width for s in shifts), arity * step + 1
 
 
 def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:

@@ -313,3 +313,46 @@ def test_line_certificate_keeps_planted_factors(case):
     p, a, b = case
     assert not gcdtools._coprime_on_line(a, b)
     assert multivariate_gcd(a, b) == sympy_gcd(a, b)
+
+
+def wide_lead_log(monkeypatch):
+    """Records the leading exponent of every element `buchberger` adds."""
+    leads = []
+    real = kernel.Reducers.append_remainder
+
+    def append_remainder(self, r, p):
+        leads.append(real(self, r, p))
+        return leads[-1]
+
+    monkeypatch.setattr(kernel.Reducers, "append_remainder", append_remainder)
+    return leads
+
+
+def test_buchberger_with_widened_pair_criteria_matches_sympy_grevlex(
+        monkeypatch):
+    """Leading exponents reach 583, past the 8 bits per field that the
+    packed pair criteria start with, so they widen twice."""
+    leads = wide_lead_log(monkeypatch)
+    x, y, z = (Polynomial.variable(F, 3, i) for i in range(3))
+    gens = [x ** 300 + 5 * y ** 2 * z, y ** 260 + 3 * x * y * z + 7 * z ** 2,
+            x ** 2 * z ** 290 + 2 * y]
+    G = buchberger(Ideal(gens), GREVLEX)
+    assert max(map(max, leads)) >= 512
+    assert canonical(ours(G)) == canonical(sympy_basis(gens, 3, "grevlex"))
+
+
+def test_buchberger_with_widened_pair_criteria_matches_sympy_block(
+        monkeypatch):
+    """Under block_order(1) a lead of degree 271 in x2 joins after the two
+    generators, from a reduced pair, so the packed pair criteria widen in
+    the middle of the run; the debug check reduces every S-polynomial of
+    the result."""
+    from toricpolar import groebner
+    monkeypatch.setattr(groebner, "_DEBUG_CHECK_BASES", True)
+    leads = wide_lead_log(monkeypatch)
+    x0, x1, x2 = (Polynomial.variable(F, 3, i) for i in range(3))
+    gens = [x0 * x2 ** 90 - x1 ** 3,
+            x0 ** 3 - x1 * x2 + Polynomial.constant(F, 3, 1)]
+    G = buchberger(Ideal(gens), block_order(1))
+    assert max(map(max, leads)) >= 256 > max(map(max, leads[:2]))
+    assert canonical(ours(G)) == canonical(sympy_basis(gens, 3, BLOCK_1))

@@ -1,0 +1,177 @@
+"""The Gebauer-Möller update of `buchberger` works on packed leading
+exponents.  These tests pin it to the same criteria on exponent tuples:
+the S-pairs it reduces, their order and the basis must not change.
+
+`tuple_buchberger` below is the reference: the pair loop of `buchberger`
+with the update written on exponent tuples, one `exp_divides` test per
+candidate pair.  Both call `_kernel_py.s_polynomial_remainder` once per
+reduced pair, so wrapping it records the pair sequence of either.
+"""
+
+import heapq
+from unittest import mock
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from toricpolar import _kernel_py as kernel
+from toricpolar.constructions import cremona_poly, verify_propositions
+from toricpolar.groebner import Ideal, buchberger
+from toricpolar.maps import RandomizationConfig, multidegrees, toric_polar_map
+from toricpolar.poly import GREVLEX, Polynomial, block_order
+
+from test_groebner_oracle import F, small_ideals
+
+
+def tuple_buchberger(I, order):
+    """Generators of the reduced basis of I, with the Gebauer-Möller update
+    on exponent tuples."""
+    fld = I.field
+    k = fld.kernel
+    p = fld.p
+    lcm_of = k.exp_lcm
+    divides = k.exp_divides
+    reducers = k.Reducers(order.code, order.block, I.arity)
+    lead, sugar, active, live, heap = [], [], [], {}, []
+
+    def append(r, s):
+        e = reducers.append_remainder(r, p)
+        h = len(lead)
+        cand = [(i, lcm_of(lead[i], e)) for i in active]
+        kept = []
+        while cand:
+            i, m = cand.pop()
+            if (m == k.exp_add(lead[i], e)
+                    or not any(divides(q, m) for _, q in cand)
+                    and not any(divides(q, m) for _, q in kept)):
+                kept.append((i, m))
+        for (a, b), m in list(live.items()):
+            if (divides(e, m) and lcm_of(lead[a], e) != m
+                    and lcm_of(lead[b], e) != m):
+                del live[(a, b)]
+        lead.append(e)
+        sugar.append(s)
+        dh = sum(e)
+        for i, m in kept:
+            if m == k.exp_add(lead[i], e):
+                continue
+            d = sum(m)
+            live[(i, h)] = m
+            heapq.heappush(heap, (max(sugar[i] + d - sum(lead[i]), s + d - dh),
+                                  order.key(m), i, h))
+        active[:] = [i for i in active if not divides(e, lead[i])]
+        active.append(h)
+
+    gens = sorted(I.generators,
+                  key=lambda g: order.key(g.leading_term(order)[0]))
+    for g in gens:
+        r = k.normal_form_packed(g.terms, reducers, p)
+        if r:
+            append(r, max(g.total_degree(),
+                          max(sum(reducers.unpack(x)) for x, _ in r)))
+    while heap:
+        s, _, i, j = heapq.heappop(heap)
+        m = live.pop((i, j), None)
+        if m is None:
+            continue
+        r = k.s_polynomial_remainder(reducers, i, j, m, p)
+        if r:
+            append(r, s)
+    active.sort(key=lambda i: order.key(lead[i]))
+    return [Polynomial(fld, I.arity, r, _clean=True)
+            for r in k.reduce_tails(reducers.subset(active), p)]
+
+
+class PairLog:
+    """Records every (i, j, m) reduced, and whether its remainder was
+    nonzero, while the context is open."""
+
+    def __init__(self):
+        self.pairs = []
+        self.nonzero = 0
+
+    def __enter__(self):
+        real = kernel.s_polynomial_remainder
+
+        def remainder(reducers, i, j, m, p):
+            r = real(reducers, i, j, m, p)
+            self.pairs.append((i, j, m))
+            self.nonzero += bool(r)
+            return r
+
+        self._patch = mock.patch.object(kernel, "s_polynomial_remainder",
+                                        remainder)
+        self._patch.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._patch.stop()
+
+
+def same_run(gens, order):
+    """Both updates reduce the same pairs in the same order and return the
+    same basis, element by element."""
+    with PairLog() as packed:
+        G = buchberger(Ideal(gens), order)
+    with PairLog() as tuples:
+        reference = tuple_buchberger(Ideal(gens), order)
+    assert packed.pairs == tuples.pairs
+    assert [g.terms for g in G.generators] == [g.terms for g in reference]
+    assert [list(g.terms) for g in G.generators] == [list(g.terms)
+                                                     for g in reference]
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_ideals(), st.sampled_from([GREVLEX, block_order(1)]))
+def test_packed_update_matches_tuple_criteria(ideal, order):
+    _, gens = ideal
+    same_run(gens, order)
+
+
+@st.composite
+def wide_ideals(draw):
+    """Small ideals with each variable x_i replaced by x_i^s_i.  Scales of
+    97 and 128 give leading exponents of 256 and more, so the packed
+    criteria widen, at the first generator or in the middle of the pair
+    loop; mixed scales make runs unlike those of the unscaled ideal."""
+    n, gens = draw(small_ideals(min_vars=2))
+    scale = draw(st.lists(st.sampled_from([1, 2, 97, 128]),
+                          min_size=n, max_size=n))
+    return [Polynomial(F, n, {tuple(a * s for a, s in zip(e, scale)): c
+                              for e, c in g.terms.items()})
+            for g in gens]
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(wide_ideals(), st.sampled_from([GREVLEX, block_order(1)]))
+def test_packed_update_matches_tuple_criteria_on_wide_leads(gens, order):
+    same_run(gens, order)
+
+
+def test_widening_in_the_pair_loop_matches_tuple_criteria():
+    """x0*x2^90 - x1^3 and x0^3 - x1*x2 + 1 under block_order(1): a lead
+    of degree 271 in x2 joins after pairs were reduced (the sympy oracle
+    test of this ideal checks that), so the leads and the live lcms are
+    packed again in the middle of the run."""
+    x0, x1, x2 = (Polynomial.variable(F, 3, i) for i in range(3))
+    gens = [x0 * x2 ** 90 - x1 ** 3,
+            x0 ** 3 - x1 * x2 + Polynomial.constant(F, 3, 1)]
+    same_run(gens, block_order(1))
+
+
+def test_pair_counts_of_a_verify_pass():
+    """One in-process `verify` pass reduces these pairs; the counts are
+    those of the update on exponent tuples."""
+    with PairLog() as log:
+        results = verify_propositions(RandomizationConfig(seed=0))
+    assert all(r.passed for r in results)
+    assert (len(log.pairs), log.nonzero) == (2406, 1140)
+
+
+def test_pair_counts_of_cremona_4():
+    with PairLog() as log:
+        values = multidegrees(toric_polar_map(cremona_poly(4))).values
+    assert values == (1, 4, 6, 4, 1)
+    assert (len(log.pairs), log.nonzero) == (262, 110)
