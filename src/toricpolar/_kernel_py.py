@@ -155,10 +155,6 @@ def order_key(kind, block):
     return partial(_block_forms, block)
 
 
-def exp_add(e, d):
-    return tuple(map(add, e, d))
-
-
 def exp_sub(e, d):
     return tuple(map(sub, e, d))
 

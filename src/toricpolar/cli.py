@@ -44,7 +44,8 @@ def _add_common(sub: argparse.ArgumentParser, needs_poly=True):
     sub.add_argument("--seed", type=int, default=0,
                      help="master seed for all randomized choices")
     sub.add_argument("--trials", type=int, default=2,
-                     help="independent agreement trials (default %(default)s)")
+                     help="independent agreement trials of each sliced d_j "
+                          "(default %(default)s)")
     sub.add_argument("--json", action="store_true", dest="as_json",
                      help="machine-readable JSON output")
 

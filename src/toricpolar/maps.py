@@ -2,13 +2,23 @@
 randomized computation of their multidegrees.
 
 The multidegree d_j is the degree of the closure of the preimage of a
-general codimension-j linear subspace; d_0 = 1 by definition.  For j = 1..n
-it is computed by slicing: j random combinations of the map's coordinates,
-restricted to n-j random linear forms (one echelon form mod p; its free
-variables are the j+1 coordinates), a saturation by one further random
-coordinate combination to excise the base locus, and Hilbert-series degree
-extraction.  Independent trials with fresh randomness must agree, otherwise
-a SpecializationError names the slices that disagree.
+general codimension-j linear subspace; d_0 = 1 by definition.  Let B be the
+base locus, cut out by the coordinates (of degree d), and b its dimension
+(-1 when B is empty).  For j = 1..n-1-b a general P^j misses B, the map is
+a morphism on it and d_j = d^j (Fulton, Intersection Theory, Prop. 4.4:
+the correction to d^j is a Segre class supported on B); these d_j are
+certified from one grevlex basis of the coordinates.  Since the gcd of the
+coordinates is removed, codim B >= 2 and d_1 is always certified; a gcd
+that wrongly answers 1 leaves a hypersurface in B, nothing is certified,
+and the d_1 check of `multidegrees` fails.  Over F_p, dim B is at least
+its value over Q, so a bad prime certifies less, never more.
+
+Every other d_j is computed by slicing: j random combinations of the map's
+coordinates, restricted to n-j random linear forms (one echelon form mod p;
+its free variables are the j+1 coordinates), a saturation by one further
+random coordinate combination to excise the base locus, and Hilbert-series
+degree extraction.  Independent trials with fresh randomness must agree,
+otherwise a SpecializationError names the slices that disagree.
 """
 
 from __future__ import annotations
@@ -296,17 +306,23 @@ def multidegrees(phi: RationalMapSpec,
                  cfg: RandomizationConfig | None = None) -> MultidegreeVector:
     """Multidegrees d_0, ..., d_n of the map, with trial agreement.
 
-    d_0 = 1 by definition; each trial slices d_1, ..., d_n, each (j, trial)
-    with its own deterministic sub-seed, so results are reproducible.  All
-    trials must agree with trial 0; the error names each slice that differs
-    as (j, trial, sub-seed), in trial 0 and in the first trial that differs.
+    d_0 = 1 by definition.  d_j = d^j is certified for j <= n - 1 - dim B,
+    B the base locus, where a general P^j misses B; these j have no trials.
+    Each trial slices the remaining j, each (j, trial) with its own
+    deterministic sub-seed, so results are reproducible.  All trials must
+    agree with trial 0; the error names each slice that differs as
+    (j, trial, sub-seed), in trial 0 and in the first trial that differs.
     """
     if cfg is None:
         cfg = RandomizationConfig(prime=phi.field.p)
     if cfg.prime != phi.field.p:
         raise ValueError("configuration prime differs from the map's field")
-    outcomes = [(1, *(_slice_degree(phi, j, cfg.seed, trial)
-                      for j in range(1, phi.n + 1)))
+    # a general P^j misses the base locus B for j <= n - 1 - dim B
+    top = phi.n - 1 - hilbert_dim_degree(
+        Ideal(phi.coordinates)).projective_dimension
+    certified = [phi.coordinate_degree ** j for j in range(1, top + 1)]
+    outcomes = [(1, *certified, *(_slice_degree(phi, j, cfg.seed, trial)
+                                  for j in range(top + 1, phi.n + 1)))
                 for trial in range(cfg.trials)]
     vec = outcomes[0]
     for trial, other in enumerate(outcomes[1:], 1):

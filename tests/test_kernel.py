@@ -233,10 +233,10 @@ def test_deferred_reduction_cancels_and_stays_in_range(p):
     f = {e: 1 for e in unit[:12]}
     if 12 % p:
         f[unit[12]] = -12 % p
-    f.update({k.exp_add(e, e): 1 for e in unit[:11]})
+    f.update({tuple(2 * a for a in e): 1 for e in unit[:11]})
     case = (f, leads, [1] * 12, tails, p, k.GREVLEX, 0)
     r = kernel_normal_form(n, *case)
-    square = k.exp_add(unit[12], unit[12])
+    square = tuple(2 * a for a in unit[12])
     assert r == reference_normal_form(*case) == {square: 11 % p}
     assert unit[12] not in r
     assert all(1 <= c <= p - 1 for c in r.values())
@@ -269,7 +269,7 @@ def test_order_key_and_packs_agree_with_exp_cmp(drawn):
     x1, x2 = packs.pack(e1), packs.pack(e2)
     assert (x1 > x2) - (x1 < x2) == c
     assert packs.unpack(x1) == e1
-    assert packs.pack(k.exp_add(e1, e2)) == x1 + x2
+    assert packs.pack(tuple(a + b for a, b in zip(e1, e2))) == x1 + x2
     g = packs.guards
     assert (((x2 | g) - x1) & g == g) == k.exp_divides(e1, e2)
 
@@ -288,7 +288,6 @@ def test_leading_exponent_matches_linear_scan(drawn):
     lambda n: st.tuples(*[st.tuples(*[st.integers(0, 6)] * n)] * 2)))
 def test_exponent_helpers(pair):
     e, d = pair
-    assert k.exp_add(e, d) == tuple(a + b for a, b in zip(e, d))
     assert k.exp_sub(e, d) == tuple(a - b for a, b in zip(e, d))
     assert k.exp_lcm(e, d) == tuple(max(a, b) for a, b in zip(e, d))
     assert k.exp_divides(d, e) == all(b <= a for a, b in zip(e, d))

@@ -252,7 +252,8 @@ def test_trial_disagreement_raises(monkeypatch):
 
 
 def test_slices_start_at_j_1(monkeypatch):
-    """d_0 is 1 by definition: no trial slices it."""
+    """d_0 is 1 by definition and d_1 = 3 is certified, since the base
+    locus of the cusp map is finite: no trial slices them."""
     calls = []
     real = maps._slice_degree
 
@@ -262,7 +263,7 @@ def test_slices_start_at_j_1(monkeypatch):
 
     monkeypatch.setattr(maps, "_slice_degree", recording)
     assert multidegrees(toric_polar_map(P(CUSP)), CFG).values == (1, 3, 2)
-    assert calls == [(1, 0), (2, 0), (1, 1), (2, 1)]
+    assert calls == [(2, 0), (2, 1)]
 
 
 def test_config_prime_must_match():
@@ -333,9 +334,10 @@ def test_monomial_pullback_preserves_topological_degree():
 
 
 def test_one_block_order_basis_per_slice(monkeypatch):
-    """Each slice j = 1..n computes one Gröbner basis, the block-order one
-    inside `saturate`; Hilbert extraction reuses it instead of a grevlex
-    basis."""
+    """One grevlex basis of the coordinates gives the base locus, a curve
+    for Cremona n = 3, so d_1 is certified.  Each slice j = 2, 3 then
+    computes one Gröbner basis, the block-order one inside `saturate`;
+    Hilbert extraction reuses it instead of a grevlex basis."""
     import toricpolar.groebner as groebner
     from toricpolar.constructions import cremona_poly
 
@@ -350,7 +352,7 @@ def test_one_block_order_basis_per_slice(monkeypatch):
     monkeypatch.setattr(groebner, "buchberger", counting)
     md = multidegrees(phi, CFG)
     assert md.values == (1, 3, 3, 1)
-    assert orders == ["block"] * (phi.n * CFG.trials)
+    assert orders == ["grevlex"] + ["block"] * (2 * CFG.trials)
 
 
 # --- the linear restriction of a slice ----------------------------------------
@@ -437,12 +439,13 @@ def all_ones(rng, length, p):
 
 def test_dependent_linear_forms_raise(monkeypatch):
     """With every random vector all ones, the two linear forms of the j = 1
-    slice on P^3 coincide."""
+    slice on P^3 coincide.  `multidegrees` certifies d_1 of this map, so
+    the slice is called directly."""
     monkeypatch.setattr(maps, "_random_nonzero_vector", all_ones)
     space = ("x0", "x1", "x2", "x3")
     phi = RationalMapSpec([P(x, space) for x in space])
     with pytest.raises(SpecializationError) as err:
-        multidegrees(phi, CFG)
+        maps._slice_degree(phi, 1, CFG.seed, 0)
     sub = derive_seed(CFG.seed, 1, 0)
     assert str(err.value) == f"degenerate random linear form [seeds: {sub}]"
     assert err.value.seeds == (sub,)
@@ -450,11 +453,13 @@ def test_dependent_linear_forms_raise(monkeypatch):
 
 def test_saturant_vanishing_on_the_slice_raises(monkeypatch):
     """With every random vector all ones, the j = 1 slice of P^2 is the
-    line x0 + x1 + x2 = 0, on which the saturant x0 + x1 + x2 vanishes."""
+    line x0 + x1 + x2 = 0, on which the saturant x0 + x1 + x2 vanishes.
+    `multidegrees` certifies d_1 of this map, so the slice is called
+    directly."""
     monkeypatch.setattr(maps, "_random_nonzero_vector", all_ones)
     phi = RationalMapSpec([P("x0"), P("x1"), P("x2")])
     with pytest.raises(SpecializationError) as err:
-        multidegrees(phi, CFG)
+        maps._slice_degree(phi, 1, CFG.seed, 0)
     sub = derive_seed(CFG.seed, 1, 0)
     assert str(err.value) == ("saturating combination vanished on the slice "
                               f"[seeds: {sub}]")

@@ -9,6 +9,7 @@ reduced pair, so wrapping it records the pair sequence of either.
 """
 
 import heapq
+from operator import add
 from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
@@ -21,6 +22,10 @@ from toricpolar.maps import RandomizationConfig, multidegrees, toric_polar_map
 from toricpolar.poly import GREVLEX, Polynomial, block_order
 
 from test_groebner_oracle import F, small_ideals
+
+
+def exp_add(e, d):
+    return tuple(map(add, e, d))
 
 
 def tuple_buchberger(I, order):
@@ -41,7 +46,7 @@ def tuple_buchberger(I, order):
         kept = []
         while cand:
             i, m = cand.pop()
-            if (m == k.exp_add(lead[i], e)
+            if (m == exp_add(lead[i], e)
                     or not any(divides(q, m) for _, q in cand)
                     and not any(divides(q, m) for _, q in kept)):
                 kept.append((i, m))
@@ -53,7 +58,7 @@ def tuple_buchberger(I, order):
         sugar.append(s)
         dh = sum(e)
         for i, m in kept:
-            if m == k.exp_add(lead[i], e):
+            if m == exp_add(lead[i], e):
                 continue
             d = sum(m)
             live[(i, h)] = m
@@ -167,11 +172,11 @@ def test_pair_counts_of_a_verify_pass():
     with PairLog() as log:
         results = verify_propositions(RandomizationConfig(seed=0))
     assert all(r.passed for r in results)
-    assert (len(log.pairs), log.nonzero) == (2406, 1140)
+    assert (len(log.pairs), log.nonzero) == (2385, 1057)
 
 
 def test_pair_counts_of_cremona_4():
     with PairLog() as log:
         values = multidegrees(toric_polar_map(cremona_poly(4))).values
     assert values == (1, 4, 6, 4, 1)
-    assert (len(log.pairs), log.nonzero) == (262, 110)
+    assert (len(log.pairs), log.nonzero) == (258, 104)
