@@ -81,6 +81,11 @@ forms are linear with nonnegative coefficients, so x^a | x^b already gives
 form(a) <= form(b) for every form, and comparing them would only widen the
 slots.
 
+The Gebauer-Möller update of `buchberger` works in the same layout and
+has none of its own: it reads the divisibility pack of each lead as
+`entry lead & low`, and takes `low_guards`, `slot` and `width` from the
+`Reducers`.
+
 Pending coefficients are plain ints: a reduction step adds q * c with
 q = p - (c_u * inv mod p), and a coefficient is reduced mod p once, when
 its term is popped.  A popped coefficient that is 0 mod p is a cancelled
@@ -95,40 +100,6 @@ from operator import add, le, mul, or_, sub
 GREVLEX = 0
 LEX = 1
 BLOCK = 2
-
-
-def _grevlex_cmp_range(e1, e2, lo, hi):
-    d1 = 0
-    d2 = 0
-    for i in range(lo, hi):
-        d1 += e1[i]
-        d2 += e2[i]
-    if d1 != d2:
-        return 1 if d1 > d2 else -1
-    for i in range(hi - 1, lo - 1, -1):
-        a = e1[i]
-        b = e2[i]
-        if a != b:
-            return 1 if a < b else -1
-    return 0
-
-
-def exp_cmp(e1, e2, kind, block):
-    """Three-way comparison of exponent tuples: -1, 0 or 1."""
-    n = len(e1)
-    if kind == GREVLEX:
-        return _grevlex_cmp_range(e1, e2, 0, n)
-    if kind == LEX:
-        for i in range(n):
-            a = e1[i]
-            b = e2[i]
-            if a != b:
-                return 1 if a > b else -1
-        return 0
-    c = _grevlex_cmp_range(e1, e2, 0, block)
-    if c:
-        return c
-    return _grevlex_cmp_range(e1, e2, block, n)
 
 
 def _grevlex_forms(e):
@@ -146,7 +117,7 @@ def order_key(kind, block):
     """The order's key: exponent tuple -> tuple of its linear forms.
 
     A larger key is a larger monomial, and distinct exponents have distinct
-    keys, so sorting (or a heap) by key alone agrees with exp_cmp.
+    keys, so sorting (or a heap) by key alone gives the order.
     """
     if kind == GREVLEX:
         return _grevlex_forms

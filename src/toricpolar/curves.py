@@ -204,10 +204,10 @@ def distinct_intersections_off_coordinates(f: Polynomial, g: Polynomial) -> int:
         gens = elim.generators
         if not gens:
             raise PreconditionError("intersection is not zero-dimensional")
-        poly = gens[0]
-        for h in gens[1:]:
-            poly = multivariate_gcd(poly, h)
-        extra.append(_univariate_squarefree(poly, var))
+        if len(gens) != 1:
+            raise ToricPolarError(f"elimination ideal in one variable has "
+                                  f"{len(gens)} basis elements, not one")
+        extra.append(_univariate_squarefree(gens[0], var))
     radical = Ideal(list(ideal.generators) + extra, field=f.field, arity=2)
     return vector_space_dimension(radical)
 

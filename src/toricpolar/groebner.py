@@ -139,24 +139,25 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     the heap returns it.  The active set ends as the minimal basis, which
     one tail-reduction pass turns into the reduced basis.
 
-    The update works on divisibility packs of its own, as the kernel's
-    divisor index does: exponent i in field i, `width` bits and a guard bit
-    per field.  `width` starts at 8 and grows only when a new lead's
-    exponent does not fit; the leads and `live`, which keeps each pair's
-    lcm packed, are then packed again.  B_k tests each live pair with one
-    guard test and builds tuple lcms only for the pairs whose lcm the new
-    lead divides.  The active leads sit side by side in one int, one slot
-    each with a flag bit on top, so a few big-int operations give lcm(lead,
-    e) in every slot and the flags of the leads that e divides; one more
-    batch per candidate gives the flags of the candidates whose lcm divides
-    its own.  The pairs that survive, and their order, are those of the
-    same criteria on exponent tuples.
+    The update reads the divisibility packs that the `Reducers` keep (see
+    `_kernel_py`): exponent i in field i, `width` bits and a guard bit per
+    field.  A lead's pack is the low part of its entry, and the guards,
+    slot and width are those of the `Reducers`.  Each live pair keeps its
+    lcm as a pack and a tuple; the tuple gives its heap key, the B_k tuple
+    check and its S-polynomial.  The reductions may widen the fields; the
+    next `append` then packs the live lcms again from their tuples.  B_k
+    tests each live pair with one guard test and builds tuple lcms only for
+    the pairs whose lcm the new lead divides.  The active leads sit side by
+    side in one int, one slot each with a flag bit on top, so a few big-int
+    operations give lcm(lead, e) in every slot and the flags of the leads
+    that e divides; one more batch per candidate gives the flags of the
+    candidates whose lcm divides its own.  The pairs that survive, and
+    their order, are those of the same criteria on exponent tuples.
 
     The elements live only packed, as the entries of one kernel `Reducers`
     list (see `_kernel_py`): a pair's S-polynomial is built from the two
     packed entries, reduced packed, made monic and appended as it is.  Only
-    leading exponents are unpacked, the lcms of kept pairs, for their sugar
-    and heap key, the lcm of a popped pair, for its S-polynomial, and the
+    leading exponents are unpacked, the lcms of kept pairs, and the
     generators' remainders, for their sugar; a whole element is unpacked
     once, when the tail-reduction pass returns it.  The `Reducers` fields
     hold twice the degree of a pair's lcm and double when a product
@@ -168,43 +169,37 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     lcm_of = k.exp_lcm
 
     # the elements, monic, as packed entries; lead[h] is the leading
-    # exponent of entry h and packs[h] its pack for the pair update
+    # exponent of entry h.  `live` maps each live pair to its lcm, packed
+    # at `width`, and as a tuple.
     reducers = k.Reducers(order.code, order.block, I.arity)
     lead: list[tuple] = []
-    packs: list[int] = []
     sugar: list[int] = []
     active: list[int] = []
-    live: dict[tuple[int, int], int] = {}
+    live: dict[tuple[int, int], tuple[int, tuple]] = {}
     heap: list[tuple] = []
-
-    # the layout of the update's packs (see above): `guards` masks their
-    # guard bits, and a slot is one pack with a flag bit above it
-    width, shifts, guards, slot = _lead_layout(I.arity, 8)
-
-    def pack(e):
-        return sum([v << s for v, s in zip(e, shifts)])
-
-    def unpack(x):
-        mask = (1 << width) - 1
-        return tuple([x >> s & mask for s in shifts])
+    width = reducers.width
 
     def append(r: list, s: int):
-        nonlocal width, shifts, guards, slot
+        nonlocal width
+        low = reducers.low
+        if reducers.width != width:
+            # the reductions widened the fields since the last append
+            width = reducers.width
+            pack = reducers.pack
+            live.update([(ab, (pack(m) & low, m))
+                         for ab, (_, m) in live.items()])
+        guards = reducers.low_guards
+        slot = reducers.slot
         e = reducers.append_remainder(r, p)
+        entries = reducers.entries
+        x = entries[-1][0] & low
         h = len(lead)
-        if max(e) >> width:
-            # the only widening: to the width of this lead's exponents
-            plain = [(ab, unpack(m)) for ab, m in live.items()]
-            width, shifts, guards, slot = _lead_layout(
-                I.arity, max(e).bit_length())
-            packs[:] = map(pack, lead)
-            live.update((ab, pack(m)) for ab, m in plain)
-        x = pack(e)
+        dh = sum(e)
         # B_k: drop (a, b) when lead(h) divides its lcm strictly on both
         # sides; one guard test per pair, tuple lcms only where it divides
-        for ab, m in [(ab, m) for ab, m in live.items()
-                      if ((m | guards) - x) & guards == guards]:
-            m = unpack(m)
+        for ab in [ab for ab, (m, _) in live.items()
+                   if ((m | guards) - x) & guards == guards]:
+            m = live[ab][1]
             if lcm_of(lead[ab[0]], e) != m and lcm_of(lead[ab[1]], e) != m:
                 del live[ab]
         # the active leads side by side, active[c] in slot c (slot 0 the
@@ -217,7 +212,7 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
         carry = flags - gs
         A = 0
         for i in reversed(active):
-            A = A << slot | packs[i]
+            A = A << slot | entries[i][0] & low
         X = x * ones
         t = ((A | gs) - X) & gs
         f = t - (t >> width)
@@ -225,33 +220,27 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
         # pairs (i, h): M and F criteria against the other new pairs; pairs
         # with coprime leading terms serve as witnesses, then the product
         # criterion drops them.  A candidate is dropped when the lcm of a
-        # lower slot, or of a slot kept already, divides its own.
+        # lower slot, or of a slot kept already, divides its own; a kept
+        # one goes on the heap.
         full = (1 << slot) - 1
         below = (1 << n * slot) - 1
-        kept = []
         seen = 0
         for c in range(n - 1, -1, -1):
             below >>= slot
             i = active[c]
             m = M >> c * slot & full
-            if m != packs[i] + x:
+            if m != (A >> c * slot & full) + x:
                 hits = (((m * ones | gs) - M & gs) + carry) & flags
                 if hits & (seen | below):
                     continue
-            kept.append((i, m))
+                mt = reducers.unpack(m)
+                live[(i, h)] = (m, mt)
+                d = sum(mt)
+                heapq.heappush(heap, (max(sugar[i] + d - sum(lead[i]),
+                                          s + d - dh), order.key(mt), i, h))
             seen |= 1 << (c + 1) * slot - 1
         lead.append(e)
-        packs.append(x)
         sugar.append(s)
-        dh = sum(e)
-        for i, m in kept:
-            if m == packs[i] + x:
-                continue
-            live[(i, h)] = m
-            m = unpack(m)
-            d = sum(m)
-            heapq.heappush(heap, (max(sugar[i] + d - sum(lead[i]), s + d - dh),
-                                  order.key(m), i, h))
         # the active leads that lead(h) divides leave the active set
         gone = (t + carry) & flags
         if gone:
@@ -271,7 +260,7 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
         m = live.pop((i, j), None)
         if m is None:
             continue
-        r = k.s_polynomial_remainder(reducers, i, j, unpack(m), p)
+        r = k.s_polynomial_remainder(reducers, i, j, m[1], p)
         if r:
             append(r, s)
 
@@ -290,20 +279,6 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
             f"{len(result)}-element basis under the {order.kind} order "
             f"(block {order.block}) does not reduce to zero")
     return result
-
-
-def _lead_layout(arity: int, width: int) -> tuple:
-    """`width`, the shifts of the fields of a divisibility pack at that
-    width, the mask of their guard bits, and the width of a slot: the pack
-    and one flag bit above it."""
-    step = width + 1
-    shifts = tuple(range(0, arity * step, step))
-    return width, shifts, sum(1 << s + width for s in shifts), arity * step + 1
-
-
-def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
-    """Remainder of f modulo G; no term divisible by a leading term of G."""
-    return G.normal_form(f)
 
 
 def _adjoin_variable_first(g: Polynomial) -> Polynomial:

@@ -66,7 +66,9 @@ class MultidegreeVector:
 
     d_0 is always 1, d_1 is the common degree of the reduced coordinates and
     d_n is the topological degree (0 exactly when the map is nondominant).
-    Zeros can only occur as a suffix.
+    Zeros can only occur as a suffix, and the sequence is log-concave,
+    d_j^2 >= d_(j-1) d_(j+1), as the multidegrees of the map's irreducible
+    graph are (Khovanskii-Teissier; Huh, J. Amer. Math. Soc. 25, 2012).
     """
 
     values: tuple[int, ...]
@@ -82,6 +84,12 @@ class MultidegreeVector:
             if seen_zero and x:
                 raise ValueError("internal zero in a multidegree sequence")
             seen_zero = seen_zero or x == 0
+        for j in range(1, len(v) - 1):
+            if v[j] ** 2 < v[j - 1] * v[j + 1]:
+                raise ValueError(
+                    f"multidegrees not log-concave at j = {j}: d_{j}^2 = "
+                    f"{v[j] ** 2} < d_{j - 1} * d_{j + 1} = "
+                    f"{v[j - 1] * v[j + 1]}")
 
     @property
     def n(self) -> int:

@@ -161,6 +161,18 @@ def test_specialization_exit_code(monkeypatch):
     assert code == 4
 
 
+def test_non_log_concave_multidegrees_exit_code(capsys):
+    """At p = 7 one trial slices d_2 = 1 for Cremona n = 3, whose
+    multidegrees are (1, 3, 3, 1); (1, 3, 1, 1) is not log-concave, so it
+    is reported, not printed."""
+    code, out = run_cli(["multidegrees", "--poly",
+                         "x0*x1*x2 + x0*x1*x3 + x0*x2*x3 + x1*x2*x3",
+                         "--vars", "x0,x1,x2,x3", "--prime", "7",
+                         "--trials", "1", "--json"])
+    assert (code, out) == (4, "")
+    assert "not log-concave at j = 2" in capsys.readouterr().err
+
+
 def test_verify_default_corpus():
     code, out = run_cli(["verify", "--seed", "42", "--json"])
     assert code == 0

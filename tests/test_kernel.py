@@ -25,10 +25,45 @@ from toricpolar.poly import LEX, MonomialOrder, Polynomial, block_order
 PRIMES = [2, 3, 13, 2**31 - 1]
 
 
+def grevlex_cmp_range(e1, e2, lo, hi):
+    d1 = 0
+    d2 = 0
+    for i in range(lo, hi):
+        d1 += e1[i]
+        d2 += e2[i]
+    if d1 != d2:
+        return 1 if d1 > d2 else -1
+    for i in range(hi - 1, lo - 1, -1):
+        a = e1[i]
+        b = e2[i]
+        if a != b:
+            return 1 if a < b else -1
+    return 0
+
+
+def exp_cmp(e1, e2, kind, block):
+    """The reference order: three-way comparison of exponent tuples,
+    written out from the definitions of grevlex, lex and the block order."""
+    n = len(e1)
+    if kind == k.GREVLEX:
+        return grevlex_cmp_range(e1, e2, 0, n)
+    if kind == k.LEX:
+        for i in range(n):
+            a = e1[i]
+            b = e2[i]
+            if a != b:
+                return 1 if a > b else -1
+        return 0
+    c = grevlex_cmp_range(e1, e2, 0, block)
+    if c:
+        return c
+    return grevlex_cmp_range(e1, e2, block, n)
+
+
 def reference_leading_exponent(terms, kind, block):
     best = None
     for e in terms:
-        if best is None or k.exp_cmp(e, best, kind, block) > 0:
+        if best is None or exp_cmp(e, best, kind, block) > 0:
             best = e
     return best
 
@@ -259,7 +294,7 @@ def exponent_pairs(draw):
 @given(exponent_pairs())
 def test_order_key_and_packs_agree_with_exp_cmp(drawn):
     kind, block, e1, e2 = drawn
-    c = k.exp_cmp(e1, e2, kind, block)
+    c = exp_cmp(e1, e2, kind, block)
     key = MonomialOrder(["grevlex", "lex", "block"][kind], block).key
     assert (key(e1) > key(e2)) - (key(e1) < key(e2)) == c
     assert k.leading_exponent({e1: 1, e2: 1}, kind, block) == (

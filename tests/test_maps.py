@@ -157,6 +157,8 @@ def test_multidegree_invariants_enforced():
         MultidegreeVector((1, 0, 2))
     with pytest.raises(ValueError):
         MultidegreeVector((1, -1, 0))
+    with pytest.raises(ValueError, match="not log-concave at j = 2"):
+        MultidegreeVector((1, 3, 1, 1))
     md = MultidegreeVector((1, 2, 0))
     assert md.n == 2 and md.topological_degree == 0
 

@@ -1,6 +1,7 @@
-"""The Gebauer-Möller update of `buchberger` works on packed leading
-exponents.  These tests pin it to the same criteria on exponent tuples:
-the S-pairs it reduces, their order and the basis must not change.
+"""The Gebauer-Möller update of `buchberger` works on the divisibility
+packs of its `Reducers`.  These tests pin it to the same criteria on
+exponent tuples: the S-pairs it reduces, their order and the basis must
+not change, also when the `Reducers` widen while pairs are live.
 
 `tuple_buchberger` below is the reference: the pair loop of `buchberger`
 with the update written on exponent tuples, one `exp_divides` test per
@@ -137,9 +138,10 @@ def test_packed_update_matches_tuple_criteria(ideal, order):
 @st.composite
 def wide_ideals(draw):
     """Small ideals with each variable x_i replaced by x_i^s_i.  Scales of
-    97 and 128 give leading exponents of 256 and more, so the packed
-    criteria widen, at the first generator or in the middle of the pair
-    loop; mixed scales make runs unlike those of the unscaled ideal."""
+    97 and 128 give exponents of 256 and more, so the `Reducers`, and with
+    them the packs of the pair update, widen to 10 bits and beyond, at the
+    first generator or in the middle of the pair loop; mixed scales make
+    runs unlike those of the unscaled ideal."""
     n, gens = draw(small_ideals(min_vars=2))
     scale = draw(st.lists(st.sampled_from([1, 2, 97, 128]),
                           min_size=n, max_size=n))
@@ -155,15 +157,60 @@ def test_packed_update_matches_tuple_criteria_on_wide_leads(gens, order):
     same_run(gens, order)
 
 
+def widenings_in_reductions(gens, order):
+    """Runs `buchberger` and returns, for each widening of its `Reducers`
+    inside `s_polynomial_remainder`, the number of elements then and the
+    pairs reduced after it."""
+    real_widen = kernel.Reducers.widen
+    real_remainder = kernel.s_polynomial_remainder
+    reduced = []
+    inside = []
+    widenings = []
+
+    def widen(self, width):
+        before = self.width
+        real_widen(self, width)
+        if inside and self.width > before:
+            widenings.append((len(self.entries), len(reduced)))
+
+    def remainder(reducers, i, j, m, p):
+        reduced.append((i, j))
+        inside.append(True)
+        try:
+            return real_remainder(reducers, i, j, m, p)
+        finally:
+            inside.pop()
+
+    with mock.patch.object(kernel.Reducers, "widen", widen), \
+            mock.patch.object(kernel, "s_polynomial_remainder", remainder):
+        buchberger(Ideal(gens), order)
+    return [(n, reduced[k:]) for n, k in widenings]
+
+
 def test_widening_in_the_pair_loop_matches_tuple_criteria():
-    """x0*x2^90 - x1^3 and x0^3 - x1*x2 + 1 under block_order(1): a lead
-    of degree 271 in x2 joins after pairs were reduced (the sympy oracle
-    test of this ideal checks that), so the leads and the live lcms are
-    packed again in the middle of the run."""
+    """x0*x2^90 - x1^3 and x0^3 - x1*x2 + 1 under block_order(1): the
+    `Reducers` widen from 8 to 16 bits inside a reduction, whose remainder
+    has a lead of degree 271 in x2 (the sympy oracle test of this ideal
+    checks that), so the pair update reads its packs at the new width."""
     x0, x1, x2 = (Polynomial.variable(F, 3, i) for i in range(3))
     gens = [x0 * x2 ** 90 - x1 ** 3,
             x0 ** 3 - x1 * x2 + Polynomial.constant(F, 3, 1)]
     same_run(gens, block_order(1))
+    assert [n for n, _ in widenings_in_reductions(gens, block_order(1))] == [4]
+
+
+def test_widening_with_live_pairs_matches_tuple_criteria():
+    """Three cubics under grevlex: the fields start 3 bits wide and widen
+    to 4 inside a reduction while the pair (0, 1) waits on the heap, so
+    the next `append` packs its lcm and the others again.  With stale packs
+    the B_k guard test drops a pair that the tuple criteria reduce."""
+    x0, x1, x2 = (Polynomial.variable(F, 3, i) for i in range(3))
+    gens = [2 * x0 ** 2 * x1 + 4 * x1 * x2 ** 2,
+            18 * x0 * x1 ** 2 + 12 * x0 ** 3 + 14 * x0 * x1 * x2,
+            5 * x2 ** 3 + 19 * x1 ** 2 * x2]
+    same_run(gens, GREVLEX)
+    [(n, later)] = widenings_in_reductions(gens, GREVLEX)
+    assert n == 3 and (0, 1) in later
 
 
 def test_pair_counts_of_a_verify_pass():

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import toricpolar
 import toricpolar.cli  # noqa: F401  (the tracer wraps only loaded modules)
+from toricpolar import maps
+from toricpolar.constructions import cremona_poly
 from toricpolar.field import PrimeField
 from toricpolar.poly import Polynomial
 
@@ -58,3 +60,21 @@ def test_tracer_wraps_every_hook_and_restores_every_binding():
     after = bindings()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def test_traced_solve_gives_the_answer_and_the_basis_spans():
+    """A traced `multidegrees` of Cremona n = 3 gives the untraced answer
+    and books its grevlex base-locus basis and its block-order slice bases
+    to the spans that the per-layer metrics read."""
+    untraced = maps.multidegrees(maps.toric_polar_map(cremona_poly(3)))
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        assert tracer.install(PrimeField().kernel) == []
+        traced = maps.multidegrees(maps.toric_polar_map(cremona_poly(3)))
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    names = {span[1] for span in tracer.spans}
+    assert {"groebner.buchberger_grevlex",
+            "groebner.buchberger_block"} <= names
