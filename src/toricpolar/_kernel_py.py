@@ -4,9 +4,9 @@ A polynomial is a dict mapping exponent tuples to nonzero coefficients in
 {1, ..., p-1}; the zero polynomial is the empty dict.  All functions here
 return fresh dicts and never mutate their arguments, except where noted.
 
-This is the package's only term kernel: every `PrimeField` carries this
-module as `field.kernel`, whatever its prime, and the polynomial and
-Gröbner code call it through that attribute.
+This is the package's only term kernel, whatever the prime.  The
+polynomial and Gröbner code call its functions as attributes of this
+module, so a wrapper set on the module sees every call.
 
 Monomial-order codes (`kind`):
   0  graded reverse lexicographic

@@ -85,31 +85,6 @@ def one_plus_h(n: int, power: int = 1) -> ChowClassVector:
     return ChowClassVector([comb(power, i) for i in range(n + 1)])
 
 
-def inverse_one_plus_h_power(n: int, power: int) -> ChowClassVector:
-    """(1+h)^(-power) truncated at h^(n+1), via the geometric expansion."""
-    if power < 0:
-        raise ValueError("power must be nonnegative")
-    if power == 0:
-        return ChowClassVector([1] + [0] * n)
-    return ChowClassVector([(-1) ** i * comb(power + i - 1, i)
-                            for i in range(n + 1)])
-
-
-def substitute_h_over_one_plus_h(coefficients: Sequence[int]) -> ChowClassVector:
-    """q(h) -> q(h/(1+h)) truncated: each h^i picks up (1+h)^(-i)."""
-    coeffs = tuple(coefficients)
-    n = len(coeffs) - 1
-    out = ChowClassVector([0] * (n + 1))
-    h_i = ChowClassVector([1] + [0] * n)
-    h = ChowClassVector([0, 1] + [0] * (n - 1)) if n else None
-    for i, c in enumerate(coeffs):
-        if c:
-            out = out + c * (h_i * inverse_one_plus_h_power(n, i))
-        if i < n:
-            h_i = h_i * h
-    return out
-
-
 def csm_standard_complement(d) -> ChowClassVector:
     """CSM class of the standard complement from toric polar multidegrees:
     coefficient c_i = (-1)^i d_i."""
@@ -134,11 +109,13 @@ def euler_divisor_complement(d) -> int:
 
 def csm_complement_of_hypersurface(g) -> ChowClassVector:
     """CSM class of P^n minus the hypersurface, from gradient multidegrees:
-    (1+h)^n * q(h/(1+h)) with q(h) = sum (-1)^i g_i h^i."""
+    sum_i (-1)^i g_i h^i (1+h)^(n-i) (Huh, J. Amer. Math. Soc. 25, 2012),
+    so coefficient r is sum_(i<=r) (-1)^i g_i C(n-i, r-i)."""
     values = _values(g)
     n = len(values) - 1
-    q = [(-1) ** i * v for i, v in enumerate(values)]
-    return one_plus_h(n, n) * substitute_h_over_one_plus_h(q)
+    return ChowClassVector([sum((-1) ** i * values[i] * comb(n - i, r - i)
+                                for i in range(r + 1))
+                            for r in range(n + 1)])
 
 
 def toric_from_gradient(g) -> tuple[int, ...]:

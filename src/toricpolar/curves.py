@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from .errors import PreconditionError, ToricPolarError
 from .gcdtools import (binary_form_distinct_roots, multivariate_gcd,
                        squarefree_part)
-from .groebner import (Ideal, eliminate, hilbert_dim_degree, intersect,
-                       saturate, vector_space_dimension)
+from .groebner import (Ideal, eliminate, hilbert_dim_degree, saturate,
+                       vector_space_dimension)
 from .maps import RandomizationConfig, topological_degree, toric_polar_map
 from .poly import Polynomial
 
@@ -103,9 +103,11 @@ def milnor_at_point(f: Polynomial, point) -> int:
     """Milnor number of the curve at a rational projective point.
 
     Dehomogenizes on a chart where the point is finite, translates it to
-    the origin and measures the local Jacobian algebra: the dimension drop
-    between the quotient by I = (dF/du, dF/dv) and the quotient by
-    I : (u, v)^infinity."""
+    the origin and returns the colength of J + m^N, J = (dF/du, dF/dv), m =
+    (u, v), N the colength of J.  F[u, v]/J is the product of the local
+    Jacobian algebras at the points of V(J), rational or not; m^N kills the
+    one at the origin (its length mu <= N, Nakayama) and is the unit ideal
+    at every other point, so the quotient is that algebra, of length mu."""
     _check_plane_curve(f, require_coprime=False)
     fld = f.field
     pt = [c % fld.p for c in point]
@@ -126,8 +128,8 @@ def milnor_at_point(f: Polynomial, point) -> int:
     if not jac.generators:
         raise PreconditionError("non-isolated singularity")
     total = vector_space_dimension(jac)
-    away = intersect(saturate(jac, u), saturate(jac, v))
-    return total - vector_space_dimension(away)
+    m_n = [u ** i * v ** (total - i) for i in range(total + 1)]
+    return vector_space_dimension(Ideal([*jac.generators, *m_n]))
 
 
 def total_milnor(f: Polynomial) -> int:

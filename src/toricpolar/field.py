@@ -1,9 +1,9 @@
 """Prime fields F_p used as exact coefficient domains.
 
 Elements are plain Python ints reduced into [0, p).  The field object
-carries the modulus, inversion and the term kernel
-(`toricpolar._kernel_py`) that the polynomial and Gröbner code call for
-the hot term arithmetic.
+carries the modulus and inversion; the hot term arithmetic lives in the
+one term kernel, `toricpolar._kernel_py`, which the polynomial and
+Gröbner code call as a module.
 """
 
 from . import _kernel_py
@@ -45,12 +45,13 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """The field F_p together with the term kernel used for its arithmetic."""
+    """The field F_p."""
 
     __slots__ = ("p",)
 
+    # read only by perfbench/: the kernel its tracer wraps, and its name
     kernel = _kernel_py
-    backend = "python"  # the kernel's name, recorded in benchmark run contexts
+    backend = "python"
 
     def __init__(self, p: int = DEFAULT_PRIME):
         if not is_prime(p):

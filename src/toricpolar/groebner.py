@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ._kernel_py import exp_divides
+from . import _kernel_py
 from .errors import PreconditionError, ToricPolarError
 from .field import PrimeField
 from .poly import GREVLEX, MonomialOrder, Polynomial, block_order
@@ -72,8 +72,8 @@ class GroebnerBasis(Ideal):
         """The generators packed as kernel reducers, on first use (most
         bases only give their leading exponents)."""
         if self._reducers is None:
-            red = self.field.kernel.Reducers(self.order.code,
-                                             self.order.block, self.arity)
+            red = _kernel_py.Reducers(self.order.code, self.order.block,
+                                      self.arity)
             for g, e in zip(self.generators, self._lead_exps):
                 red.append(g.terms, e, self.field.inv(g.terms[e]))
             self._reducers = red
@@ -82,8 +82,8 @@ class GroebnerBasis(Ideal):
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.field != self.field or f.arity != self.arity:
             raise ValueError("polynomial from a different ring")
-        r = self.field.kernel.normal_form_terms(f.terms, self._packed(),
-                                                self.field.p)
+        r = _kernel_py.normal_form_terms(f.terms, self._packed(),
+                                         self.field.p)
         return Polynomial(self.field, self.arity, r, _clean=True)
 
     def contains(self, f: Polynomial) -> bool:
@@ -91,17 +91,16 @@ class GroebnerBasis(Ideal):
 
     def s_polynomials_reduce_to_zero(self) -> bool:
         """Debug check of the defining property."""
-        k = self.field.kernel
         p = self.field.p
         lead, elems = self._lead_exps, self.generators
         invs = [self.field.inv(g.terms[e]) for g, e in zip(elems, lead)]
         reducers = self._packed()
         for i in range(len(elems)):
             for j in range(i + 1, len(elems)):
-                s = _s_terms(k, p, elems[i].terms, lead[i], invs[i],
+                s = _s_terms(p, elems[i].terms, lead[i], invs[i],
                              elems[j].terms, lead[j], invs[j],
-                             k.exp_lcm(lead[i], lead[j]))
-                if k.normal_form_terms(s, reducers, p):
+                             _kernel_py.exp_lcm(lead[i], lead[j]))
+                if _kernel_py.normal_form_terms(s, reducers, p):
                     return False
         return True
 
@@ -112,15 +111,15 @@ class GroebnerBasis(Ideal):
         return len(self.generators)
 
 
-def _s_terms(k, p: int, f: dict, fe: tuple, f_inv: int, g: dict, ge: tuple,
+def _s_terms(p: int, f: dict, fe: tuple, f_inv: int, g: dict, ge: tuple,
              g_inv: int, lcm_exp: tuple) -> dict:
     """Terms of the S-polynomial of f and g, given each leading exponent and
     the inverse of each leading coefficient.  The debug check builds its
     S-polynomials here, on term dicts, apart from the packed builder that
     `buchberger` uses."""
-    a = k.mul_terms(f, {k.exp_sub(lcm_exp, fe): f_inv}, p)
-    b = k.mul_terms(g, {k.exp_sub(lcm_exp, ge): g_inv}, p)
-    return k.sub_terms(a, b, p)
+    a = _kernel_py.mul_terms(f, {_kernel_py.exp_sub(lcm_exp, fe): f_inv}, p)
+    b = _kernel_py.mul_terms(g, {_kernel_py.exp_sub(lcm_exp, ge): g_inv}, p)
+    return _kernel_py.sub_terms(a, b, p)
 
 
 def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
@@ -164,14 +163,13 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     overflows them; the remainders do not depend on the width.
     """
     fld = I.field
-    k = fld.kernel
     p = fld.p
-    lcm_of = k.exp_lcm
+    lcm_of = _kernel_py.exp_lcm
 
     # the elements, monic, as packed entries; lead[h] is the leading
     # exponent of entry h.  `live` maps each live pair to its lcm, packed
     # at `width`, and as a tuple.
-    reducers = k.Reducers(order.code, order.block, I.arity)
+    reducers = _kernel_py.Reducers(order.code, order.block, I.arity)
     lead: list[tuple] = []
     sugar: list[int] = []
     active: list[int] = []
@@ -250,7 +248,7 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
 
     gens = sorted(I.generators, key=lambda g: order.key(g.leading_term(order)[0]))
     for g in gens:
-        r = k.normal_form_packed(g.terms, reducers, p)
+        r = _kernel_py.normal_form_packed(g.terms, reducers, p)
         if r:
             append(r, max(g.total_degree(),
                           max(sum(reducers.unpack(x)) for x, _ in r)))
@@ -260,7 +258,7 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
         m = live.pop((i, j), None)
         if m is None:
             continue
-        r = k.s_polynomial_remainder(reducers, i, j, m[1], p)
+        r = _kernel_py.s_polynomial_remainder(reducers, i, j, m[1], p)
         if r:
             append(r, s)
 
@@ -269,8 +267,8 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     # Reducing each by the others keeps its leading term, so one pass
     # leaves the reduced basis.
     active.sort(key=lambda i: order.key(lead[i]))
-    reduced = [Polynomial(fld, I.arity, r, _clean=True)
-               for r in k.reduce_tails(reducers.subset(active), p)]
+    tails = _kernel_py.reduce_tails(reducers.subset(active), p)
+    reduced = [Polynomial(fld, I.arity, r, _clean=True) for r in tails]
     result = GroebnerBasis(fld, I.arity, order, reduced,
                            [lead[i] for i in active])
     if _DEBUG_CHECK_BASES and not result.s_polynomials_reduce_to_zero():
@@ -368,7 +366,7 @@ def _minimalize_monomials(gens):
     gens = sorted(set(gens), key=lambda e: (sum(e), e))
     out = []
     for e in gens:
-        if not any(exp_divides(f, e) for f in out):
+        if not any(_kernel_py.exp_divides(f, e) for f in out):
             out.append(e)
     return out
 

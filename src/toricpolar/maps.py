@@ -18,7 +18,9 @@ coordinates, restricted to n-j random linear forms (one echelon form mod p;
 its free variables are the j+1 coordinates), a saturation by one further
 random coordinate combination to excise the base locus, and Hilbert-series
 degree extraction.  Independent trials with fresh randomness must agree,
-otherwise a SpecializationError names the slices that disagree.
+otherwise a SpecializationError names the slices that disagree.  A d_n = 0
+is checked against the Jacobian of the coordinates at one random point:
+full rank there proves the map dominant, and the result is rejected.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ class RandomizationConfig:
     trials: int = 2
 
     def __post_init__(self):
+        if not 0 <= self.seed <= _MASK64:
+            raise PreconditionError(f"seed {self.seed} is not in [0, 2^64)")
         if self.trials < 1:
             raise PreconditionError("trials must be at least 1")
         if not is_prime(self.prime):
@@ -154,8 +158,8 @@ def toric_polar_map(f: Polynomial, seed: int = 0) -> RationalMapSpec:
 
     The input is reduced first (the multidegrees only depend on the reduced
     part); it must be homogeneous of positive degree and not divisible by
-    any coordinate variable.  `seed` is accepted for compatibility and does
-    not affect the result: the reduced part is computed deterministically.
+    any coordinate variable.  `seed` has no effect (the reduced part is
+    computed deterministically); only the benchmark (perfbench/) passes it.
     """
     _check_map_input(f)
     for i in range(f.arity):
@@ -181,7 +185,7 @@ def toric_polar_map(f: Polynomial, seed: int = 0) -> RationalMapSpec:
 def gradient_map(f: Polynomial, seed: int = 0) -> RationalMapSpec:
     """The map with coordinates d(f_red)/dx_i; needs deg f_red >= 2.
 
-    `seed` is accepted for compatibility and does not affect the result.
+    `seed` has no effect; only the benchmark (perfbench/) passes it.
     """
     _check_map_input(f)
     f_red = squarefree_part(f)
@@ -343,6 +347,19 @@ def multidegrees(phi: RationalMapSpec,
                 f"{trial}, at (j, trial, sub-seed) "
                 f"{', '.join(map(str, slices))}; rerun with a fresh seed or "
                 "prime", tuple(s for _, _, s in slices))
+    if vec[-1] == 0:
+        # full rank of the Jacobian at one point of the torus makes the cone
+        # map étale there, so the map is dominant; singular proves nothing
+        rng = random.Random(derive_seed(cfg.seed, 0xDE))
+        pt = [rng.randrange(1, cfg.prime) for _ in phi.coordinates]
+        rows = [[c.partial_derivative(i).evaluate(pt) for i in range(len(pt))]
+                for c in phi.coordinates]
+        if _echelon_mod_p(rows, cfg.prime) is not None:
+            raise SpecializationError(
+                f"computed d_{phi.n} = 0, but the Jacobian of the coordinates "
+                "has full rank at a random point, so the map is dominant; "
+                "rerun with a fresh seed or prime", tuple(derive_seed(
+                    cfg.seed, phi.n, t) for t in range(cfg.trials)))
     if phi.n >= 1 and vec[1] != phi.coordinate_degree:
         raise SpecializationError(
             f"computed d_1 = {vec[1]} but the reduced coordinates have "

@@ -141,7 +141,7 @@ class Polynomial:
 
     def leading_term(self, order: MonomialOrder = GREVLEX):
         """(exponent, coefficient) of the largest term; None when zero."""
-        e = self.field.kernel.leading_exponent(self.terms, order.code, order.block)
+        e = _kernel_py.leading_exponent(self.terms, order.code, order.block)
         if e is None:
             return None
         return e, self.terms[e]
@@ -173,8 +173,8 @@ class Polynomial:
         if isinstance(other, int):
             other = Polynomial.constant(self.field, self.arity, other)
         self._check_compatible(other)
-        k = self.field.kernel
-        return self._wrap(k.add_terms(self.terms, other.terms, self.field.p))
+        return self._wrap(_kernel_py.add_terms(self.terms, other.terms,
+                                               self.field.p))
 
     __radd__ = __add__
 
@@ -182,21 +182,22 @@ class Polynomial:
         if isinstance(other, int):
             other = Polynomial.constant(self.field, self.arity, other)
         self._check_compatible(other)
-        k = self.field.kernel
-        return self._wrap(k.sub_terms(self.terms, other.terms, self.field.p))
+        return self._wrap(_kernel_py.sub_terms(self.terms, other.terms,
+                                               self.field.p))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return self._wrap(self.field.kernel.neg_terms(self.terms, self.field.p))
+        return self._wrap(_kernel_py.neg_terms(self.terms, self.field.p))
 
     def __mul__(self, other):
-        k = self.field.kernel
         if isinstance(other, int):
-            return self._wrap(k.scale_terms(self.terms, other, self.field.p))
+            return self._wrap(_kernel_py.scale_terms(self.terms, other,
+                                                     self.field.p))
         self._check_compatible(other)
-        return self._wrap(k.mul_terms(self.terms, other.terms, self.field.p))
+        return self._wrap(_kernel_py.mul_terms(self.terms, other.terms,
+                                               self.field.p))
 
     __rmul__ = __mul__
 
@@ -369,8 +370,7 @@ class Polynomial:
         low = self.monomial_content()
         if not any(low):
             return self
-        k = self.field.kernel
-        out = {k.exp_sub(e, low): c for e, c in self.terms.items()}
+        out = {_kernel_py.exp_sub(e, low): c for e, c in self.terms.items()}
         return self._wrap(out)
 
     def divisible_by_variable(self, i: int) -> bool:
@@ -381,8 +381,8 @@ class Polynomial:
         self._check_compatible(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        quotient = self.field.kernel.divide_terms(self.terms, divisor.terms,
-                                                  self.field.p)
+        quotient = _kernel_py.divide_terms(self.terms, divisor.terms,
+                                           self.field.p)
         return None if quotient is None else self._wrap(quotient)
 
     # ---------------------------------------------------------------- printing

@@ -11,7 +11,6 @@ from toricpolar.classes import (ChowClassVector, check_union_general_section,
                                 euler_divisor_complement,
                                 euler_standard_complement,
                                 gradient_from_toric, one_plus_h,
-                                substitute_h_over_one_plus_h,
                                 toric_from_gradient)
 from toricpolar.errors import PreconditionError
 
@@ -85,13 +84,12 @@ def test_binomial_transforms_inverse(vec):
 @given(st.lists(st.integers(-20, 20), min_size=1, max_size=7))
 def test_transform_pair_satisfies_twist_identity(g):
     # (1+h) p(h) = q(h/(1+h)) truncated, where p, q are the signed class
-    # polynomials of the transformed pair
+    # polynomials of the transformed pair; times the unit (1+h)^n this is
+    # the hyperplane-twist identity between the two CSM classes
     g = tuple(g)
-    n = len(g) - 1
-    d = toric_from_gradient(g)
-    p = ChowClassVector([(-1) ** i * d[i] for i in range(n + 1)])
-    q = [(-1) ** i * g[i] for i in range(n + 1)]
-    assert one_plus_h(n, 1) * p == substitute_h_over_one_plus_h(q)
+    assert check_union_general_section(
+        csm_complement_of_hypersurface(g),
+        csm_standard_complement(toric_from_gradient(g)))
 
 
 def test_union_general_section_check():

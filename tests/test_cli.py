@@ -173,6 +173,35 @@ def test_non_log_concave_multidegrees_exit_code(capsys):
     assert "not log-concave at j = 2" in capsys.readouterr().err
 
 
+def test_dominant_map_with_zero_top_multidegree_exit_code(capsys):
+    """At p = 5 both trials slice d_2 = 0 for the nodal cubic.  Its toric
+    polar map has Jacobian determinant 36*x0^4*x1*x2, nonzero mod 5, so
+    the map is dominant and the zero is reported, not printed."""
+    code, out = run_cli(["multidegrees", "--poly", "x1^2*x2 - x0^3 - x0^2*x2",
+                         "--vars", "x0,x1,x2", "--prime", "5", "--json"])
+    assert (code, out) == (4, "")
+    assert "computed d_2 = 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prime", ["5", "11"])
+def test_nondominant_map_keeps_its_zero(prime):
+    # the toric polar map of x0^2 - x1*x2 has two equal coordinates, so its
+    # Jacobian is singular everywhere and d_2 = 0 stands
+    code, out = run_cli(["multidegrees", "--poly", "x0^2 - x1*x2",
+                         "--vars", "x0,x1,x2", "--prime", prime, "--json"])
+    assert code == 0
+    assert json.loads(out)["multidegrees"] == [1, 2, 0]
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_seed_outside_uint64_exit_code(seed, capsys):
+    # a seed is used modulo 2^64, so one outside [0, 2^64) would silently
+    # stand for another
+    code, out = run_cli(["verify", "--prime", "11", "--seed", seed, "--json"])
+    assert (code, out) == (3, "")
+    assert "not in [0, 2^64)" in capsys.readouterr().err
+
+
 def test_verify_default_corpus():
     code, out = run_cli(["verify", "--seed", "42", "--json"])
     assert code == 0
@@ -271,7 +300,10 @@ VERIFY_PRIME_11 = (
     ' (2, 0, 6083125775764789064), (2, 1, 10553184040934533401);'
     ' rerun with a fresh seed or prime [seeds: 6083125775764789064,'
     ' 10553184040934533401]"}, {"name": "pyramid-families", "passed":'
-    ' false, "witness": "family (a), n=2, k=None: degree 0"},'
+    ' false, "witness": "SpecializationError: computed d_2 = 0,'
+    ' but the Jacobian of the coordinates has full rank at a random'
+    ' point, so the map is dominant; rerun with a fresh seed or prime'
+    ' [seeds: 6083125775764789064, 10553184040934533401]"},'
     ' {"name": "monomial-invariance", "passed": false, "witness":'
     ' "SpecializationError: trials disagree: (1, 3, 2) in trial 0,'
     ' (1, 3, 1) in trial 1, at (j, trial, sub-seed) (2, 0,'
@@ -280,7 +312,10 @@ VERIFY_PRIME_11 = (
     ' 10553184040934533401]"}, {"name": "hyperplane-arrangements",'
     ' "passed": true, "witness": null}, {"name":'
     ' "cremona-dolgachev-multidegrees", "passed": false, "witness":'
-    ' "cremona n=2: (1, 2, 0) != (1, 2, 1)"}]}\n')
+    ' "SpecializationError: computed d_2 = 0,'
+    ' but the Jacobian of the coordinates has full rank at a random'
+    ' point, so the map is dominant; rerun with a fresh seed or prime'
+    ' [seeds: 6083125775764789064, 10553184040934533401]"}]}\n')
 
 
 def test_failing_verify_golden():

@@ -109,6 +109,35 @@ def test_total_milnor_ordinary_triple_point():
     assert multidegrees(toric_polar_map(f), CFG).topological_degree == 0
 
 
+def test_milnor_where_the_jacobian_has_points_off_f_p():
+    # two lines and a conic through five nodes; at p = 2^31 - 1 = 3 mod 4
+    # the nodes (0 : 1 : +-i) are not defined over F_p.  In the chart
+    # x2 = 1 the Jacobian algebra has dimension 9, against mu = 1 at the
+    # origin, so only the part at the point may be counted.
+    f = P("x0*x1*(x0^2 - x1^2 - x2^2)")
+    assert milnor_at_point(f, (0, 0, 1)) == 1
+    assert milnor_at_point(f, (1, 0, 1)) == 1
+    assert milnor_at_point(f, (1, 0, -1)) == 1
+    assert milnor_at_point(f, (1, 1, 0)) == 0
+    assert total_milnor(f) == 5
+
+
+def test_milnor_at_point_makes_two_bases(monkeypatch):
+    # one basis for the colength of J, one for J + (u, v)^colength
+    from toricpolar import groebner
+    calls = []
+    real = groebner.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args[1] if len(args) > 1 else kwargs.get("order"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    assert milnor_at_point(CUSP, (27, 9, 1)) == 2
+    assert len(calls) == 2
+    assert all(order is None or order.kind == "grevlex" for order in calls)
+
+
 def test_milnor_at_point_rejects_nonisolated():
     # x0*x1^2 is a double line: the Jacobian ideal at (1:0:0) is principal
     with pytest.raises(PreconditionError):

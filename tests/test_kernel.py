@@ -410,7 +410,7 @@ def s_reference(elements, i, j, p, kind, block):
     for lead, f in elements:
         reducers.append(f, lead, 1)
     return m, k.normal_form_terms(
-        _s_terms(k, p, fi, li, 1, fj, lj, 1, m), reducers, p)
+        _s_terms(p, fi, li, 1, fj, lj, 1, m), reducers, p)
 
 
 def packed_s_remainder(reducers, i, j, m, p):

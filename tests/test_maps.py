@@ -279,6 +279,10 @@ def test_randomization_config_validation():
         RandomizationConfig(trials=0)
     with pytest.raises(PreconditionError):
         RandomizationConfig(prime=91)
+    for seed in (-1, 1 << 64):
+        with pytest.raises(PreconditionError):
+            RandomizationConfig(seed=seed)
+    assert RandomizationConfig(seed=(1 << 64) - 1).seed == (1 << 64) - 1
 
 
 def test_derive_seed_is_stable_and_spread():

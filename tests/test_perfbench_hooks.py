@@ -64,8 +64,9 @@ def test_tracer_wraps_every_hook_and_restores_every_binding():
 
 def test_traced_solve_gives_the_answer_and_the_basis_spans():
     """A traced `multidegrees` of Cremona n = 3 gives the untraced answer
-    and books its grevlex base-locus basis and its block-order slice bases
-    to the spans that the per-layer metrics read."""
+    and books its grevlex base-locus basis, its block-order slice bases and
+    its kernel products to the spans that the per-layer metrics read.  The
+    products show only while the package calls the kernel as a module."""
     untraced = maps.multidegrees(maps.toric_polar_map(cremona_poly(3)))
     tracing = load_tracing()
     tracer = tracing.Tracer()
@@ -77,4 +78,4 @@ def test_traced_solve_gives_the_answer_and_the_basis_spans():
     assert traced == untraced
     names = {span[1] for span in tracer.spans}
     assert {"groebner.buchberger_grevlex",
-            "groebner.buchberger_block"} <= names
+            "groebner.buchberger_block", "kernel.mul_terms"} <= names
