@@ -79,7 +79,9 @@ So the divisor chosen, and with it every remainder and basis, is the one a
 scan of the list gives.  The order pack is left out of the index: its
 forms are linear with nonnegative coefficients, so x^a | x^b already gives
 form(a) <= form(b) for every form, and comparing them would only widen the
-slots.
+slots.  `Reducers.standard_successors` runs the same test on the
+monomials of one degree, to find those that no leading exponent divides,
+for the complete-intersection bound of `buchberger`.
 
 The Gebauer-Möller update of `buchberger` works in the same layout and
 has none of its own: it reads the divisibility pack of each lead as
@@ -324,6 +326,42 @@ class Reducers:
         entries = self.entries
         return Reducers(self.kind, self.block, self.arity, self.width,
                         [entries[i] for i in indices])
+
+    def repack_low(self, xs, width):
+        """The set `xs` of divisibility packs made at `width`, at the
+        current width: `xs` itself when the widths agree."""
+        if width == self.width:
+            return xs
+        shifts, mask = _layout(self.kind, self.block, self.arity, width)[2:4]
+        moves = list(zip(shifts, self.shifts))
+        return {sum([(x >> a & mask) << b for a, b in moves]) for x in xs}
+
+    def standard_successors(self, std, width):
+        """The standard monomials of degree D + 1 (no leading exponent
+        divides them), as a set of divisibility packs at the current width,
+        given `std`, those of degree D, made at `width`.
+
+        A monomial of degree D + 1 is standard exactly when its divisors of
+        degree D are, so it is x^a * x_v for a standard x^a; it is built
+        once, from the x^a whose last variable is at most v.  The divisor
+        index tests each candidate in a fixed number of big-int operations.
+        The fields must hold D + 1.
+        """
+        std = self.repack_low(std, width)
+        step = self.width + 1
+        units = [1 << s for s in self.shifts]
+        arity = self.arity
+        index, ones = self.index, self.ones
+        guard_slots = self.low_guards * ones
+        flags = ones << self.slot - 1
+        carry = flags - guard_slots
+        out = set()
+        for a in std:
+            for v in range(max(a.bit_length() - 1, 0) // step, arity):
+                b = a + units[v]
+                if not ((b * ones + index) & guard_slots) + carry & flags:
+                    out.add(b)
+        return out
 
 
 def normal_form_terms(f, reducers, p):

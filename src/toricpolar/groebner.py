@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import os
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Sequence
 
 from . import _kernel_py
@@ -161,6 +162,27 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     once, when the tail-reduction pass returns it.  The `Reducers` fields
     hold twice the degree of a pair's lcm and double when a product
     overflows them; the remainders do not depend on the width.
+
+    Under grevlex, with r <= arity nonzero homogeneous generators of
+    degrees d_1..d_r, the pair loop is Hilbert-driven (Traverso,
+    J. Symbolic Comput. 22, 1996).  The bound h is the Hilbert function of
+    a complete intersection of those degrees, the coefficients of
+    prod(1 - t^d_i) / (1 - t)^arity, and HF(R/I) >= h in every degree D,
+    also over F_p: the multiplication map from the sum of the R_(D - d_i)
+    to R_D has rank at most its rank for generic forms of those degrees,
+    which form a regular sequence.  The elements are homogeneous and the
+    sugar is their degree, so the heap returns the pairs degree by degree.
+    At the first pair of degree D, the standard monomials of degree D (no
+    lead divides them) are made from those of degree D - 1 through the
+    divisor index (`Reducers.standard_successors`), and each nonzero
+    remainder of degree D takes its lead out of them.  They number at
+    least HF(R/I)(D), so once their count c equals h(D) the leads span the
+    leading terms of I_D: every remaining pair of degree D would reduce to
+    zero and is dropped unreduced, and the same elements join in the same
+    order.  Counting stops for the call after the first degree that ends
+    with c > h(D), as it does early on an ideal that is not a complete
+    intersection.  A count below h(D), or a new lead outside the standard
+    set, is a broken invariant and raises `ToricPolarError`.
     """
     fld = I.field
     p = fld.p
@@ -253,14 +275,50 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
             append(r, max(g.total_degree(),
                           max(sum(reducers.unpack(x)) for x, _ in r)))
 
+    # while the complete-intersection bound is counted: the standard
+    # monomials of degree `deg`, as divisibility packs made at `std_width`,
+    # and the bound h in that degree; std is None when it is not
+    std = None
+    if (heap and order == GREVLEX and len(gens) <= I.arity
+            and all(g.is_homogeneous() for g in gens)):
+        bound = _complete_intersection_hilbert(
+            [g.total_degree() for g in gens], I.arity)
+        std, deg, std_width, h = {0}, 0, reducers.width, bound(0)
+
     while heap:
         s, _, i, j = heapq.heappop(heap)
         m = live.pop((i, j), None)
         if m is None:
             continue
+        while std is not None and deg < s:
+            # degree `deg` ended: stop counting if it ended above its bound,
+            # else count the next one
+            if len(std) > h:
+                std = None
+                break
+            std = reducers.standard_successors(std, std_width)
+            std_width = reducers.width
+            deg += 1
+            h = bound(deg)
+            if len(std) < h:
+                raise ToricPolarError(
+                    f"{len(std)} standard monomials of degree {deg}, below "
+                    f"the complete-intersection bound {h}")
+        if std is not None and len(std) == h:
+            continue  # degree s of the basis is complete
         r = _kernel_py.s_polynomial_remainder(reducers, i, j, m[1], p)
         if r:
             append(r, s)
+            if std is not None:
+                # the new lead is a standard monomial of degree s
+                std = reducers.repack_low(std, std_width)
+                std_width = reducers.width
+                x = reducers.entries[-1][0] & reducers.low
+                if x not in std:
+                    raise ToricPolarError(
+                        f"the new leading exponent {lead[-1]} of degree {s} "
+                        f"is not a standard monomial")
+                std.remove(x)
 
     # Every element is reduced by all earlier ones, so no leading term
     # divides a later one and the active elements form a minimal basis.
@@ -277,6 +335,20 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
             f"{len(result)}-element basis under the {order.kind} order "
             f"(block {order.block}) does not reduce to zero")
     return result
+
+
+def _complete_intersection_hilbert(degrees: Sequence[int], arity: int):
+    """The Hilbert function, as a function of the degree D, of the quotient
+    of the polynomial ring in `arity` variables by a complete intersection
+    of forms of these degrees: the coefficient of t^D in
+    prod(1 - t^d) / (1 - t)^arity."""
+    numerator = {0: 1}
+    for d in degrees:
+        for k, c in list(numerator.items()):
+            numerator[k + d] = numerator.get(k + d, 0) - c
+    terms = [(k, c) for k, c in numerator.items() if c]
+    return lambda D: sum(c * comb(D - k + arity - 1, arity - 1)
+                         for k, c in terms if k <= D)
 
 
 def _adjoin_variable_first(g: Polynomial) -> Polynomial:

@@ -381,9 +381,13 @@ def topological_degree(phi: RationalMapSpec,
 
 
 def random_translate(f: Polynomial, seed: int) -> Polynomial:
-    """f composed with a random invertible linear change of coordinates."""
+    """f composed with a random invertible linear change of coordinates;
+    `seed` must lie in [0, 2^64), the range of `derive_seed`, which would
+    otherwise map seeds that differ by 2^64 to the same translate."""
     if not f.is_homogeneous():
         raise PreconditionError("translate needs homogeneous input")
+    if not 0 <= seed <= _MASK64:
+        raise PreconditionError(f"seed {seed} is not in [0, 2^64)")
     rng = random.Random(derive_seed(seed, 0xA5))
     arity = f.arity
     p = f.field.p

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -417,6 +418,64 @@ def test_hilbert_numerator_invariant():
     data = hilbert_dim_degree(Ideal([P("x0^2"), P("x0*x1")]))
     assert sum(data.numerator) == data.degree
     assert sum(data.numerator) != 0
+
+
+# --- complete-intersection bound ------------------------------------------------
+
+def _hilbert_function(leads, arity, D):
+    """The Hilbert function in degree D of the quotient by the monomial
+    ideal of `leads`, from the numerator `_hilbert_numerator` gives."""
+    numerator = groebner._hilbert_numerator(list(leads), {})
+    return sum(c * math.comb(D - k + arity - 1, arity - 1)
+               for k, c in enumerate(numerator) if k <= D)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_carried_standard_count_is_the_hilbert_function(seed):
+    """The standard monomials `buchberger` carries from one degree to the
+    next, counted on the leads of a random monomial ideal, number its
+    Hilbert function in each degree; half way the fields widen, and the
+    carried packs follow them."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    leads = [tuple(rng.randint(0, 3) for _ in range(n))
+             for _ in range(rng.randint(1, 5))]
+    leads = [e for e in leads if sum(e)] or [(1,) * n]
+    reducers = kernel.Reducers(kernel.GREVLEX, 0, n)
+    for e in leads:
+        reducers.append({e: 1}, e, 1)
+    reducers.widen(4)  # fields hold 15, past the last degree counted
+    std, width = {0}, reducers.width
+    for D in range(13):
+        assert len(std) == _hilbert_function(leads, n, D)
+        if D == 6:
+            reducers.widen(8)
+        std, width = reducers.standard_successors(std, width), reducers.width
+
+
+@pytest.mark.parametrize("degrees, arity", [((4, 4, 4, 4), 4), ((1, 3), 3),
+                                            ((2,), 1), ((5, 1, 2), 4)])
+def test_complete_intersection_bound_of_coordinate_powers(degrees, arity):
+    """x_i^(d_i) for i < r is a complete intersection of those degrees."""
+    leads = [tuple(d if j == i else 0 for j in range(arity))
+             for i, d in enumerate(degrees)]
+    h = groebner._complete_intersection_hilbert(degrees, arity)
+    values = [h(D) for D in range(20)]
+    assert values == [_hilbert_function(leads, arity, D) for D in range(20)]
+    if degrees == (4, 4, 4, 4):
+        assert sum(values) == 256 and values[13:] == [0] * 7
+
+
+def test_a_bound_above_the_hilbert_function_raises(monkeypatch):
+    """A bound above the true Hilbert function is a broken invariant: an
+    error that `python -O` keeps, not an assert."""
+    real = groebner._complete_intersection_hilbert
+    monkeypatch.setattr(groebner, "_complete_intersection_hilbert",
+                        lambda degrees, arity: lambda D: real(degrees,
+                                                              arity)(D) + 1)
+    gens = [P("x0^2 + x1*x2"), P("x1^2 - x0*x2"), P("x2^2 + x0*x1")]
+    with pytest.raises(ToricPolarError, match="below the complete-inter"):
+        buchberger(Ideal(gens), GREVLEX)
 
 
 # --- vector space dimension ---------------------------------------------------------

@@ -86,6 +86,63 @@ def test_buchberger_matches_sympy_lex(ideal):
     assert canonical(ours(G)) == canonical(sympy_basis(gens, n, "lex"))
 
 
+@st.composite
+def homogeneous_ideals(draw):
+    """At most as many homogeneous generators as variables, in 2-4
+    variables, each of its own degree: random forms (a regular sequence),
+    forms with a common factor, a last generator that repeats or depends
+    on the others, or monomials.  `buchberger` counts the
+    complete-intersection bound on all of them; it is met on the first
+    kind, and the others test where it is not."""
+    n = draw(st.integers(2, 4))
+    top = 2 if n == 4 else MAX_DEGREE
+    kind = draw(st.sampled_from(["random", "common factor", "dependent",
+                                 "monomial"]))
+    r = draw(st.integers(2 if kind == "dependent" else 1, n))
+    degrees = draw(st.lists(st.integers(1, top), min_size=r, max_size=r))
+
+    def form(d):
+        exps = [e for e in itertools.product(range(d + 1), repeat=n)
+                if sum(e) == d]
+        if kind == "monomial":
+            return Polynomial.monomial(F, n, draw(st.sampled_from(exps)))
+        coefficients = draw(st.lists(st.integers(0, P - 1),
+                                     min_size=len(exps), max_size=len(exps)))
+        terms = {e: c for e, c in zip(exps, coefficients) if c}
+        return Polynomial(F, n, terms or {exps[0]: 1})
+
+    if kind == "common factor":
+        h = form(draw(st.integers(1, 2)))
+        return n, [h * form(d) for d in degrees]
+    gens = [form(d) for d in degrees]
+    if kind == "dependent":
+        # a combination of the others, with monomial multipliers up to the
+        # largest of their degrees, or the first generator again
+        d = max(degrees[:-1])
+        last = Polynomial.constant(F, n, 0)
+        for g in gens[:-1]:
+            v = draw(st.integers(0, n - 1))
+            c = draw(st.integers(0, P - 1))
+            last = last + c * Polynomial.variable(F, n, v) ** (
+                d - g.total_degree()) * g
+        gens[-1] = last if not last.is_zero() else gens[0]
+    return n, gens
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals())
+def test_buchberger_with_the_complete_intersection_bound_matches_sympy(
+        ideal):
+    """At most as many homogeneous generators as variables: `buchberger`
+    leaves out the rest of a degree once it meets the bound, and the basis
+    must still be sympy's and reduce its own S-polynomials to zero."""
+    n, gens = ideal
+    G = buchberger(Ideal(gens), GREVLEX)
+    assert canonical(ours(G)) == canonical(sympy_basis(gens, n, "grevlex"))
+    assert G.s_polynomials_reduce_to_zero()
+
+
 # block_order(1): grevlex on x0, then grevlex on the other variables
 BLOCK_1 = ProductOrder((grevlex, lambda m: m[:1]),
                        (grevlex, lambda m: m[1:]))

@@ -301,6 +301,15 @@ def test_random_translate_preserves_degree_and_homogeneity():
         assert g.homogeneous_degree() == 3
 
 
+def test_random_translate_rejects_seeds_outside_64_bits():
+    """Seeds that differ by 2^64 would give the same translate."""
+    f = P(CUSP)
+    for seed in (-1, 1 << 64):
+        with pytest.raises(PreconditionError, match=r"not in \[0, 2\^64\)"):
+            random_translate(f, seed)
+    assert random_translate(f, 0) != random_translate(f, (1 << 64) - 1)
+
+
 def test_translate_of_fermat_conic_has_degree_four():
     # general position: degree = k^n with no singularities (k = n = 2)
     g = random_translate(P("x0^2 + x1^2 + x2^2"), 21)

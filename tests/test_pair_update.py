@@ -1,12 +1,15 @@
 """The Gebauer-Möller update of `buchberger` works on the divisibility
 packs of its `Reducers`.  These tests pin it to the same criteria on
 exponent tuples: the S-pairs it reduces, their order and the basis must
-not change, also when the `Reducers` widen while pairs are live.
+not change, also when the `Reducers` widen while pairs are live.  On
+homogeneous grevlex input `buchberger` also leaves out the rest of a
+degree once the complete-intersection bound is met; it then reduces a
+subsequence of the reference's pairs that keeps every nonzero reduction.
 
 `tuple_buchberger` below is the reference: the pair loop of `buchberger`
 with the update written on exponent tuples, one `exp_divides` test per
-candidate pair.  Both call `_kernel_py.s_polynomial_remainder` once per
-reduced pair, so wrapping it records the pair sequence of either.
+candidate pair, and no bound.  Both call `_kernel_py.s_polynomial_remainder`
+once per reduced pair, so wrapping it records the pair sequence of either.
 """
 
 import heapq
@@ -19,7 +22,10 @@ from hypothesis import strategies as st
 from toricpolar import _kernel_py as kernel
 from toricpolar.constructions import cremona_poly, verify_propositions
 from toricpolar.groebner import Ideal, buchberger
-from toricpolar.maps import RandomizationConfig, multidegrees, toric_polar_map
+from toricpolar.field import PrimeField
+from toricpolar.maps import (RandomizationConfig, multidegrees,
+                             random_translate, toric_polar_map)
+from toricpolar.parse import parse_polynomial
 from toricpolar.poly import GREVLEX, Polynomial, block_order
 
 from test_groebner_oracle import F, small_ideals
@@ -89,12 +95,16 @@ def tuple_buchberger(I, order):
 
 
 class PairLog:
-    """Records every (i, j, m) reduced, and whether its remainder was
+    """Records every (i, j, m) reduced, and those whose remainder was
     nonzero, while the context is open."""
 
     def __init__(self):
         self.pairs = []
-        self.nonzero = 0
+        self.nonzero_pairs = []
+
+    @property
+    def nonzero(self):
+        return len(self.nonzero_pairs)
 
     def __enter__(self):
         real = kernel.s_polynomial_remainder
@@ -102,7 +112,8 @@ class PairLog:
         def remainder(reducers, i, j, m, p):
             r = real(reducers, i, j, m, p)
             self.pairs.append((i, j, m))
-            self.nonzero += bool(r)
+            if r:
+                self.nonzero_pairs.append((i, j, m))
             return r
 
         self._patch = mock.patch.object(kernel, "s_polynomial_remainder",
@@ -115,13 +126,19 @@ class PairLog:
 
 
 def same_run(gens, order):
-    """Both updates reduce the same pairs in the same order and return the
-    same basis, element by element."""
+    """Both updates make the same nonzero reductions in the same order and
+    return the same basis, element by element.  `buchberger` may leave out
+    pairs of a degree whose complete-intersection bound is met; it reduces
+    the reference's other pairs, in the same order, and each pair it left
+    out reduces to zero in the reference."""
     with PairLog() as packed:
         G = buchberger(Ideal(gens), order)
     with PairLog() as tuples:
         reference = tuple_buchberger(Ideal(gens), order)
-    assert packed.pairs == tuples.pairs
+    assert packed.nonzero_pairs == tuples.nonzero_pairs
+    kept = set(packed.pairs)
+    assert packed.pairs == [q for q in tuples.pairs if q in kept]
+    assert (set(tuples.pairs) - kept).isdisjoint(tuples.nonzero_pairs)
     assert [g.terms for g in G.generators] == [g.terms for g in reference]
     assert [list(g.terms) for g in G.generators] == [list(g.terms)
                                                      for g in reference]
@@ -214,12 +231,31 @@ def test_widening_with_live_pairs_matches_tuple_criteria():
 
 
 def test_pair_counts_of_a_verify_pass():
-    """One in-process `verify` pass reduces these pairs; the counts are
-    those of the update on exponent tuples."""
+    """One in-process `verify` pass reduces these pairs.  The update on
+    exponent tuples reduces 2385; the complete-intersection bound leaves
+    out 10 of those that reduce to zero, and none of the nonzero ones."""
     with PairLog() as log:
         results = verify_propositions(RandomizationConfig(seed=0))
     assert all(r.passed for r in results)
-    assert (len(log.pairs), log.nonzero) == (2385, 1057)
+    assert (len(log.pairs), log.nonzero) == (2375, 1057)
+
+
+def test_pair_counts_of_the_quartic_translate_base_ideal():
+    """The coordinates of the toric polar map of a general translate of the
+    Fermat quartic surface: four quartics in four variables, a complete
+    intersection.  The update on exponent tuples reduces 176 pairs, 63 of
+    them to nonzero remainders; the complete-intersection bound leaves out
+    62 of the 113 that reduce to zero."""
+    names = ("x0", "x1", "x2", "x3")
+    fermat = parse_polynomial(" + ".join(f"{v}^4" for v in names), names,
+                              PrimeField())
+    coordinates = toric_polar_map(random_translate(fermat, 1)).coordinates
+    with PairLog() as packed:
+        buchberger(Ideal(coordinates), GREVLEX)
+    with PairLog() as tuples:
+        tuple_buchberger(Ideal(coordinates), GREVLEX)
+    assert (len(tuples.pairs), tuples.nonzero) == (176, 63)
+    assert (len(packed.pairs), packed.nonzero) == (114, 63)
 
 
 def test_pair_counts_of_cremona_4():
