@@ -181,8 +181,11 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     zero and is dropped unreduced, and the same elements join in the same
     order.  Counting stops for the call after the first degree that ends
     with c > h(D), as it does early on an ideal that is not a complete
-    intersection.  A count below h(D), or a new lead outside the standard
-    set, is a broken invariant and raises `ToricPolarError`.
+    intersection, and after a degree whose standard monomials outnumber
+    the terms of the elements: the next degree would then cost more than
+    a pass over the basis, as on sparse forms of high degree.  A count
+    below h(D), or a new lead outside the standard set, is a broken
+    invariant and raises `ToricPolarError`.
     """
     fld = I.field
     p = fld.p
@@ -292,8 +295,10 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
             continue
         while std is not None and deg < s:
             # degree `deg` ended: stop counting if it ended above its bound,
-            # else count the next one
-            if len(std) > h:
+            # or if the next degree would cost more than a pass over the
+            # terms of the elements; else count it
+            if len(std) > h or len(std) > sum(
+                    len(tail) + 1 for _, _, tail in reducers.entries):
                 std = None
                 break
             std = reducers.standard_successors(std, std_width)

@@ -478,6 +478,29 @@ def test_a_bound_above_the_hilbert_function_raises(monkeypatch):
         buchberger(Ideal(gens), GREVLEX)
 
 
+def test_counting_stops_when_the_standard_set_outgrows_the_basis(
+        monkeypatch):
+    """Three binomials of degree 12 in four variables: the 10 standard
+    monomials of degree 2 outnumber the 6 terms of the basis, so counting
+    stops there.  Carried on to the pair degrees, 13 and above, the count
+    took about 100 times as long as the basis itself."""
+    sizes = []
+    real = kernel.Reducers.standard_successors
+
+    def standard_successors(self, std, width):
+        sizes.append(len(std))
+        return real(self, std, width)
+
+    monkeypatch.setattr(kernel.Reducers, "standard_successors",
+                        standard_successors)
+    names = ("x0", "x1", "x2", "x3")
+    gens = [parse_polynomial(g, names, F) for g in
+            ("x0^11*x1 - x2^12", "x1^11*x2 - x3^12", "x0*x3^11 - x1^12")]
+    G = buchberger(Ideal(gens), GREVLEX)
+    assert sizes == [1, 4]
+    assert G.s_polynomials_reduce_to_zero()
+
+
 # --- vector space dimension ---------------------------------------------------------
 
 def _macaulay_dimension(gens, arity, cap):

@@ -89,9 +89,9 @@ def test_buchberger_matches_sympy_lex(ideal):
 @st.composite
 def homogeneous_ideals(draw):
     """At most as many homogeneous generators as variables, in 2-4
-    variables, each of its own degree: random forms (a regular sequence),
-    forms with a common factor, a last generator that repeats or depends
-    on the others, or monomials.  `buchberger` counts the
+    variables, each of its own degree: random dense forms (a regular
+    sequence), forms with a common factor, a last generator that repeats
+    or depends on the others, or monomials.  `buchberger` counts the
     complete-intersection bound on all of them; it is met on the first
     kind, and the others test where it is not."""
     n = draw(st.integers(2, 4))
@@ -106,10 +106,10 @@ def homogeneous_ideals(draw):
                 if sum(e) == d]
         if kind == "monomial":
             return Polynomial.monomial(F, n, draw(st.sampled_from(exps)))
-        coefficients = draw(st.lists(st.integers(0, P - 1),
+        # every monomial of degree d: a sparse form stops the count early
+        coefficients = draw(st.lists(st.integers(1, P - 1),
                                      min_size=len(exps), max_size=len(exps)))
-        terms = {e: c for e, c in zip(exps, coefficients) if c}
-        return Polynomial(F, n, terms or {exps[0]: 1})
+        return Polynomial(F, n, dict(zip(exps, coefficients)))
 
     if kind == "common factor":
         h = form(draw(st.integers(1, 2)))
