@@ -27,8 +27,8 @@ from .field import DEFAULT_PRIME, PrimeField, is_prime
 from .gcdtools import (binary_form_distinct_roots, multivariate_gcd,
                        squarefree_part)
 from .groebner import (GroebnerBasis, HilbertData, Ideal, buchberger,
-                       eliminate, hilbert_dim_degree, intersect, saturate,
-                       vector_space_dimension)
+                       eliminate, hilbert_dim_degree, intersect,
+                       projective_dimension, saturate, vector_space_dimension)
 from .maps import (MultidegreeVector, RandomizationConfig, RationalMapSpec,
                    gradient_map, monomial_pullback, multidegrees,
                    random_translate, topological_degree, toric_polar_map)

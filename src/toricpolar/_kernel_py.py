@@ -56,8 +56,9 @@ cancel, so they are never built.  The packed remainder, largest term
 first, joins the list through `Reducers.append_remainder`: made monic, not
 re-packed, only its lead unpacked.  An S-polynomial term that sets a guard
 bit goes through the same retry: the S-polynomial is built again from the
-re-packed entries.  `reduce_tails` is the final tail-reduction pass and
-the one place where whole elements are unpacked.  A remainder does not
+re-packed entries.  `reduce_tails` is the final tail-reduction pass, run
+when a basis's generators are first read, and the one place where whole
+elements are unpacked.  A remainder does not
 depend on the width, so the basis does not either.
 
 The divisor index finds the first reducer whose leading exponent divides

@@ -244,7 +244,9 @@ def format_corpus(entries: Sequence[CorpusEntry]) -> str:
 
 
 def parse_corpus(text: str) -> list[CorpusEntry]:
+    """The entries of a manifest (see `format_corpus`); names are unique."""
     entries = []
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -261,6 +263,11 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
                 raise PreconditionError(
                     f"corpus line {lineno}: expected multidegrees must be "
                     f"comma-separated integers, got {cols[3]!r}") from None
+        if cols[0] in first_line:
+            raise PreconditionError(
+                f"corpus line {lineno}: name {cols[0]!r} repeats line "
+                f"{first_line[cols[0]]}")
+        first_line[cols[0]] = lineno
         names = tuple(v.strip() for v in cols[1].split(","))
         entries.append(CorpusEntry(cols[0], names, cols[2], expected))
     return entries
@@ -315,7 +322,8 @@ def verify_propositions(cfg: RandomizationConfig | None = None,
     a report is reproducible.  Failures carry a witness string.  Each
     distinct toric polar map (keyed by its coordinates, so f and its powers
     share one) is solved once per call; an error is not kept, so every
-    check that asks for that map raises it again.
+    check that asks for that map raises it again.  The checks look entries
+    up by name, so a corpus with a repeated name is a `PreconditionError`.
     """
     cfg = cfg or RandomizationConfig()
     seed = cfg.seed
@@ -323,6 +331,11 @@ def verify_propositions(cfg: RandomizationConfig | None = None,
     entries = list(default_corpus() if corpus is None else corpus)
     if not entries:
         return []
+    names = [e.name for e in entries]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise PreconditionError(
+            f"corpus names repeat: {', '.join(map(repr, repeated))}")
     results: list[CheckResult] = []
     polys = {e.name: e.polynomial(field) for e in entries}
 

@@ -2,7 +2,8 @@
 Hilbert-series extraction of projective dimension and degree.
 
 All operations are pure functions of their inputs; the only internal state
-is a per-call memo table in the Hilbert-numerator recursion.
+is a per-call memo table in the Hilbert-numerator recursion and the reduced
+generators that a `GroebnerBasis` makes on first read and keeps.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import heapq
 import os
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
@@ -52,19 +54,51 @@ class Ideal:
 class GroebnerBasis(Ideal):
     """The ideal given by its reduced Gröbner basis under `order`: monic
     generators, no term of one divisible by the leading term of another;
-    `leads` are their leading exponents.
+    `leading_exponents()` are their leading exponents.
+
+    It holds the minimal basis that `buchberger` ends at, as packed kernel
+    entries sorted by lead (`minimal`, a `_kernel_py.Reducers` list).  Its
+    leads are those of the reduced basis, so the leads, `len`, the Hilbert
+    data and the dimensions read no more.  The tail pass that makes the
+    reduced basis runs when `generators` is first read, and its result is
+    kept.  `minimal` may live in a larger ring: `variables` then gives the
+    variable of that ring that each variable of this ring is, and the
+    elements use no other.
     """
 
-    __slots__ = ("order", "_lead_exps", "_reducers")
+    __slots__ = ("order", "_lead_exps", "_minimal", "_variables",
+                 "_generators", "_reducers")
 
-    def __init__(self, field: PrimeField, arity: int, order: MonomialOrder,
-                 generators: Sequence[Polynomial], leads: Sequence[tuple]):
+    def __init__(self, field: PrimeField, order: MonomialOrder,
+                 minimal: _kernel_py.Reducers,
+                 variables: Sequence[int] | None = None):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "generators", tuple(generators))
+        object.__setattr__(self, "arity", minimal.arity if variables is None
+                           else len(variables))
         self.order = order
-        self._lead_exps = list(leads)
+        self._minimal = minimal
+        self._variables = variables
+        self._lead_exps = [self._relabel(minimal.unpack(x))
+                           for x, _, _ in minimal.entries]
+        self._generators = None
         self._reducers = None
+
+    def _relabel(self, e: tuple) -> tuple:
+        v = self._variables
+        return e if v is None else tuple(map(e.__getitem__, v))
+
+    @property
+    def generators(self) -> tuple[Polynomial, ...]:
+        """The reduced basis, made by one tail pass on first read."""
+        if self._generators is None:
+            tails = _kernel_py.reduce_tails(self._minimal, self.field.p)
+            if self._variables is not None:
+                tails = [{self._relabel(e): c for e, c in terms.items()}
+                         for terms in tails]
+            self._generators = tuple(
+                Polynomial(self.field, self.arity, terms, _clean=True)
+                for terms in tails)
+        return self._generators
 
     def leading_exponents(self) -> tuple[tuple, ...]:
         return tuple(self._lead_exps)
@@ -109,7 +143,7 @@ class GroebnerBasis(Ideal):
         return iter(self.generators)
 
     def __len__(self):
-        return len(self.generators)
+        return len(self._lead_exps)
 
 
 def _s_terms(p: int, f: dict, fe: tuple, f_inv: int, g: dict, ge: tuple,
@@ -137,7 +171,9 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     B_k criterion, and elements whose leading term it divides leave the
     active set.  A dropped old pair is deleted from `live` and skipped when
     the heap returns it.  The active set ends as the minimal basis, which
-    one tail-reduction pass turns into the reduced basis.
+    the result keeps packed: one tail-reduction pass turns it into the
+    reduced basis when the generators are first read (`GroebnerBasis`), and
+    callers that read only leads never run it.
 
     The update reads the divisibility packs that the `Reducers` keep (see
     `_kernel_py`): exponent i in field i, `width` bits and a guard bit per
@@ -159,7 +195,7 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     packed entries, reduced packed, made monic and appended as it is.  Only
     leading exponents are unpacked, the lcms of kept pairs, and the
     generators' remainders, for their sugar; a whole element is unpacked
-    once, when the tail-reduction pass returns it.  The `Reducers` fields
+    only by the tail-reduction pass.  The `Reducers` fields
     hold twice the degree of a pair's lcm and double when a product
     overflows them; the remainders do not depend on the width.
 
@@ -327,13 +363,10 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
 
     # Every element is reduced by all earlier ones, so no leading term
     # divides a later one and the active elements form a minimal basis.
-    # Reducing each by the others keeps its leading term, so one pass
-    # leaves the reduced basis.
+    # Reducing each by the others keeps its leading term, so the one tail
+    # pass that `generators` runs leaves the reduced basis.
     active.sort(key=lambda i: order.key(lead[i]))
-    tails = _kernel_py.reduce_tails(reducers.subset(active), p)
-    reduced = [Polynomial(fld, I.arity, r, _clean=True) for r in tails]
-    result = GroebnerBasis(fld, I.arity, order, reduced,
-                           [lead[i] for i in active])
+    result = GroebnerBasis(fld, order, reducers.subset(active))
     if _DEBUG_CHECK_BASES and not result.s_polynomials_reduce_to_zero():
         raise ToricPolarError(
             f"Gröbner basis check failed: an S-polynomial of the "
@@ -369,7 +402,9 @@ def eliminate(I: Ideal, drop: Iterable[int]) -> GroebnerBasis:
     the dropped variables first (grevlex when nothing is dropped), and the
     elements whose leads are free of them are kept: they are the reduced
     basis under the order induced on the kept variables, which is grevlex,
-    with the same leads.
+    with the same leads.  The kept elements stay packed in the block-order
+    ring; their tails are reduced, among themselves, and their variables
+    relabelled when the generators are first read.
     """
     drop = sorted(set(drop))
     m = I.arity
@@ -388,22 +423,18 @@ def eliminate(I: Ideal, drop: Iterable[int]) -> GroebnerBasis:
                   field=I.field, arity=m)
     G = buchberger(I, block_order(k) if k else GREVLEX)
     # an element is free of the dropped variables exactly when its
-    # block-order lead is
-    kept =[(g, e) for g, e in zip(G.generators, G.leading_exponents())
-            if not any(e[:k])]
-    if relabel:
-        kept = [(g.permute_variables(back), tuple(map(e.__getitem__, perm)))
-                for g, e in kept]
-    return GroebnerBasis(I.field, m, GREVLEX, [g for g, _ in kept],
-                         [e for _, e in kept])
+    # block-order lead is, and no other lead divides its terms, so the
+    # kept elements reduce their tails among themselves
+    kept = [h for h, e in enumerate(G.leading_exponents()) if not any(e[:k])]
+    return GroebnerBasis(I.field, GREVLEX, G._minimal.subset(kept),
+                         perm if relabel else None)
 
 
 def _eliminate_first_variable(J: Ideal) -> GroebnerBasis:
     """J eliminated by x_0, in the ring without x_0."""
-    E = eliminate(J, [0])
-    return GroebnerBasis(J.field, J.arity - 1, GREVLEX,
-                         [g.drop_variable(0) for g in E.generators],
-                         [e[1:] for e in E.leading_exponents()])
+    E = eliminate(J, [0])  # x_0 comes first already: E is not relabelled
+    return GroebnerBasis(J.field, GREVLEX, E._minimal,
+                         range(1, J.arity))
 
 
 def saturate(I: Ideal, g: Polynomial) -> GroebnerBasis:
@@ -563,18 +594,67 @@ def _hilbert_data(lead: Sequence[tuple], arity: int) -> HilbertData:
     return HilbertData(tuple(numerator), krull - 1, sum(numerator))
 
 
+def _homogeneous_basis(I: Ideal) -> GroebnerBasis:
+    """A Gröbner basis of the homogeneous ideal I: I itself when it is a
+    `GroebnerBasis`, else its grevlex basis; raises `PreconditionError`
+    when I is not homogeneous.
+
+    A `GroebnerBasis` whose minimal elements are forms generates a
+    homogeneous ideal, and that answers without the tail pass.  Otherwise
+    the reduced generators are read: they are forms exactly when the ideal
+    is homogeneous.
+    """
+    basis = isinstance(I, GroebnerBasis)
+    if not (basis and _forms(I._minimal)
+            or all(g.is_homogeneous() for g in I.generators)):
+        raise PreconditionError("Hilbert data needs a homogeneous ideal")
+    return I if basis else buchberger(I, GREVLEX)
+
+
+def _forms(reducers: _kernel_py.Reducers) -> bool:
+    """Whether every entry of a `Reducers` list is a form."""
+    unpack = reducers.unpack
+    for x, _, tail in reducers.entries:
+        d = sum(unpack(x))
+        if any(sum(unpack(y)) != d for y, _ in tail):
+            return False
+    return True
+
+
 def hilbert_dim_degree(I: Ideal) -> HilbertData:
     """Dimension and degree of Proj of the quotient by a homogeneous ideal.
 
     A `GroebnerBasis` (the results of `eliminate`, `saturate` and
     `intersect` are) is used as given, since any basis of a homogeneous
     ideal has the same Hilbert function as its ideal of leading terms; any
-    other `Ideal` gets its grevlex basis first.
+    other `Ideal` gets its grevlex basis first.  Only leads are read, so a
+    `GroebnerBasis` runs no tail pass.
     """
-    if not all(g.is_homogeneous() for g in I.generators):
-        raise PreconditionError("Hilbert data needs a homogeneous ideal")
-    G = I if isinstance(I, GroebnerBasis) else buchberger(I, GREVLEX)
+    G = _homogeneous_basis(I)
     return _hilbert_data(G.leading_exponents(), G.arity)
+
+
+def projective_dimension(I: Ideal) -> int:
+    """Dimension of Proj of the quotient by a homogeneous ideal, -1 when it
+    is empty; `hilbert_dim_degree(I).projective_dimension` without the
+    Hilbert numerator.
+
+    The quotient has the Krull dimension of the quotient by the leading
+    monomials, which is the size of the largest set of variables that
+    contains the support of no lead (Cox, Little & O'Shea, Ideals,
+    Varieties, and Algorithms, ch. 9, §1-3).  The sets are searched by
+    decreasing size as bitmasks, against the support bitmasks of the leads.
+    The basis is taken as in `hilbert_dim_degree`.
+    """
+    G = _homogeneous_basis(I)
+    supports = {sum(1 << i for i, x in enumerate(e) if x)
+                for e in G.leading_exponents()}
+    for size in range(G.arity, 0, -1):
+        for chosen in combinations(range(G.arity), size):
+            free = sum(1 << i for i in chosen)
+            if all(s & ~free for s in supports):
+                return size - 1
+    return -1
 
 
 def vector_space_dimension(I: Ideal) -> int:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .errors import PreconditionError, SpecializationError, ToricPolarError
 from .field import DEFAULT_PRIME, PrimeField, is_prime
 from .gcdtools import multivariate_gcd, squarefree_part
-from .groebner import Ideal, hilbert_dim_degree, saturate
+from .groebner import Ideal, _hilbert_data, projective_dimension, saturate
 from .poly import Polynomial
 
 _MASK64 = (1 << 64) - 1
@@ -301,10 +301,12 @@ def _slice_degree(phi: RationalMapSpec, j: int, seed: int, trial: int) -> int:
         raise SpecializationError("saturating combination vanished on the "
                                   "slice", (sub,))
     arity = saturant.arity
-    # the saturation is a GroebnerBasis (its reduced grevlex basis, leads
-    # included), which hilbert_dim_degree uses as given
-    data = hilbert_dim_degree(
-        saturate(Ideal(gens, field=fld, arity=arity), saturant))
+    # the coordinates are forms of one degree (RationalMapSpec checks), so
+    # are the restricted pullbacks and the saturant, and the saturation of
+    # a homogeneous ideal by a form is homogeneous: its Hilbert data are
+    # those of its grevlex leads, read without the tail pass
+    sat = saturate(Ideal(gens, field=fld, arity=arity), saturant)
+    data = _hilbert_data(sat.leading_exponents(), arity)
     if data.projective_dimension == -1:
         return 0
     if data.projective_dimension != 0:
@@ -320,9 +322,12 @@ def multidegrees(phi: RationalMapSpec,
 
     d_0 = 1 by definition.  d_j = d^j is certified for j <= n - 1 - dim B,
     B the base locus, where a general P^j misses B; these j have no trials.
-    Each trial slices the remaining j, each (j, trial) with its own
-    deterministic sub-seed, so results are reproducible.  All trials must
-    agree with trial 0; the error names each slice that differs as
+    dim B is read from the supports of the leads of one grevlex basis of
+    the coordinates (`projective_dimension`), with no tail pass.  Each
+    trial slices the remaining j, each (j, trial) with its own
+    deterministic sub-seed, so results are reproducible; when no j is
+    left, there is one outcome, whatever the number of trials.  All trials
+    must agree with trial 0; the error names each slice that differs as
     (j, trial, sub-seed), in trial 0 and in the first trial that differs.
     """
     if cfg is None:
@@ -330,12 +335,12 @@ def multidegrees(phi: RationalMapSpec,
     if cfg.prime != phi.field.p:
         raise ValueError("configuration prime differs from the map's field")
     # a general P^j misses the base locus B for j <= n - 1 - dim B
-    top = phi.n - 1 - hilbert_dim_degree(
-        Ideal(phi.coordinates)).projective_dimension
-    certified = [phi.coordinate_degree ** j for j in range(1, top + 1)]
-    outcomes = [(1, *certified, *(_slice_degree(phi, j, cfg.seed, trial)
-                                  for j in range(top + 1, phi.n + 1)))
-                for trial in range(cfg.trials)]
+    top = phi.n - 1 - projective_dimension(Ideal(phi.coordinates))
+    certified = (1, *(phi.coordinate_degree ** j for j in range(1, top + 1)))
+    sliced = range(top + 1, phi.n + 1)
+    outcomes = [(*certified, *(_slice_degree(phi, j, cfg.seed, trial)
+                               for j in sliced))
+                for trial in range(cfg.trials if sliced else 1)]
     vec = outcomes[0]
     for trial, other in enumerate(outcomes[1:], 1):
         slices = [(j, t, derive_seed(cfg.seed, j, t))

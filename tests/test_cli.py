@@ -222,6 +222,27 @@ def test_verify_detects_injected_failure(tmp_path):
     assert any("broken" in (c["witness"] or "") for c in failing)
 
 
+@pytest.mark.parametrize("second, code, message", [
+    ("b", 1, None),
+    ("a", 3, "precondition violated: corpus line 2: name 'a' repeats line 1\n"),
+], ids=["distinct-names", "repeated-name"])
+def test_verify_corpus_with_a_repeated_name(tmp_path, capsys, second, code,
+                                            message):
+    """The conic's expectation 1,3,2 is wrong.  Under distinct names the
+    harness catches it; a repeated name is rejected before the harness
+    runs, where the nodal cubic would have replaced the conic."""
+    manifest = tmp_path / "corpus.txt"
+    manifest.write_text(
+        "a | x0,x1,x2 | x0*x1 + x2^2 | 1,3,2\n"
+        f"{second} | x0,x1,x2 | x1^2*x2 - x0^3 - x0^2*x2 + x1*x0*x2 | 1,3,2\n")
+    assert main(["verify", "--corpus", str(manifest)]) == code
+    out, err = capsys.readouterr()
+    if message is None:
+        assert "a: engine (1, 2, 0) != expected (1, 3, 2)" in out
+    else:
+        assert (out, err) == ("", message)
+
+
 def test_verify_text_output_lists_checks():
     code, out = run_cli(["verify", "--seed", "42"])
     assert code == 0

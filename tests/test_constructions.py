@@ -186,6 +186,31 @@ def test_corpus_rejects_bad_lines():
         parse_corpus("only-a-name\n")
 
 
+CONIC = "x0*x1 + x2^2"
+NODAL = "x1^2*x2 - x0^3 - x0^2*x2 + x1*x0*x2"
+
+
+def test_corpus_rejects_repeated_names():
+    """A repeated name would let the second entry replace the first in the
+    harness: the conic's wrong expectation 1,3,2 would go unchecked."""
+    text = (f"# header\na | x0,x1,x2 | {CONIC} | 1,3,2\n"
+            f"b | x0,x1,x2 | {CONIC}\n\na | x0,x1,x2 | {NODAL} | 1,3,2\n")
+    with pytest.raises(PreconditionError,
+                       match=r"^corpus line 5: name 'a' repeats line 2$"):
+        parse_corpus(text)
+
+
+def test_verify_propositions_rejects_repeated_names():
+    entries = [CorpusEntry("a", ("x0", "x1", "x2"), CONIC, (1, 3, 2)),
+               CorpusEntry("a", ("x0", "x1", "x2"), NODAL, (1, 3, 2))]
+    with pytest.raises(PreconditionError, match="corpus names repeat: 'a'"):
+        verify_propositions(CFG, entries)
+    entries[1] = CorpusEntry("b", ("x0", "x1", "x2"), NODAL, (1, 3, 2))
+    witness = {r.name: r.witness for r in verify_propositions(CFG, entries)}
+    assert witness["corpus-multidegrees"] == (
+        "a: engine (1, 2, 0) != expected (1, 3, 2)")
+
+
 # --- harness ----------------------------------------------------------------------
 
 def test_verify_propositions_default_corpus():

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toricpolar import _kernel_py as kernel
 from toricpolar import groebner
@@ -325,6 +327,91 @@ def test_eliminations_carry_their_reduced_grevlex_basis(seed):
         assert J.leading_exponents() == fresh.leading_exponents()
 
 
+class TailPasses:
+    """Counts the calls of the kernel's tail-reduction pass."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        real = kernel.reduce_tails
+
+        def counting(*args):
+            self.calls += 1
+            return real(*args)
+        monkeypatch.setattr(kernel, "reduce_tails", counting)
+
+
+def _eager_elimination(I, drop):
+    """The elimination ideal read off a block-order basis whose tails are
+    all reduced first, then relabelled as `eliminate` relabels it."""
+    m, k = I.arity, len(drop)
+    back = drop + [v for v in range(m) if v not in drop]
+    perm = [back.index(v) for v in range(m)]
+    G = buchberger(Ideal([g.permute_variables(perm) for g in I.generators],
+                         field=F, arity=m), block_order(k))
+    return [g.permute_variables(back) for g in G.generators
+            if not any(e for x in g.terms for e in x[:k])]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_tails_are_reduced_on_demand(seed, monkeypatch):
+    """Leads, `len`, Hilbert data, the support dimension and the vector
+    space dimension of a `buchberger`, `eliminate`, `saturate` or
+    `intersect` result run no tail pass.  A later read of `generators`
+    gives the basis that reducing every tail at once gives: the same terms
+    in the same insertion order, with the leads read before."""
+    rng = random.Random(900 + seed)
+    arity = rng.randint(2, 4)
+    homogeneous = rng.random() < 0.5
+
+    def draw(degree, terms):
+        if homogeneous:
+            return random_homogeneous(F, rng, arity, degree, terms)
+        f = Polynomial.zero(F, arity)
+        while f.is_zero():
+            f = random_polynomial(F, rng, arity, degree, terms)
+        return f
+
+    I = Ideal([draw(rng.randint(1, 3), 4) for _ in range(rng.randint(1, 3))])
+    other = [draw(rng.randint(1, 2), 3) for _ in range(2)]
+    drop = sorted(rng.sample(range(arity), rng.randint(1, arity - 1)))
+
+    def lift(g):
+        return g.extend_arity(arity + 1, 0)
+
+    t = Polynomial.variable(F, arity + 1, 0)
+    one = Polynomial.constant(F, arity + 1, 1)
+    eager = [
+        buchberger(I).generators,
+        _eager_elimination(I, drop),
+        [g.drop_variable(0) for g in _eager_elimination(Ideal(
+            [lift(h) for h in I.generators] + [one - t * lift(other[0])]),
+            [0])],
+        [g.drop_variable(0) for g in _eager_elimination(Ideal(
+            [t * lift(h) for h in I.generators]
+            + [(one - t) * lift(h) for h in other]), [0])],
+    ]
+    passes = TailPasses(monkeypatch)
+    results = [buchberger(I), eliminate(I, drop), saturate(I, other[0]),
+               intersect(I, Ideal(other))]
+    for J, reference in zip(results, eager):
+        leads = J.leading_exponents()
+        assert len(J) == len(leads) == len(reference)
+        if homogeneous:
+            assert groebner.projective_dimension(J) == \
+                hilbert_dim_degree(J).projective_dimension
+        try:
+            vector_space_dimension(J)
+        except PreconditionError:
+            pass
+        assert passes.calls == 0
+        assert [list(g.terms.items()) for g in J.generators] == [
+            list(g.terms.items()) for g in reference]
+        assert J.generators is J.generators
+        assert passes.calls == 1
+        assert leads == tuple(g.leading_term(GREVLEX)[0] for g in reference)
+        passes.calls = 0
+
+
 def test_eliminations_need_no_second_basis(monkeypatch):
     """The results of `saturate`, `eliminate` and `intersect` are ideals
     given by their reduced grevlex basis, so the Hilbert data and the
@@ -412,6 +499,70 @@ def test_hilbert_of_a_basis_matches_its_ideal():
 def test_hilbert_of_a_basis_rejects_inhomogeneous():
     with pytest.raises(PreconditionError):
         hilbert_dim_degree(buchberger(Ideal([P("x0^2 + x1")])))
+
+
+def test_hilbert_of_a_basis_with_inhomogeneous_minimal_elements():
+    """x0^3 + x1^2 and x0^3 generate the homogeneous ideal (x0^3, x1^2),
+    but the minimal basis keeps x0^3 + x1^2, which is not a form.  The
+    homogeneity check then reads the reduced basis, which runs the tail
+    pass once."""
+    G = buchberger(Ideal([P2("x0^3 + x1^2"), P2("x0^3")]))
+    assert not groebner._forms(G._minimal)
+    data = hilbert_dim_degree(G)
+    assert (data.projective_dimension, data.degree) == (-1, None)
+    assert groebner.projective_dimension(G) == -1
+    assert [str(g) for g in G.generators] == ["x1^2", "x0^3"]
+
+
+# --- support dimension ---------------------------------------------------------------
+
+monomial_ideals = st.integers(1, 7).flatmap(lambda arity: st.tuples(
+    st.just(arity),
+    st.lists(st.tuples(*[st.integers(0, 3)] * arity), max_size=8)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_ideals)
+@example((7, []))
+@example((7, [(0,) * 7]))
+@example((7, [(1, 0, 0, 0, 0, 0, 0), (0, 2, 0, 0, 0, 0, 0), (0,) * 7]))
+@example((7, [(1, 1, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0),
+              (0, 0, 0, 0, 1, 1, 0), (0, 0, 0, 0, 0, 0, 3)]))
+def test_support_dimension_matches_the_hilbert_numerator(case):
+    """`projective_dimension` reads the supports of the leads; the Hilbert
+    numerator of the same monomial ideal must give the same dimension.  The
+    exponent lists include the zero ideal (none), the unit ideal (the zero
+    exponent) and repeated and redundant monomials."""
+    arity, exps = case
+    I = Ideal([Polynomial.monomial(F, arity, e) for e in exps],
+              field=F, arity=arity)
+    expected = groebner._hilbert_data(exps, arity).projective_dimension
+    assert groebner.projective_dimension(I) == expected
+    assert groebner.projective_dimension(buchberger(I, LEX)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_support_dimension_matches_hilbert_data(seed):
+    """On small homogeneous ideals, given by generators or by a grevlex or
+    lex basis, the support dimension is that of `hilbert_dim_degree`."""
+    rng = random.Random(seed)
+    arity = rng.randint(2, 4)
+    I = Ideal([random_homogeneous(F, rng, arity, rng.randint(1, 3), 3)
+               for _ in range(rng.randint(1, arity))])
+    expected = hilbert_dim_degree(I).projective_dimension
+    assert groebner.projective_dimension(I) == expected
+    for order in (GREVLEX, LEX):
+        assert groebner.projective_dimension(buchberger(I, order)) == expected
+
+
+def test_support_dimension_rejects_inhomogeneous():
+    with pytest.raises(PreconditionError,
+                       match="Hilbert data needs a homogeneous ideal"):
+        groebner.projective_dimension(Ideal([P("x0^2 + x1")]))
+    with pytest.raises(PreconditionError,
+                       match="Hilbert data needs a homogeneous ideal"):
+        groebner.projective_dimension(buchberger(Ideal([P("x0^2 + x1")])))
 
 
 def test_hilbert_numerator_invariant():

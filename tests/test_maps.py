@@ -1,11 +1,14 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricpolar import _kernel_py as kernel
 from toricpolar import maps
-from toricpolar.constructions import MonomialMatrix, random_monomial_matrix
+from toricpolar.constructions import (MonomialMatrix, cremona_poly,
+                                      random_monomial_matrix)
 from toricpolar.errors import PreconditionError, SpecializationError
 from toricpolar.field import PrimeField
 from toricpolar.gcdtools import multivariate_gcd
@@ -251,6 +254,46 @@ def test_trial_disagreement_raises(monkeypatch):
         f"(j, trial, sub-seed) (2, 0, {s0}), (2, 2, {s2}); rerun with a "
         f"fresh seed or prime [seeds: {s0}, {s2}]")
     assert err.value.seeds == (s0, s2)
+
+
+SMOOTH_CUBIC = ("x0^3 + x1^3 + x2^3 + x0*x1*x2 + 2*x0^2*x1 + 3*x1^2*x2 "
+                "+ 5*x2^2*x0 + 7*x0*x1^2")
+
+
+def test_certified_maps_do_not_loop_over_trials():
+    """Every j of the smooth cubic's map is certified, so the number of
+    trials changes nothing: one outcome is built, not one per trial (at a
+    million trials the loop over trials had peaked near 90 MB)."""
+    phi = toric_polar_map(P(SMOOTH_CUBIC))
+    tracemalloc.start()
+    try:
+        values = multidegrees(phi, RandomizationConfig(trials=10**6)).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values == (1, 3, 9)
+    assert values == multidegrees(phi, RandomizationConfig(trials=1)).values
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("poly, values", [
+    (cremona_poly(3), (1, 3, 3, 1)),
+    (random_translate(parse_polynomial(
+        "x0^4 + x1^4 + x2^4 + x3^4", ("x0", "x1", "x2", "x3"), F), 1),
+     (1, 4, 16, 64)),
+], ids=["cremona-3", "quartic-surface-translate"])
+def test_multidegrees_run_no_tail_pass(monkeypatch, poly, values):
+    """The base-locus dimension and the slice degrees come from leads
+    alone, so `multidegrees` never reduces the tails of a basis."""
+    calls = []
+    real = kernel.reduce_tails
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(kernel, "reduce_tails", counting)
+    assert multidegrees(toric_polar_map(poly), CFG).values == values
+    assert calls == []
 
 
 def test_slices_start_at_j_1(monkeypatch):
