@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricpolar import _kernel_py as kernel
 from toricpolar import maps
 from toricpolar.constructions import (MonomialMatrix, cremona_poly,
                                       random_monomial_matrix)
@@ -21,6 +20,7 @@ from toricpolar.parse import parse_polynomial
 from toricpolar.poly import Polynomial
 
 from conftest import random_homogeneous
+from test_groebner import TailPasses
 
 F = PrimeField()
 CFG = RandomizationConfig(seed=3)
@@ -285,15 +285,9 @@ def test_certified_maps_do_not_loop_over_trials():
 def test_multidegrees_run_no_tail_pass(monkeypatch, poly, values):
     """The base-locus dimension and the slice degrees come from leads
     alone, so `multidegrees` never reduces the tails of a basis."""
-    calls = []
-    real = kernel.reduce_tails
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-    monkeypatch.setattr(kernel, "reduce_tails", counting)
+    passes = TailPasses(monkeypatch)
     assert multidegrees(toric_polar_map(poly), CFG).values == values
-    assert calls == []
+    assert passes.calls == 0
 
 
 def test_slices_start_at_j_1(monkeypatch):
