@@ -1,18 +1,19 @@
 """Multivariate gcd, squarefree parts and distinct-root counts over F_p.
 
-The gcd of two polynomials in several variables is f*g / lcm(f, g), where
-the lcm generates the principal ideal (f) ∩ (g) and comes from the Gröbner
-engine's `intersect` (Cox, Little & O'Shea, Ideals, Varieties, and
-Algorithms, §4.3-4.4); in one variable the Euclidean algorithm is used.
+The gcd of two polynomials is f*g / lcm(f, g), where the lcm generates the
+principal ideal (f) ∩ (g) and comes from the Gröbner engine's `intersect`
+(Cox, Little & O'Shea, Ideals, Varieties, and Algorithms, §4.3-4.4).
 
-Most gcds met here are 1, and two homogeneous inputs are first tested on a
-line x = a*s + b, drawn once per (p, number of variables) from a fixed
-seed.  If f(a) and g(a) are nonzero and the univariate gcd of f(a*s + b)
-and g(a*s + b) is constant, then gcd(f, g) = 1: a common factor h has
-h(a) != 0, as it divides f, so h(a*s + b) keeps the degree of h and
-divides both restrictions.  The test never answers 1 wrongly, in any
-characteristic; when it is inconclusive, `intersect` decides as before.
-The gcd is unique, so the answer never depends on the line.
+Most gcds met here are 1, and every pair of nonconstant inputs is first
+tested on a line x = a*s + b, drawn once per (p, number of variables) from
+a fixed seed.  The coefficient of s^d in f(a*s + b), d = deg f, is
+f_top(a), where f_top is the part of f of degree d.  If f_top(a) and
+g_top(a) are nonzero and the univariate gcd of f(a*s + b) and g(a*s + b)
+is constant, then gcd(f, g) = 1: a common factor h has h_top dividing
+f_top, so h_top(a) != 0, h(a*s + b) keeps the degree of h and divides both
+restrictions.  The test never answers 1 wrongly, in any characteristic;
+when it is inconclusive, `intersect` decides.  The gcd is unique, so the
+answer never depends on the line.
 
 The squarefree part of a homogeneous form divides it by the gcd of its
 partial derivatives; in characteristic larger than the degree this is
@@ -21,7 +22,9 @@ exact, so it involves no randomness.
 
 from __future__ import annotations
 
+import functools
 import random
+from typing import Iterable
 
 from .errors import PreconditionError, ToricPolarError
 from .groebner import Ideal, intersect
@@ -52,41 +55,20 @@ def _euclid(a: list[int], b: list[int], p: int) -> list[int]:
     return [c * inv % p for c in a]
 
 
-def _univariate_gcd(f: Polynomial, g: Polynomial, v: int) -> Polynomial:
-    """Monic Euclidean gcd of two polynomials involving only x_v."""
-    def as_coeffs(h):
-        c = [0] * (h.degree_in(v) + 1)
-        for e, coeff in h.terms.items():
-            c[e[v]] = coeff
-        return c
-
-    out = {}
-    for k, c in enumerate(_euclid(as_coeffs(f), as_coeffs(g), f.field.p)):
-        if c:
-            e = [0] * f.arity
-            e[v] = k
-            out[tuple(e)] = c
-    return Polynomial(f.field, f.arity, out, _clean=True)
-
-
-_lines: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-
-
+@functools.cache
 def _line(p: int, arity: int) -> tuple[list[int], list[int]]:
     """The points a and b of the line x = a*s + b used for (p, arity); a
     fixed seed draws them, so every run uses the same line."""
-    line = _lines.get((p, arity))
-    if line is None:
-        rng = random.Random(f"gcd line {p} {arity}")
-        line = _lines[p, arity] = ([rng.randrange(p) for _ in range(arity)],
-                                   [rng.randrange(p) for _ in range(arity)])
-    return line
+    rng = random.Random(f"gcd line {p} {arity}")
+    return ([rng.randrange(p) for _ in range(arity)],
+            [rng.randrange(p) for _ in range(arity)])
 
 
 def _coprime_on_line(f: Polynomial, g: Polynomial) -> bool:
-    """True when the nonzero forms f and g restrict to the line of `_line`
-    with their full degrees and with a constant gcd, which proves
-    gcd(f, g) = 1; False means no conclusion.
+    """True when the nonzero polynomials f and g restrict to the line of
+    `_line` with their full degrees and with a constant gcd, which proves
+    gcd(f, g) = 1; False means no conclusion.  The top coefficient of the
+    restriction of f is f_top(a), its part of top degree at a.
 
     The restrictions are built with Kronecker packing: x_i = a_i*s + b_i is
     the int b_i + (a_i << w), so one int product multiplies coefficient
@@ -119,7 +101,6 @@ def _coprime_on_line(f: Polynomial, g: Polynomial) -> bool:
         return [(total >> (w * j) & mask) % p for j in range(degree + 1)]
 
     rf, rg = restrict(f, df), restrict(g, dg)
-    # the top coefficients are f(a) and g(a)
     return bool(rf[-1] and rg[-1]) and len(_euclid(rf, rg, p)) == 1
 
 
@@ -133,12 +114,7 @@ def multivariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         return g.scaled_to_monic(GREVLEX)
     if g.is_zero():
         return f.scaled_to_monic(GREVLEX)
-    used = sorted(set(f.variables_used()) | set(g.variables_used()))
-    if not used:
-        return Polynomial.constant(f.field, f.arity, 1)
-    if len(used) == 1:
-        return _univariate_gcd(f, g, used[0])
-    if f.is_homogeneous() and g.is_homogeneous() and _coprime_on_line(f, g):
+    if f.is_constant() or g.is_constant() or _coprime_on_line(f, g):
         return Polynomial.constant(f.field, f.arity, 1)
     lcm = intersect(Ideal([f]), Ideal([g])).generators
     if len(lcm) != 1:
@@ -149,6 +125,19 @@ def multivariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ToricPolarError("lcm from the intersection does not divide "
                               "the product")
     return gcd.scaled_to_monic(GREVLEX)
+
+
+def _running_gcd(polys: Iterable[Polynomial]) -> Polynomial:
+    """The gcd of the nonzero polynomials, at least one, as a running gcd
+    from the first; it stops at the first constant, which it returns."""
+    g = None
+    for h in polys:
+        if h.is_zero():
+            continue
+        g = h if g is None else multivariate_gcd(g, h)
+        if g.is_constant():
+            break
+    return g
 
 
 def squarefree_part(f: Polynomial) -> Polynomial:
@@ -168,14 +157,9 @@ def squarefree_part(f: Polynomial) -> Polynomial:
         raise PreconditionError("prime must exceed the degree")
     if f.is_constant():
         return Polynomial.constant(f.field, f.arity, 1)
-    g = None
-    for i in range(f.arity):
-        df = f.partial_derivative(i)
-        if df.is_zero():
-            continue
-        g = df if g is None else multivariate_gcd(g, df)
-        if g.is_constant():
-            return f.scaled_to_monic(GREVLEX)
+    g = _running_gcd(f.partial_derivative(i) for i in range(f.arity))
+    if g.is_constant():
+        return f.scaled_to_monic(GREVLEX)
     red = f.exact_divide(g)
     if red is None:
         raise ToricPolarError("gcd of the partial derivatives does not "

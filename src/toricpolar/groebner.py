@@ -393,53 +393,52 @@ def _adjoin_variable_first(g: Polynomial) -> Polynomial:
     return g.extend_arity(g.arity + 1, 0)
 
 
+def _eliminate_leading(I: Ideal, k: int,
+                       variables: Sequence[int] | None) -> GroebnerBasis:
+    """I eliminated by its first k variables, given by its reduced grevlex
+    basis in the ring whose variables `variables` maps to those of I (None:
+    the ring of I).
+
+    `buchberger` runs under `block_order(k)` (grevlex when k is 0).  An
+    element is free of the first k variables exactly when its lead is, and
+    no other lead divides its terms, so the kept elements are the reduced
+    basis under the induced order, grevlex, with the same leads; they stay
+    packed and reduce their tails among themselves on first read.
+    """
+    G = buchberger(I, block_order(k) if k else GREVLEX)
+    kept = [h for h, e in enumerate(G.leading_exponents()) if not any(e[:k])]
+    return GroebnerBasis(I.field, GREVLEX, G._minimal.subset(kept), variables)
+
+
 def eliminate(I: Ideal, drop: Iterable[int]) -> GroebnerBasis:
     """The elimination ideal without the dropped variables, given by its
     reduced grevlex basis.
 
     The basis lives in the same ring; its generators do not involve the
-    dropped variables.  `buchberger` runs under the block order that puts
-    the dropped variables first (grevlex when nothing is dropped), and the
-    elements whose leads are free of them are kept: they are the reduced
-    basis under the order induced on the kept variables, which is grevlex,
-    with the same leads.  The kept elements stay packed in the block-order
-    ring; their tails are reduced, among themselves, and their variables
-    relabelled when the generators are first read.
+    dropped variables.  The dropped variables move to the front and
+    `_eliminate_leading` eliminates them; the kept elements are relabelled
+    back when the generators are first read.
     """
     drop = sorted(set(drop))
     m = I.arity
     if any(not 0 <= v < m for v in drop) or drop and len(drop) >= m:
         raise PreconditionError("dropped variables must be a proper subset")
-    k = len(drop)
-    # new index -> old index: the dropped variables move to the front; they
-    # are there already when saturate and intersect drop x_0
+    # new index -> old index: the dropped variables move to the front
     back = drop + [v for v in range(m) if v not in drop]
-    relabel = back != list(range(m))
-    if relabel:
-        perm = [0] * m  # old index -> new index
+    perm = None  # old index -> new index, when that moves a variable
+    if back != list(range(m)):
+        perm = [0] * m
         for new, old in enumerate(back):
             perm[old] = new
         I = Ideal([g.permute_variables(perm) for g in I.generators],
                   field=I.field, arity=m)
-    G = buchberger(I, block_order(k) if k else GREVLEX)
-    # an element is free of the dropped variables exactly when its
-    # block-order lead is, and no other lead divides its terms, so the
-    # kept elements reduce their tails among themselves
-    kept = [h for h, e in enumerate(G.leading_exponents()) if not any(e[:k])]
-    return GroebnerBasis(I.field, GREVLEX, G._minimal.subset(kept),
-                         perm if relabel else None)
-
-
-def _eliminate_first_variable(J: Ideal) -> GroebnerBasis:
-    """J eliminated by x_0, in the ring without x_0."""
-    E = eliminate(J, [0])  # x_0 comes first already: E is not relabelled
-    return GroebnerBasis(J.field, GREVLEX, E._minimal,
-                         range(1, J.arity))
+    return _eliminate_leading(I, len(drop), perm)
 
 
 def saturate(I: Ideal, g: Polynomial) -> GroebnerBasis:
     """I : g^infinity, via an auxiliary variable t and the generator 1 - t*g,
-    given by its reduced grevlex basis."""
+    given by its reduced grevlex basis: t comes first, and
+    `_eliminate_leading` eliminates it."""
     if g.is_zero():
         raise PreconditionError("cannot saturate by the zero polynomial")
     if g.field != I.field or g.arity != I.arity:
@@ -448,13 +447,13 @@ def saturate(I: Ideal, g: Polynomial) -> GroebnerBasis:
     lifted = [_adjoin_variable_first(h) for h in I.generators]
     t = Polynomial.variable(I.field, m + 1, 0)
     rab = Polynomial.constant(I.field, m + 1, 1) - t * _adjoin_variable_first(g)
-    return _eliminate_first_variable(
-        Ideal(lifted + [rab], field=I.field, arity=m + 1))
+    return _eliminate_leading(
+        Ideal(lifted + [rab], field=I.field, arity=m + 1), 1, range(1, m + 1))
 
 
 def intersect(I: Ideal, J: Ideal) -> GroebnerBasis:
-    """The intersection, via t*I + (1-t)*J and elimination, given by its
-    reduced grevlex basis."""
+    """The intersection, via t*I + (1-t)*J and elimination of t, which comes
+    first (`_eliminate_leading`), given by its reduced grevlex basis."""
     if I.field != J.field or I.arity != J.arity:
         raise ValueError("ideals from different rings")
     m = I.arity
@@ -462,8 +461,8 @@ def intersect(I: Ideal, J: Ideal) -> GroebnerBasis:
     one = Polynomial.constant(I.field, m + 1, 1)
     gens = [t * _adjoin_variable_first(h) for h in I.generators]
     gens += [(one - t) * _adjoin_variable_first(h) for h in J.generators]
-    return _eliminate_first_variable(
-        Ideal(gens, field=I.field, arity=m + 1))
+    return _eliminate_leading(Ideal(gens, field=I.field, arity=m + 1), 1,
+                              range(1, m + 1))
 
 
 # --------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError, SpecializationError, ToricPolarError
 from .field import DEFAULT_PRIME, PrimeField, is_prime
-from .gcdtools import multivariate_gcd, squarefree_part
+from .gcdtools import _running_gcd, squarefree_part
 from .groebner import Ideal, _hilbert_data, projective_dimension, saturate
 from .poly import Polynomial
 
@@ -136,13 +136,7 @@ class RationalMapSpec:
                 degree = d
             elif degree != d:
                 raise PreconditionError("coordinates of unequal degrees")
-        common = None
-        for c in coords:
-            if c.is_zero():
-                continue
-            common = c if common is None else multivariate_gcd(common, c)
-            if common.is_constant():
-                break
+        common = _running_gcd(coords)
         if not common.is_constant():
             coords = tuple(c.exact_divide(common) if not c.is_zero() else c
                            for c in coords)

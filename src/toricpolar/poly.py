@@ -146,20 +146,6 @@ class Polynomial:
             return None
         return e, self.terms[e]
 
-    def degree_in(self, i: int) -> int:
-        """Largest exponent of variable i; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
-
-    def variables_used(self) -> tuple[int, ...]:
-        used = set()
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x:
-                    used.add(i)
-        return tuple(sorted(used))
-
     # ---------------------------------------------------------------- arithmetic
 
     def _wrap(self, terms: dict) -> Polynomial:

@@ -217,6 +217,30 @@ def test_degree_drop_on_the_line_falls_back(monkeypatch):
     assert calls == [1]
 
 
+def test_squarefree_univariate_pair_is_certified_on_the_line(monkeypatch):
+    """A squarefree u in x0 alone and its derivative are coprime; the line
+    moves x0 by s -> a[0]*s + b[0] with a[0] != 0, which keeps both degrees
+    and the gcd, so no intersection is needed."""
+    a, _ = gcdtools._line(F.p, 3)
+    assert a[0] != 0
+    u = P("(x0 + 1)*(x0 + 2)*(x0 + 5)")
+    monkeypatch.setattr(gcdtools, "intersect", _refuse_intersect)
+    assert multivariate_gcd(u, u.partial_derivative(0)) == P("1")
+
+
+def test_repeated_univariate_factor_goes_through_the_intersection(
+        monkeypatch):
+    """u = (x0 + 1)^2*(x0 + 3) shares x0 + 1 with its derivative; the line
+    cannot prove them coprime, and `intersect` gives the gcd."""
+    u = P("(x0 + 1)^2*(x0 + 3)")
+    calls = []
+    real = gcdtools.intersect
+    monkeypatch.setattr(gcdtools, "intersect",
+                        lambda I, J: calls.append(1) or real(I, J))
+    assert multivariate_gcd(u, u.partial_derivative(0)) == P("x0 + 1")
+    assert calls == [1]
+
+
 def test_wrong_certificate_is_caught_by_the_d1_check(monkeypatch):
     """A certificate that always answers 1 leaves the square of
     x0 + x1 + x2 in the reduced part and in the toric coordinates alike, so

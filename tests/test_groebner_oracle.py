@@ -1,5 +1,7 @@
-"""Differential tests of the Gröbner engine against sympy's groebner, and
-of the gcd taken from it, or proved 1 on a line, against sympy's gcd.
+"""Differential tests of the Gröbner engine against sympy's groebner, of
+the gcd taken from it, or proved 1 on a line, against sympy's gcd, and of
+multidegrees against the general-position formula with Milnor numbers
+counted over sympy's basis.
 
 sympy computes over GF(p) with its own Buchberger implementation, so it is
 an oracle that shares no code with toricpolar.  Both sides order variables
@@ -17,10 +19,14 @@ from sympy.polys.orderings import ProductOrder, grevlex
 
 from toricpolar import _kernel_py as kernel
 from toricpolar import gcdtools
+from toricpolar.classes import deg_from_milnor_general_position
 from toricpolar.field import PrimeField
 from toricpolar.gcdtools import multivariate_gcd
 from toricpolar.groebner import (Ideal, buchberger, eliminate,
                                  hilbert_dim_degree, intersect, saturate)
+from toricpolar.maps import (RandomizationConfig, multidegrees,
+                             random_translate, toric_polar_map)
+from toricpolar.parse import parse_polynomial
 from toricpolar.poly import GREVLEX, LEX, Polynomial, block_order
 
 P = 32003
@@ -320,11 +326,50 @@ def test_hilbert_dim_degree_matches_counting_over_sympy(ideal):
         gens, n)
 
 
+# Surfaces in P^3 with isolated A1 singularities, the sum of their Milnor
+# numbers, and the multidegrees of the toric polar map of a general
+# translate.
+NODAL_SURFACES = [
+    ("x0*x1*x2 + x0*x1*x3 + x0*x2*x3 + x1*x2*x3", 4, (1, 3, 9, 23)),
+    ("x3*(x0^2+x1^2+x2^2) + x0^3+2*x1^3+3*x2^3+7*x0*x1*x2", 1,
+     (1, 3, 9, 26)),
+    ("x3^2*(x0^2+x1^2+x2^2) + x3*(x0^3+2*x1^3+3*x2^3+7*x0*x1*x2)"
+     " + x0^4+2*x1^4+3*x2^4+11*x0^2*x1*x2+13*x1*x2^3", 1, (1, 4, 16, 63)),
+]
+
+
+@pytest.mark.parametrize("text, milnor, values", NODAL_SURFACES,
+                         ids=["cayley-cubic", "nodal-cubic", "nodal-quartic"])
+def test_general_translates_follow_the_general_position_formula(
+        text, milnor, values):
+    """The toric polar multidegrees of a general translate of a degree-k
+    surface with isolated singularities are k^j for j < 3 and
+    k^3 - sum of Milnor numbers at j = 3.
+
+    The sum comes from sympy: the Jacobian ideal defines the singular
+    points, and its Hilbert polynomial, counted over sympy's grevlex leads,
+    is the constant sum of their Tjurina numbers.  A node (A1) has Milnor
+    and Tjurina number 1; Cayley's cubic has four nodes, the other two
+    surfaces one singular point with Tjurina number 1, which is a node."""
+    names = ("x0", "x1", "x2", "x3")
+    f = parse_polynomial(text, names, F)
+    k = f.homogeneous_degree()
+    jacobian = [f.partial_derivative(i) for i in range(4)]
+    assert hilbert_by_counting(jacobian, 4) == (0, milnor)
+    got = multidegrees(toric_polar_map(random_translate(f, 11)),
+                       RandomizationConfig(prime=P)).values
+    expected = tuple(k ** j for j in range(3)) + (
+        deg_from_milnor_general_position(k, 3, milnor),)
+    assert got == expected == values
+
+
 @st.composite
 def gcd_cases(draw, homogeneous=None, h_degrees=(0, 2)):
     """h*f and h*g for random nonzero f, g of degree at most 2 and h with
     degree in `h_degrees` in 1-4 variables, all homogeneous or all affine
-    (drawn unless given), over a small and two large primes."""
+    (drawn unless given), over a small and two large primes.  An affine
+    polynomial has degree at most 2 and at least the lower end of its
+    range."""
     p = draw(st.sampled_from([3, 32003, 2**31 - 1]))
     n = draw(st.integers(1, 4))
     if homogeneous is None:
@@ -336,7 +381,8 @@ def gcd_cases(draw, homogeneous=None, h_degrees=(0, 2)):
                 if (sum(e) == d if homogeneous else sum(e) <= 2)]
         terms = draw(st.dictionaries(st.sampled_from(exps),
                                      st.integers(1, p - 1),
-                                     min_size=1, max_size=3))
+                                     min_size=1, max_size=3).filter(
+            lambda terms: max(map(sum, terms)) >= low))
         return Polynomial(PrimeField(p), n, terms)
 
     f, g, h = poly(), poly(), poly(*h_degrees)
@@ -363,10 +409,11 @@ def test_multivariate_gcd_matches_sympy(case):
 
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(gcd_cases(homogeneous=True, h_degrees=(1, 2)))
+@given(gcd_cases(h_degrees=(1, 2)))
 def test_line_certificate_keeps_planted_factors(case):
-    """A nonconstant common factor h of two forms is never certified away
-    on the line, and the gcd still matches sympy's."""
+    """A nonconstant common factor h of two polynomials, forms or affine
+    ones in one or more variables, is never certified away on the line,
+    and the gcd still matches sympy's."""
     p, a, b = case
     assert not gcdtools._coprime_on_line(a, b)
     assert multivariate_gcd(a, b) == sympy_gcd(a, b)

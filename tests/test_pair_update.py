@@ -232,12 +232,12 @@ def test_widening_with_live_pairs_matches_tuple_criteria():
 
 def test_pair_counts_of_a_verify_pass():
     """One in-process `verify` pass reduces these pairs.  The update on
-    exponent tuples reduces 2385; the complete-intersection bound leaves
+    exponent tuples reduces 2389; the complete-intersection bound leaves
     out 10 of those that reduce to zero, and none of the nonzero ones."""
     with PairLog() as log:
         results = verify_propositions(RandomizationConfig(seed=0))
     assert all(r.passed for r in results)
-    assert (len(log.pairs), log.nonzero) == (2375, 1057)
+    assert (len(log.pairs), log.nonzero) == (2379, 1059)
 
 
 def test_pair_counts_of_the_quartic_translate_base_ideal():
