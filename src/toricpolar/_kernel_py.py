@@ -56,10 +56,13 @@ cancel, so they are never built.  The packed remainder, largest term
 first, joins the list through `Reducers.append_remainder`: made monic, not
 re-packed, only its lead unpacked.  An S-polynomial term that sets a guard
 bit goes through the same retry: the S-polynomial is built again from the
-re-packed entries.  `reduce_tails` is the final tail-reduction pass, run
-when a basis's generators are first read, and the one place where whole
-elements are unpacked.  A remainder does not
-depend on the width, so the basis does not either.
+re-packed entries.  On the loops that count the complete-intersection
+bound, `Reducers.interreduce` reduces the tails of one degree's elements
+by each other, in place and packed, when that degree ends.
+`reduce_tails` is the final tail-reduction pass, run when a basis's
+generators are first read, and the one place where whole elements are
+unpacked.  A remainder does not depend on the width, so the basis does
+not either.
 
 The divisor index finds the first reducer whose leading exponent divides
 a term without a loop over the reducers.  It is one int of n slots, one
@@ -327,6 +330,31 @@ class Reducers:
         entries = self.entries
         return Reducers(self.kind, self.block, self.arity, self.width,
                         [entries[i] for i in indices])
+
+    def interreduce(self, start, p):
+        """Reduce the tails of the entries from `start` on by each other,
+        last one first (back substitution).  The entries must be monic
+        forms of one degree whose tails no earlier lead divides: a lead
+        then divides a tail term only where the two are equal, and that
+        term becomes its multiple of the other entry's tail, which is
+        reduced already.  The leads, the divisor index and the width do not
+        change; each tail stays largest first."""
+        entries = self.entries
+        at = {entries[k][0]: k for k in range(start, len(entries))}
+        for k in range(len(entries) - 2, start - 1, -1):
+            x, inv, tail = entries[k]
+            if not any(y in at for y, _ in tail):
+                continue
+            h = {}
+            for y, c in tail:
+                l = at.get(y)
+                if l is None:
+                    h[y] = h.get(y, 0) + c
+                    continue
+                for z, d in entries[l][2]:
+                    h[z] = h.get(z, 0) - c * d
+            entries[k] = (x, inv, sorted([(y, c % p) for y, c in h.items()
+                                          if c % p], reverse=True))
 
     def repack_low(self, xs, width):
         """The set `xs` of divisibility packs made at `width`, at the

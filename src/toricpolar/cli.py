@@ -6,7 +6,8 @@ Subcommands:
   curve-report  plane-curve invariants and the local degree formula
   verify        run the proposition harness over the corpus
 
-Exit codes: 0 success, 1 failed verification, 2 parse error,
+Exit codes: 0 success, 1 failed verification or a broken internal
+invariant (one stderr line, "internal error: ..."), 2 parse error,
 3 precondition violation, 4 unlucky randomized specialization
 (trial disagreement); rerun those with a fresh --seed or --prime.
 """
@@ -19,7 +20,8 @@ import sys
 
 from . import classes, curves
 from .constructions import parse_corpus, verify_propositions
-from .errors import ParseError, PreconditionError, SpecializationError
+from .errors import (ParseError, PreconditionError, SpecializationError,
+                     ToricPolarError)
 from .field import DEFAULT_PRIME, PrimeField
 from .maps import (RandomizationConfig, gradient_map, multidegrees,
                    toric_polar_map)
@@ -229,6 +231,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except ToricPolarError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

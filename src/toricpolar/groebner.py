@@ -162,10 +162,11 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     the order of the generators or of the pair selection.
 
     S-pairs wait in a heap keyed, once at creation, by (sugar, lcm in the
-    order, i, j); the sugar strategy (Giovini, Mora, Niesi, Robbiano and
-    Traverso, ISSAC 1991) ranks a pair by the degree it would have if the
-    input were homogenized, which matters because the generator 1 - t*g of
-    `saturate` makes the ideal inhomogeneous.  Each new element passes
+    order, i, j), the lcm descending on the loops that count the bound
+    below and ascending on the others; the sugar strategy (Giovini, Mora,
+    Niesi, Robbiano and Traverso, ISSAC 1991) ranks a pair by the degree it
+    would have if the input were homogenized, which matters because the
+    generator 1 - t*g of `saturate` makes the ideal inhomogeneous.  Each new element passes
     through the Gebauer-Möller update (J. Symbolic Comput. 6, 1988): its own
     pairs are filtered by the M, F and product criteria, old pairs by the
     B_k criterion, and elements whose leading term it divides leave the
@@ -222,6 +223,18 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     a pass over the basis, as on sparse forms of high degree.  A count
     below h(D), or a new lead outside the standard set, is a broken
     invariant and raises `ToricPolarError`.
+
+    Whether a loop counts is decided once, from the generators
+    (`_hilbert_driven`), and two rules hold on it to the end, also after
+    the count stops.  A degree's pairs come off the heap by descending
+    lcm, so the large leads come first and the count meets h(D) sooner.
+    When the heap first returns a pair of a higher degree, the elements
+    made in the degree just finished reduce each other's tails, last one
+    first (`Reducers.interreduce`): an earlier element's tail may hold a
+    later lead, and without this pass the reductions of the next degree
+    carry those terms.  The elements are forms of that one degree, so the
+    pass only cancels terms equal to a lead; leads, the divisor index and
+    the standard set do not change.
     """
     fld = I.field
     p = fld.p
@@ -237,6 +250,14 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     live: dict[tuple[int, int], tuple[int, tuple]] = {}
     heap: list[tuple] = []
     width = reducers.width
+    gens = sorted(I.generators, key=lambda g: order.key(g.leading_term(order)[0]))
+    counting = _hilbert_driven(gens, order, I.arity)
+    if counting:
+        # descending lcm within a degree
+        def pair_key(m):
+            return tuple([-f for f in order.key(m)])
+    else:
+        pair_key = order.key
 
     def append(r: list, s: int):
         nonlocal width
@@ -296,7 +317,7 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
                 live[(i, h)] = (m, mt)
                 d = sum(mt)
                 heapq.heappush(heap, (max(sugar[i] + d - sum(lead[i]),
-                                          s + d - dh), order.key(mt), i, h))
+                                          s + d - dh), pair_key(mt), i, h))
             seen |= 1 << (c + 1) * slot - 1
         lead.append(e)
         sugar.append(s)
@@ -307,7 +328,6 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
                          if not gone >> (c + 1) * slot - 1 & 1]
         active.append(h)
 
-    gens = sorted(I.generators, key=lambda g: order.key(g.leading_term(order)[0]))
     for g in gens:
         r = _kernel_py.normal_form_packed(g.terms, reducers, p)
         if r:
@@ -318,14 +338,19 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     # monomials of degree `deg`, as divisibility packs made at `std_width`,
     # and the bound h in that degree; std is None when it is not
     std = None
-    if (heap and order == GREVLEX and len(gens) <= I.arity
-            and all(g.is_homogeneous() for g in gens)):
+    if heap and counting:
         bound = _complete_intersection_hilbert(
             [g.total_degree() for g in gens], I.arity)
         std, deg, std_width, h = {0}, 0, reducers.width, bound(0)
 
+    # the sugar of the degree that runs and its first element
+    top, first = 0, len(lead)
     while heap:
         s, _, i, j = heapq.heappop(heap)
+        if counting and s > top:
+            # degree `top` ended: its elements reduce each other's tails
+            reducers.interreduce(first, p)
+            top, first = s, len(lead)
         m = live.pop((i, j), None)
         if m is None:
             continue
@@ -373,6 +398,14 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
             f"{len(result)}-element basis under the {order.kind} order "
             f"(block {order.block}) does not reduce to zero")
     return result
+
+
+def _hilbert_driven(gens: Sequence[Polynomial], order: MonomialOrder,
+                    arity: int) -> bool:
+    """Whether `buchberger` counts the complete-intersection bound on
+    these nonzero generators: at most `arity` forms under grevlex."""
+    return (order == GREVLEX and len(gens) <= arity
+            and all(g.is_homogeneous() for g in gens))
 
 
 def _complete_intersection_hilbert(degrees: Sequence[int], arity: int):

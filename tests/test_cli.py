@@ -161,6 +161,24 @@ def test_specialization_exit_code(monkeypatch):
     assert code == 4
 
 
+def test_broken_invariant_exit_code(monkeypatch, capsys):
+    """A bare `ToricPolarError`, as the Hilbert-driven pair loop raises
+    when its invariants break, is exit 1 with one stderr line."""
+    import toricpolar.cli as cli
+    from toricpolar.errors import ToricPolarError
+
+    def explode(*args, **kwargs):
+        raise ToricPolarError("3 standard monomials of degree 4, below the "
+                              "complete-intersection bound 4")
+
+    monkeypatch.setattr(cli, "multidegrees", explode)
+    code, out = run_cli(["multidegrees", "--poly", "x0+x1", "--vars", "x0,x1"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        "internal error: 3 standard monomials of degree 4, below the "
+        "complete-intersection bound 4\n")
+
+
 def test_non_log_concave_multidegrees_exit_code(capsys):
     """At p = 7 one trial slices d_2 = 1 for Cremona n = 3, whose
     multidegrees are (1, 3, 3, 1); (1, 3, 1, 1) is not log-concave, so it

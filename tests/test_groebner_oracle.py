@@ -6,7 +6,9 @@ counted over sympy's basis.
 sympy computes over GF(p) with its own Buchberger implementation, so it is
 an oracle that shares no code with toricpolar.  Both sides order variables
 x0 > x1 > x2 in grevlex and lex, and in the block order `block_order(1)`,
-which sympy spells as a ProductOrder of two grevlex blocks.
+which sympy spells as a ProductOrder of two grevlex blocks.  The dense
+surface translates are also run with the debug check of every basis on,
+which builds its S-polynomials apart from the packed pair loop.
 """
 
 import itertools
@@ -18,13 +20,13 @@ from hypothesis import strategies as st
 from sympy.polys.orderings import ProductOrder, grevlex
 
 from toricpolar import _kernel_py as kernel
-from toricpolar import gcdtools
+from toricpolar import gcdtools, groebner
 from toricpolar.classes import deg_from_milnor_general_position
 from toricpolar.field import PrimeField
 from toricpolar.gcdtools import multivariate_gcd
 from toricpolar.groebner import (Ideal, buchberger, eliminate,
                                  hilbert_dim_degree, intersect, saturate)
-from toricpolar.maps import (RandomizationConfig, multidegrees,
+from toricpolar.maps import (RandomizationConfig, gradient_map, multidegrees,
                              random_translate, toric_polar_map)
 from toricpolar.parse import parse_polynomial
 from toricpolar.poly import GREVLEX, LEX, Polynomial, block_order
@@ -361,6 +363,39 @@ def test_general_translates_follow_the_general_position_formula(
     expected = tuple(k ** j for j in range(3)) + (
         deg_from_milnor_general_position(k, 3, milnor),)
     assert got == expected == values
+
+
+def fermat_surface(k, field):
+    names = ("x0", "x1", "x2", "x3")
+    return parse_polynomial(" + ".join(f"{v}^{k}" for v in names), names,
+                            field)
+
+
+def test_cubic_translate_base_ideal_matches_sympy():
+    """The base ideal of the toric polar map of a general translate of the
+    Fermat cubic surface: four dense cubics in four variables, on which the
+    pair loop counts the complete-intersection bound, takes a degree's
+    pairs by descending lcm and interreduces each finished degree.  (The
+    quartic's basis takes sympy about 14 s and is left out.)"""
+    coordinates = toric_polar_map(
+        random_translate(fermat_surface(3, F), 1)).coordinates
+    G = buchberger(Ideal(coordinates), GREVLEX)
+    assert canonical(ours(G)) == canonical(
+        sympy_basis(coordinates, 4, "grevlex"))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_surface_translates_with_every_basis_checked(monkeypatch, k):
+    """With the debug check on, every basis that `multidegrees` computes
+    must reduce its own S-polynomials to zero, and the toric and gradient
+    maps of a general translate of the Fermat surface of degree k give
+    (1, k, k^2, k^3) and (1, k-1, (k-1)^2, (k-1)^3)."""
+    monkeypatch.setattr(groebner, "_DEBUG_CHECK_BASES", True)
+    f = random_translate(fermat_surface(k, PrimeField()), 1)
+    assert multidegrees(toric_polar_map(f)).values == tuple(
+        k ** j for j in range(4))
+    assert multidegrees(gradient_map(f)).values == tuple(
+        (k - 1) ** j for j in range(4))
 
 
 @st.composite

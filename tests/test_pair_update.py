@@ -10,6 +10,9 @@ subsequence of the reference's pairs that keeps every nonzero reduction.
 with the update written on exponent tuples, one `exp_divides` test per
 candidate pair, and no bound.  Both call `_kernel_py.s_polynomial_remainder`
 once per reduced pair, so wrapping it records the pair sequence of either.
+On the loops that count the bound (`groebner._hilbert_driven`) both take a
+degree's pairs by descending lcm and, when a degree ends, reduce the tails
+of its elements by each other with `Reducers.interreduce`.
 """
 
 import heapq
@@ -21,14 +24,14 @@ from hypothesis import strategies as st
 
 from toricpolar import _kernel_py as kernel
 from toricpolar.constructions import cremona_poly, verify_propositions
-from toricpolar.groebner import Ideal, buchberger
+from toricpolar.groebner import Ideal, _hilbert_driven, buchberger
 from toricpolar.field import PrimeField
 from toricpolar.maps import (RandomizationConfig, multidegrees,
                              random_translate, toric_polar_map)
-from toricpolar.parse import parse_polynomial
 from toricpolar.poly import GREVLEX, Polynomial, block_order
 
-from test_groebner_oracle import F, small_ideals
+from test_groebner_oracle import (F, fermat_surface, homogeneous_ideals,
+                                  small_ideals)
 
 
 def exp_add(e, d):
@@ -37,7 +40,8 @@ def exp_add(e, d):
 
 def tuple_buchberger(I, order):
     """Generators of the reduced basis of I, with the Gebauer-Möller update
-    on exponent tuples."""
+    on exponent tuples and the pair order and interreduction of
+    `buchberger`."""
     fld = I.field
     k = fld.kernel
     p = fld.p
@@ -45,6 +49,9 @@ def tuple_buchberger(I, order):
     divides = k.exp_divides
     reducers = k.Reducers(order.code, order.block, I.arity)
     lead, sugar, active, live, heap = [], [], [], {}, []
+    gens = sorted(I.generators,
+                  key=lambda g: order.key(g.leading_term(order)[0]))
+    counting = _hilbert_driven(gens, order, I.arity)
 
     def append(r, s):
         e = reducers.append_remainder(r, p)
@@ -69,20 +76,25 @@ def tuple_buchberger(I, order):
                 continue
             d = sum(m)
             live[(i, h)] = m
+            key = order.key(m)
+            if counting:
+                key = tuple(-f for f in key)
             heapq.heappush(heap, (max(sugar[i] + d - sum(lead[i]), s + d - dh),
-                                  order.key(m), i, h))
+                                  key, i, h))
         active[:] = [i for i in active if not divides(e, lead[i])]
         active.append(h)
 
-    gens = sorted(I.generators,
-                  key=lambda g: order.key(g.leading_term(order)[0]))
     for g in gens:
         r = k.normal_form_packed(g.terms, reducers, p)
         if r:
             append(r, max(g.total_degree(),
                           max(sum(reducers.unpack(x)) for x, _ in r)))
+    top, first = 0, len(lead)
     while heap:
         s, _, i, j = heapq.heappop(heap)
+        if counting and s > top:
+            reducers.interreduce(first, p)
+            top, first = s, len(lead)
         m = live.pop((i, j), None)
         if m is None:
             continue
@@ -150,6 +162,19 @@ def same_run(gens, order):
 def test_packed_update_matches_tuple_criteria(ideal, order):
     _, gens = ideal
     same_run(gens, order)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals())
+def test_counting_loops_match_tuple_criteria(ideal):
+    """The loops that count the complete-intersection bound: complete
+    intersections, common factors, dependent generators and monomials.
+    The reference interreduces with the same `Reducers.interreduce`, so a
+    wrong interreduction shows in the sympy oracle over the same ideals,
+    not here."""
+    _, gens = ideal
+    same_run(gens, GREVLEX)
 
 
 @st.composite
@@ -233,29 +258,28 @@ def test_widening_with_live_pairs_matches_tuple_criteria():
 def test_pair_counts_of_a_verify_pass():
     """One in-process `verify` pass reduces these pairs.  The update on
     exponent tuples reduces 2389; the complete-intersection bound leaves
-    out 10 of those that reduce to zero, and none of the nonzero ones."""
+    out 11 of those that reduce to zero, and none of the nonzero ones."""
     with PairLog() as log:
         results = verify_propositions(RandomizationConfig(seed=0))
     assert all(r.passed for r in results)
-    assert (len(log.pairs), log.nonzero) == (2379, 1059)
+    assert (len(log.pairs), log.nonzero) == (2378, 1059)
 
 
 def test_pair_counts_of_the_quartic_translate_base_ideal():
     """The coordinates of the toric polar map of a general translate of the
     Fermat quartic surface: four quartics in four variables, a complete
     intersection.  The update on exponent tuples reduces 176 pairs, 63 of
-    them to nonzero remainders; the complete-intersection bound leaves out
-    62 of the 113 that reduce to zero."""
-    names = ("x0", "x1", "x2", "x3")
-    fermat = parse_polynomial(" + ".join(f"{v}^4" for v in names), names,
-                              PrimeField())
-    coordinates = toric_polar_map(random_translate(fermat, 1)).coordinates
+    them to nonzero remainders; with the pairs of a degree taken by
+    descending lcm, the complete-intersection bound leaves out all 113 that
+    reduce to zero."""
+    coordinates = toric_polar_map(
+        random_translate(fermat_surface(4, PrimeField()), 1)).coordinates
     with PairLog() as packed:
         buchberger(Ideal(coordinates), GREVLEX)
     with PairLog() as tuples:
         tuple_buchberger(Ideal(coordinates), GREVLEX)
     assert (len(tuples.pairs), tuples.nonzero) == (176, 63)
-    assert (len(packed.pairs), packed.nonzero) == (114, 63)
+    assert (len(packed.pairs), packed.nonzero) == (63, 63)
 
 
 def test_pair_counts_of_cremona_4():
