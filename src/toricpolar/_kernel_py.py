@@ -59,6 +59,24 @@ bit goes through the same retry: the S-polynomial is built again from the
 re-packed entries.  On the loops that count the complete-intersection
 bound, `Reducers.interreduce` reduces the tails of one degree's elements
 by each other, in place and packed, when that degree ends.
+
+On those loops `buchberger` may also have `s_polynomial_remainder` reduce
+the S-polynomials of a degree D as rows (`Reducers.use_rows`), the shared
+reducer rows of F4 (Faugère, J. Pure Appl. Algebra 139, 1999) in their
+smallest form: one pair at a time, with the steps and remainder of the
+heap path.  The columns are the monomials of degree D, as full packs in
+ascending order, so a higher column is a larger monomial; they come from
+those of degree D - 1 through `Reducers._successors`, the enumerator that
+`standard_successors` uses too.  A row is one Python int with one W-bit
+slot per column, W = 2 bits(p) + bits(columns + 2) + 1: each step adds
+q * c < p^2 to a slot at most once, and there are at most `columns` steps,
+so no slot carries into the next and `bit_length()` finds the leading
+term.  Each step takes the top slot, reduces it mod p and clears it; the
+row of a reducer multiple is built once per degree and kept on the
+`Reducers` until `widen`, `interreduce` or the next degree drops it.
+`buchberger` asks for rows in a degree only when its C(D + n - 1, n - 1)
+monomials are no more than the terms of the elements, so sparse forms of
+high degree keep the heap.
 `reduce_tails` is the final tail-reduction pass, run when a basis's
 generators are first read, and the one place where whole elements are
 unpacked.  A remainder does not depend on the width, so the basis does
@@ -102,6 +120,8 @@ from functools import lru_cache, partial, reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from operator import add, le, mul, or_, sub
+
+from .errors import ToricPolarError
 
 GREVLEX = 0
 LEX = 1
@@ -248,16 +268,27 @@ class Reducers:
     guards minus the leading exponent's divisibility pack, and `ones` holds
     1 in each slot.  `append` extends both by one shift-or; `subset` and
     `widen` rebuild them.
+
+    The S-polynomials of degree `row_degree` (None: of no degree; set by
+    `use_rows`) reduce as rows (`_row_remainder`).  `columns` is None or
+    the degree of the last rows, its monomials as ascending packs, the
+    column of each pack and the slot width; `widen` drops it.  `rows` maps
+    each reduced monomial of that degree to the row of its reducer multiple
+    and the reducer's inverse coefficient; `widen`, `interreduce` and
+    `use_rows` drop it.
     """
 
     __slots__ = ("kind", "block", "arity", "width", "weights", "guards",
                  "shifts", "mask", "slot", "low", "low_guards", "entries",
-                 "index", "ones")
+                 "index", "ones", "row_degree", "columns", "rows")
 
     def __init__(self, kind, block, arity, width=0, entries=()):
         self.kind = kind
         self.block = block
         self.arity = arity
+        self.row_degree = None
+        self.columns = None
+        self.rows = {}
         self._set_width(width)
         self._set_entries(list(entries))
 
@@ -292,6 +323,8 @@ class Reducers:
         """Re-pack at `width` when it is wider than the current width."""
         if width <= self.width:
             return
+        self.columns = None
+        self.rows = {}
         unpack = self.unpack
         plain = [(unpack(lead), inv, [(unpack(x), c) for x, c in tail])
                  for lead, inv, tail in self.entries]
@@ -339,6 +372,7 @@ class Reducers:
         term becomes its multiple of the other entry's tail, which is
         reduced already.  The leads, the divisor index and the width do not
         change; each tail stays largest first."""
+        self.rows = {}
         entries = self.entries
         at = {entries[k][0]: k for k in range(start, len(entries))}
         for k in range(len(entries) - 2, start - 1, -1):
@@ -371,26 +405,51 @@ class Reducers:
         given `std`, those of degree D, made at `width`.
 
         A monomial of degree D + 1 is standard exactly when its divisors of
-        degree D are, so it is x^a * x_v for a standard x^a; it is built
-        once, from the x^a whose last variable is at most v.  The divisor
-        index tests each candidate in a fixed number of big-int operations.
-        The fields must hold D + 1.
+        degree D are, so it is one of the `_successors` of the standard
+        set.  The divisor index tests each candidate in a fixed number of
+        big-int operations.  The fields must hold D + 1.
         """
-        std = self.repack_low(std, width)
-        step = self.width + 1
-        units = [1 << s for s in self.shifts]
-        arity = self.arity
         index, ones = self.index, self.ones
         guard_slots = self.low_guards * ones
         flags = ones << self.slot - 1
         carry = flags - guard_slots
-        out = set()
-        for a in std:
-            for v in range(max(a.bit_length() - 1, 0) // step, arity):
-                b = a + units[v]
-                if not ((b * ones + index) & guard_slots) + carry & flags:
-                    out.add(b)
-        return out
+        return {b for b in self._successors(self.repack_low(std, width),
+                                            [1 << s for s in self.shifts])
+                if not ((b * ones + index) & guard_slots) + carry & flags}
+
+    def _successors(self, xs, units):
+        """x^a * x_v for each pack x^a in `xs` and each variable v from the
+        last variable of a on, `units` being the packs of the variables:
+        each monomial of the next degree once, when `xs` are those of one
+        degree.  The last variable is read from the divisibility pack: its
+        field holds the top bit, below the field's guard."""
+        step = self.width + 1
+        low = self.low
+        return [a + u for a in xs
+                for u in units[(a & low).bit_length() // step:]]
+
+    def use_rows(self, degree):
+        """Reduce the S-polynomials of `degree` as rows from now on (None:
+        of no degree); drops the rows of the degree before."""
+        self.row_degree = degree
+        self.rows = {}
+
+    def _set_columns(self, p):
+        """Make `columns` hold the monomials of `row_degree` at this width,
+        as packs in ascending order, so a higher column is a larger
+        monomial; they grow from the columns of a lower degree when there
+        are some.  A slot is W = 2 bits(p) + bits(columns + 2) + 1 bits
+        wide: an S-polynomial starts below p^2 in each slot, each of at
+        most `columns` steps adds q * c < p^2 to it once, and
+        (columns + 2) p^2 fits."""
+        degree, xs = 0, [0]
+        if self.columns is not None and self.columns[0] <= self.row_degree:
+            degree, xs = self.columns[:2]
+        for _ in range(degree, self.row_degree):
+            xs = self._successors(xs, self.weights)
+        xs.sort()
+        self.columns = (self.row_degree, xs, {x: k for k, x in enumerate(xs)},
+                        2 * p.bit_length() + (len(xs) + 2).bit_length() + 1)
 
 
 def normal_form_terms(f, reducers, p):
@@ -458,9 +517,97 @@ def s_polynomial_remainder(reducers, i, j, m, p):
     monic entries i and j of `reducers` (their leading exponents have lcm
     m) modulo all the entries.  The fields first hold twice the degree of
     m; on an overflow they double and the S-polynomial is built again from
-    the re-packed entries."""
-    return _reduce_widening(reducers, sum(m),
+    the re-packed entries.  In the degree of `reducers.row_degree` the
+    reduction runs on rows (`_row_remainder`), with the same remainder."""
+    degree = sum(m)
+    if degree == reducers.row_degree:
+        return _row_remainder(reducers, i, j, m, p)
+    return _reduce_widening(reducers, degree,
                             partial(_s_polynomial, reducers, i, j, m), p)
+
+
+def _row_remainder(reducers, i, j, m, p):
+    """The remainder of `s_polynomial_remainder`, the S-polynomial and the
+    reducer multiples taken as rows over the monomials of its degree D.
+
+    A row is one int with a W-bit slot per column (`Reducers.columns`);
+    a slot holds a plain-int coefficient and never carries into the next.
+    Each step takes the top slot, the largest pending monomial, reduces it
+    mod p and clears it: 0 is a cancelled term, a monomial that no lead
+    divides is a remainder term, and otherwise the row of its reducer
+    multiple, times q = p - c * inv, is added.  That row is built once
+    per degree, from the first divisor the index gives, and kept in
+    `Reducers.rows`.  The steps and the remainder are those of
+    `_reduce_packed`.  Every entry must be a form: a term that is not a
+    monomial of degree D raises `ToricPolarError`, and so does a step that
+    does not take a lower column than the step before, which only a slot
+    that overflowed into the next makes.
+    """
+    degree = sum(m)
+    reducers.widen(_width_for(degree))
+    if reducers.columns is None or reducers.columns[0] != degree:
+        reducers._set_columns(p)
+    _, monomials, _, w = reducers.columns
+    rows = reducers.rows
+    entries = reducers.entries
+    n = len(entries)
+    slot = reducers.slot
+    low = reducers.low
+    index, ones = reducers.index, reducers.ones
+    guard_slots = reducers.low_guards * ones
+    flags = ones << slot - 1
+    carry = flags - guard_slots
+    x = reducers.pack(m)
+    lead, _, tail = entries[i]
+    acc = _row(reducers, tail, x - lead)
+    lead, _, tail = entries[j]
+    acc += (p - 1) * _row(reducers, tail, x - lead)
+    r = []
+    top = len(monomials) * w
+    while acc:
+        shift = (acc.bit_length() - 1) // w * w
+        if shift >= top:
+            raise ToricPolarError(
+                f"the row reduction of degree {degree} came back to a "
+                f"column it had cleared: a slot overflowed")
+        top = shift
+        v = acc >> shift
+        acc -= v << shift
+        c = v % p
+        if not c:
+            continue
+        u = monomials[shift // w]
+        row = rows.get(u)
+        if row is None:
+            hit = ((((u & low) * ones + index) & guard_slots) + carry
+                   & flags).bit_length()
+            if not hit:
+                r.append((u, c))
+                continue
+            lead, inv, tail = entries[n - hit // slot]
+            row = rows[u] = (_row(reducers, tail, u - lead), inv)
+        acc += (p - c * row[1] % p) * row[0]
+    return r
+
+
+def _row(reducers, tail, d):
+    """The row of a packed tail, largest term first, times the monomial of
+    pack d, over the columns of `reducers`: each coefficient in the slot of
+    its column.  The row grows from its top slot down, one shift per
+    term."""
+    _, _, columns, w = reducers.columns
+    row = 0
+    top = len(columns)
+    for t, c in tail:
+        k = columns.get(t + d, top)
+        if k >= top:
+            raise ToricPolarError(
+                f"the row reduction of degree {reducers.row_degree} met "
+                f"the term {reducers.unpack(t + d)}: not a monomial of "
+                f"that degree, or not below the term before it")
+        row = row << (top - k) * w | c
+        top = k
+    return row << top * w
 
 
 def reduce_tails(basis, p):

@@ -235,6 +235,15 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     carry those terms.  The elements are forms of that one degree, so the
     pass only cancels terms equal to a lead; leads, the divisor index and
     the standard set do not change.
+
+    On such a loop a degree D also reduces its S-polynomials as rows
+    (`Reducers.use_rows`, see `_kernel_py`) when it has no more monomials,
+    C(D + arity - 1, arity - 1), than the elements have terms, the sum
+    that also stops the count: each S-polynomial is one big-int row over
+    the monomials of D, and the row of each reducer multiple is built once
+    per degree.  The remainders are those of the heap path, so the pairs,
+    elements and basis do not change.  Sparse forms of high degree, whose
+    degrees have many more monomials than terms, keep the heap path.
     """
     fld = I.field
     p = fld.p
@@ -348,9 +357,14 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     while heap:
         s, _, i, j = heapq.heappop(heap)
         if counting and s > top:
-            # degree `top` ended: its elements reduce each other's tails
+            # degree `top` ended: its elements reduce each other's tails.
+            # Degree s reduces on rows when its monomials are no more than
+            # the terms of the elements
             reducers.interreduce(first, p)
             top, first = s, len(lead)
+            terms = sum(len(tail) + 1 for _, _, tail in reducers.entries)
+            reducers.use_rows(
+                s if comb(s + I.arity - 1, I.arity - 1) <= terms else None)
         m = live.pop((i, j), None)
         if m is None:
             continue
@@ -358,8 +372,7 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
             # degree `deg` ended: stop counting if it ended above its bound,
             # or if the next degree would cost more than a pass over the
             # terms of the elements; else count it
-            if len(std) > h or len(std) > sum(
-                    len(tail) + 1 for _, _, tail in reducers.entries):
+            if len(std) > h or len(std) > terms:
                 std = None
                 break
             std = reducers.standard_successors(std, std_width)

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricpolar import _kernel_py as k
+from toricpolar.errors import ToricPolarError
 from toricpolar.field import PrimeField
 from toricpolar.groebner import Ideal, _s_terms, buchberger
 from toricpolar.poly import LEX, MonomialOrder, Polynomial, block_order
@@ -574,3 +575,68 @@ def test_reduce_tails_widens(monkeypatch):
     assert calls == [(8, 16)]
     assert list(reduced[1].items()) == [((1, 0, 0), 1), ((0, 1, 1650), 12)]
     assert reduced[0] == elements[0][1]
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_row_columns_are_the_monomials_of_the_degree_in_order(arity):
+    """The columns of a degree are its monomials, ascending in grevlex,
+    whether they grow from the columns of a lower degree or start again
+    from 1 after a lower degree."""
+    p = 32003
+    reducers = k.Reducers(k.GREVLEX, 0, arity)
+    reducers.widen(4)
+    key = k.order_key(k.GREVLEX, 0)
+    for degree in [0, 3, 2, 5, 6]:
+        reducers.use_rows(degree)
+        reducers._set_columns(p)
+        _, monomials, columns, w = reducers.columns
+        expected = sorted((e for e in itertools.product(range(degree + 1),
+                                                        repeat=arity)
+                           if sum(e) == degree), key=key)
+        assert [reducers.unpack(x) for x in monomials] == expected
+        assert columns == {x: c for c, x in enumerate(monomials)}
+        assert w == 2 * 15 + (len(expected) + 2).bit_length() + 1
+
+
+@pytest.mark.parametrize("first, second", [
+    ({(2, 0): 1, (0, 1): 1}, {(1, 1): 1, (0, 2): 3}),
+    ({(2, 0): 1, (0, 2): 5}, {(1, 1): 1, (0, 3): 3}),
+], ids=["first-not-a-form", "second-not-a-form"])
+def test_row_reduction_of_a_non_form_raises(first, second):
+    """Rows are made for the monomials of one degree.  An entry that is not
+    a form breaks that invariant: the row path raises, where the heap path
+    reduces the same pair."""
+    p = 32003
+    reducers = k.Reducers(k.GREVLEX, 0, 2)
+    reducers.append(first, (2, 0), 1)
+    reducers.append(second, (1, 1), 1)
+    reducers.use_rows(3)
+    with pytest.raises(ToricPolarError, match="not a monomial of that degree"):
+        k.s_polynomial_remainder(reducers, 0, 1, (2, 1), p)
+    reducers.use_rows(None)
+    assert k.s_polynomial_remainder(reducers, 0, 1, (2, 1), p)
+
+
+def test_row_reduction_of_an_unsorted_tail_raises():
+    """A row grows from its top slot down, so a tail must be largest
+    first; `append` keeps the order of the terms it is given."""
+    p = 32003
+    reducers = k.Reducers(k.GREVLEX, 0, 2)
+    reducers.append({(2, 0): 1, (0, 2): 5, (1, 1): 7}, (2, 0), 1)
+    reducers.append({(1, 1): 1, (0, 2): 3}, (1, 1), 1)
+    reducers.use_rows(3)
+    with pytest.raises(ToricPolarError, match="not below the term before"):
+        k.s_polynomial_remainder(reducers, 0, 1, (2, 1), p)
+
+
+def test_row_reduction_of_an_overflowing_slot_raises():
+    """A slot holds less than (columns + 2) p^2, so no step comes back to a
+    column it has cleared.  A forged coefficient far above p overflows its
+    slot into the ones above, and the row path raises instead of looping."""
+    p = 32003
+    reducers = k.Reducers(k.GREVLEX, 0, 2)
+    reducers.append({(2, 0): 1, (0, 2): 2**300}, (2, 0), 1)
+    reducers.append({(1, 1): 1, (0, 2): 3}, (1, 1), 1)
+    reducers.use_rows(3)
+    with pytest.raises(ToricPolarError, match="a slot overflowed"):
+        k.s_polynomial_remainder(reducers, 0, 1, (2, 1), p)

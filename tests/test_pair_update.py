@@ -13,12 +13,20 @@ once per reduced pair, so wrapping it records the pair sequence of either.
 On the loops that count the bound (`groebner._hilbert_driven`) both take a
 degree's pairs by descending lcm and, when a degree ends, reduce the tails
 of its elements by each other with `Reducers.interreduce`.
+
+On those loops `buchberger` also reduces the S-polynomials of a degree as
+rows (`_kernel_py._row_remainder`) when the degree has no more monomials
+than the basis has terms; `tuple_buchberger` never does.  The last tests
+check each row remainder against the heap path on the same `Reducers`,
+and which degrees take rows.
 """
 
 import heapq
+from functools import partial
 from operator import add
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +36,7 @@ from toricpolar.groebner import Ideal, _hilbert_driven, buchberger
 from toricpolar.field import PrimeField
 from toricpolar.maps import (RandomizationConfig, multidegrees,
                              random_translate, toric_polar_map)
+from toricpolar.parse import parse_polynomial
 from toricpolar.poly import GREVLEX, Polynomial, block_order
 
 from test_groebner_oracle import (F, fermat_surface, homogeneous_ideals,
@@ -287,3 +296,91 @@ def test_pair_counts_of_cremona_4():
         values = multidegrees(toric_polar_map(cremona_poly(4))).values
     assert values == (1, 4, 6, 4, 1)
     assert (len(log.pairs), log.nonzero) == (258, 104)
+
+
+def rows_against_heap(gens):
+    """Runs `buchberger` on `gens` under grevlex.  Each pair that it
+    reduces on rows is reduced again on the heap path (`_reduce_widening`
+    over `_s_polynomial`), from the same `Reducers`, and the two packed
+    remainders must agree term by term and in order.  Returns the degree
+    of each pair reduced on rows and of each pair reduced."""
+    real = kernel._row_remainder
+    rows = []
+
+    def row_remainder(reducers, i, j, m, p):
+        r = real(reducers, i, j, m, p)
+        heap = kernel._reduce_widening(
+            reducers, sum(m), partial(kernel._s_polynomial, reducers, i, j, m),
+            p)
+        assert r == heap
+        rows.append(sum(m))
+        return r
+
+    with PairLog() as log, \
+            mock.patch.object(kernel, "_row_remainder", row_remainder):
+        buchberger(Ideal(gens), GREVLEX)
+    return rows, [sum(m) for _, _, m in log.pairs]
+
+
+def in_field(gens, p):
+    """The polynomials with the same coefficients over F_p; they are below
+    32003, so none vanishes."""
+    field = PrimeField(p)
+    return [Polynomial(field, g.arity, dict(g.terms)) for g in gens]
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals(), st.sampled_from([32003, 2**31 - 1]))
+def test_row_remainders_match_the_heap_path(ideal, p):
+    """About one ideal in five reduces some degree on rows."""
+    _, gens = ideal
+    rows_against_heap(in_field(gens, p))
+
+
+@pytest.mark.parametrize("p", [32003, 2**31 - 1])
+@pytest.mark.parametrize("k", [3, 4])
+def test_row_remainders_match_the_heap_path_on_surface_translates(k, p):
+    """The base ideals of the toric polar maps of general translates of the
+    Fermat cubic and quartic surfaces: dense forms, whose every degree has
+    fewer monomials than the basis has terms, so every pair is reduced on
+    rows."""
+    coordinates = toric_polar_map(
+        random_translate(fermat_surface(k, PrimeField(p)), 1)).coordinates
+    rows, pairs = rows_against_heap(coordinates)
+    assert rows == pairs != []
+
+
+def paths_by_degree(gens):
+    """{degree: (pairs reduced on rows, pairs reduced on the heap)}."""
+    rows, pairs = rows_against_heap(gens)
+    return {d: (rows.count(d), pairs.count(d) - rows.count(d))
+            for d in pairs}
+
+
+def test_rows_only_where_the_degree_has_no_more_monomials_than_the_basis():
+    """A degree D of an ideal in n variables takes rows when its
+    C(D + n - 1, n - 1) monomials are no more than the terms of the basis.
+    The quartic translate's 140 terms in 4 variables cover every pair
+    degree, 5 to 13; the three degree-12 binomials in four variables, 6
+    terms, none of their 40 pairs.  Three trinomial quartics in 3 variables take rows once
+    the basis has grown, in degrees 8 to 10, and the heap again in degree
+    11, whose 78 monomials outnumber the terms of the interreduced basis."""
+    quartic = toric_polar_map(
+        random_translate(fermat_surface(4, PrimeField()), 1)).coordinates
+    assert paths_by_degree(quartic) == {
+        5: (6, 0), 6: (7, 0), 7: (10, 0), 8: (9, 0), 9: (11, 0),
+        10: (10, 0), 11: (6, 0), 12: (3, 0), 13: (1, 0)}
+    names = ("x0", "x1", "x2", "x3")
+    binomials = [parse_polynomial(g, names, F) for g in
+                 ("x0^11*x1 - x2^12", "x1^11*x2 - x3^12", "x0*x3^11 - x1^12")]
+    paths = paths_by_degree(binomials)
+    assert sum(r for r, _ in paths.values()) == 0
+    assert sum(h for _, h in paths.values()) == 40
+    trinomials = [parse_polynomial(g, names[:3], F) for g in
+                  ("x0^4 + x1^3*x2 + x0*x1*x2^2",
+                   "x1^4 + 2*x0*x2^3 + x0^2*x1^2",
+                   "x2^4 + 3*x0^3*x1 + x1*x2^3")]
+    assert paths_by_degree(trinomials) == {
+        5: (0, 2), 6: (0, 2), 7: (0, 4), 8: (8, 0), 9: (6, 0), 10: (4, 0),
+        11: (0, 2)}
