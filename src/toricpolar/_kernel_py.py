@@ -25,9 +25,10 @@ e_i themselves; a block order uses the grevlex forms of each block.
 and works on packed monomials (Monagan & Pearce, "Polynomial division
 using dynamic arrays, heaps, and packed exponent vectors", CASC 2007;
 Bachmann & Schönemann, "Monomial representations for Gröbner bases
-computations", ISSAC 1998).  A `Reducers` object packs each exponent e
-into one int made of two packs, in fields `width` bits wide, each topped
-by a guard bit (G is the mask of all guard bits):
+computations", ISSAC 1998).  A `Reducers` entry is a monic polynomial,
+(packed lead, packed tail).  Each exponent e is packed into one int made
+of two packs, in fields `width` bits wide, each topped by a guard bit (G
+is the mask of all guard bits):
 
   order pack         the order's forms, the first one in the most
                      significant field, so integer comparison is the order;
@@ -35,7 +36,8 @@ by a guard bit (G is the mask of all guard bits):
                      x^a divides x^b exactly when ((b | G) - a) & G == G.
 
 Both packs are linear in e, so integer addition is monomial multiplication.
-The reducers are packed once, when they join a basis.  The width comes
+The reducers are packed once, by `Reducers.append_remainder`, the one
+way in.  The width comes
 from the data: every form is at most the total degree, and the fields hold
 twice the largest total degree of the reducers and of the polynomial being
 reduced.  A grevlex reduction never leaves that range; under lex and block
@@ -46,8 +48,8 @@ input again and starts over.  Only the remainder is unpacked; it is the
 same dict, in the same insertion order, as a reduction on exponent tuples
 gives.
 
-`buchberger` keeps its elements packed from pair to basis.  Each is a
-monic entry of one `Reducers` list and has no other copy.
+`buchberger` keeps its elements packed from pair to basis.  Each is an
+entry of one `Reducers` list and has no other copy.
 `s_polynomial_remainder` packs the lcm m of two leads once, widening first
 to hold twice its degree, and shifts each tail by one int add: its terms
 times m / lead are the tail packs plus (pack of m) - (pack of lead), the
@@ -110,8 +112,8 @@ has none of its own: it reads the divisibility pack of each lead as
 `entry lead & low`, and takes `low_guards`, `slot` and `width` from the
 `Reducers`.
 
-Pending coefficients are plain ints: a reduction step adds q * c with
-q = p - (c_u * inv mod p), and a coefficient is reduced mod p once, when
+Pending coefficients are plain ints: a reduction step by a monic entry
+adds q * c with q = p - c_u, and a coefficient is reduced mod p once, when
 its term is popped.  A popped coefficient that is 0 mod p is a cancelled
 term and is dropped, so remainder coefficients stay in 1..p-1.
 """
@@ -255,27 +257,27 @@ def _layout(kind, block, arity, width):
 
 
 class Reducers:
-    """Reducers for `normal_form_terms`, packed once under one order.
+    """Monic reducers for `normal_form_terms`, packed once under one order.
 
-    `append` adds a reducer: its terms, leading exponent and inverse
-    leading coefficient.  Its tail (the terms but the leading one) is packed
-    then and kept only packed; `append_remainder` adds a remainder that is
-    packed already.  `subset` reuses the packed reducers.  The reductions
-    widen the fields in place when a product would overflow them.
+    An entry is (packed lead, packed tail), a monic polynomial, its tail
+    (pack, coefficient) pairs.  `append_remainder`, the one way in, makes
+    a packed polynomial monic.  `subset` reuses the packed entries.  The
+    reductions widen the fields in place when a product would overflow
+    them.
 
-    The divisor index has one `slot`-bit slot per reducer, the first
-    reducer in the top slot: `index` holds in each slot the divisibility
-    guards minus the leading exponent's divisibility pack, and `ones` holds
-    1 in each slot.  `append` extends both by one shift-or; `subset` and
-    `widen` rebuild them.
+    The divisor index has one `slot`-bit slot per entry, the first entry
+    in the top slot: `index` holds in each slot the divisibility guards
+    minus the leading exponent's divisibility pack, and `ones` holds 1 in
+    each slot; `index_masks` gives them with the masks of the test.
+    `append_remainder` extends both by one shift-or; `subset` and `widen`
+    rebuild them.
 
     The S-polynomials of degree `row_degree` (None: of no degree; set by
     `use_rows`) reduce as rows (`_row_remainder`).  `columns` is None or
     the degree of the last rows, its monomials as ascending packs, the
     column of each pack and the slot width; `widen` drops it.  `rows` maps
-    each reduced monomial of that degree to the row of its reducer multiple
-    and the reducer's inverse coefficient; `widen`, `interreduce` and
-    `use_rows` drop it.
+    each reduced monomial of that degree to the row of its reducer multiple;
+    `widen`, `interreduce` and `use_rows` drop it.
     """
 
     __slots__ = ("kind", "block", "arity", "width", "weights", "guards",
@@ -300,14 +302,13 @@ class Reducers:
                                               self.arity, width)
 
     def _set_entries(self, entries):
-        """Set the entries, packed at this width, and build their index.
-        An entry is (packed lead, inverse coefficient, packed tail)."""
+        """Set the entries, packed at this width, and build their index."""
         self.entries = entries
         slot = self.slot
         low = self.low
         g = self.low_guards
         index = 0
-        for lead, _, _ in entries:
+        for lead, _ in entries:
             index = index << slot | g - (lead & low)
         self.index = index
         self.ones = ((1 << slot * len(entries)) - 1) // ((1 << slot) - 1)
@@ -326,37 +327,35 @@ class Reducers:
         self.columns = None
         self.rows = {}
         unpack = self.unpack
-        plain = [(unpack(lead), inv, [(unpack(x), c) for x, c in tail])
-                 for lead, inv, tail in self.entries]
+        plain = [(unpack(lead), [(unpack(x), c) for x, c in tail])
+                 for lead, tail in self.entries]
         self._set_width(width)
         pack = self.pack
-        self._set_entries([(pack(lead), inv, [(pack(e), c) for e, c in tail])
-                           for lead, inv, tail in plain])
-
-    def append(self, terms, lead, inv):
-        self.widen(_width_for(max(map(sum, terms))))
-        pack = self.pack
-        self._add(pack(lead), inv,
-                  [(pack(e), c) for e, c in terms.items() if e != lead])
+        self._set_entries([(pack(lead), [(pack(e), c) for e, c in tail])
+                           for lead, tail in plain])
 
     def append_remainder(self, r, p):
-        """Append a packed remainder (largest term first) made monic, as it
-        is: its terms fit the fields they were found in.  Returns its
-        leading exponent, the only term unpacked."""
+        """Append a packed polynomial (largest term first, in fields that
+        hold its terms) made monic.  Returns its leading exponent, the only
+        term unpacked."""
         x, c = r[0]
         tail = r[1:]
         if c != 1:
             inv = pow(c, -1, p)
             tail = [(y, d * inv % p) for y, d in tail]
-        self._add(x, 1, tail)
-        return self.unpack(x)
-
-    def _add(self, x, inv, tail):
-        """Add the entry (x, inv, tail) and its slot in the index."""
-        self.entries.append((x, inv, tail))
+        self.entries.append((x, tail))
         slot = self.slot
         self.index = self.index << slot | self.low_guards - (x & self.low)
         self.ones = self.ones << slot | 1
+        return self.unpack(x)
+
+    def index_masks(self):
+        """(index, ones, guard_slots, carry, flags): the divisor index and
+        the masks of its test (see the module docstring)."""
+        ones = self.ones
+        guard_slots = self.low_guards * ones
+        flags = ones << self.slot - 1
+        return self.index, ones, guard_slots, flags - guard_slots, flags
 
     def subset(self, indices):
         """The reducers at `indices`, in that order, sharing this packing."""
@@ -376,7 +375,7 @@ class Reducers:
         entries = self.entries
         at = {entries[k][0]: k for k in range(start, len(entries))}
         for k in range(len(entries) - 2, start - 1, -1):
-            x, inv, tail = entries[k]
+            x, tail = entries[k]
             if not any(y in at for y, _ in tail):
                 continue
             h = {}
@@ -385,10 +384,10 @@ class Reducers:
                 if l is None:
                     h[y] = h.get(y, 0) + c
                     continue
-                for z, d in entries[l][2]:
+                for z, d in entries[l][1]:
                     h[z] = h.get(z, 0) - c * d
-            entries[k] = (x, inv, sorted([(y, c % p) for y, c in h.items()
-                                          if c % p], reverse=True))
+            entries[k] = (x, sorted([(y, c % p) for y, c in h.items()
+                                     if c % p], reverse=True))
 
     def repack_low(self, xs, width):
         """The set `xs` of divisibility packs made at `width`, at the
@@ -409,10 +408,7 @@ class Reducers:
         set.  The divisor index tests each candidate in a fixed number of
         big-int operations.  The fields must hold D + 1.
         """
-        index, ones = self.index, self.ones
-        guard_slots = self.low_guards * ones
-        flags = ones << self.slot - 1
-        carry = flags - guard_slots
+        index, ones, guard_slots, carry, flags = self.index_masks()
         return {b for b in self._successors(self.repack_low(std, width),
                                             [1 << s for s in self.shifts])
                 if not ((b * ones + index) & guard_slots) + carry & flags}
@@ -499,10 +495,10 @@ def _s_polynomial(reducers, i, j, m):
     only the tails are shifted: by M - lead, M the pack of m."""
     entries = reducers.entries
     x = reducers.pack(m)
-    lead, _, tail = entries[i]
+    lead, tail = entries[i]
     d = x - lead
     h = {t + d: c for t, c in tail}
-    lead, _, tail = entries[j]
+    lead, tail = entries[j]
     d = x - lead
     for t, c in tail:
         e = t + d
@@ -535,7 +531,7 @@ def _row_remainder(reducers, i, j, m, p):
     Each step takes the top slot, the largest pending monomial, reduces it
     mod p and clears it: 0 is a cancelled term, a monomial that no lead
     divides is a remainder term, and otherwise the row of its reducer
-    multiple, times q = p - c * inv, is added.  That row is built once
+    multiple, times q = p - c, is added.  That row is built once
     per degree, from the first divisor the index gives, and kept in
     `Reducers.rows`.  The steps and the remainder are those of
     `_reduce_packed`.  Every entry must be a form: a term that is not a
@@ -553,14 +549,11 @@ def _row_remainder(reducers, i, j, m, p):
     n = len(entries)
     slot = reducers.slot
     low = reducers.low
-    index, ones = reducers.index, reducers.ones
-    guard_slots = reducers.low_guards * ones
-    flags = ones << slot - 1
-    carry = flags - guard_slots
+    index, ones, guard_slots, carry, flags = reducers.index_masks()
     x = reducers.pack(m)
-    lead, _, tail = entries[i]
+    lead, tail = entries[i]
     acc = _row(reducers, tail, x - lead)
-    lead, _, tail = entries[j]
+    lead, tail = entries[j]
     acc += (p - 1) * _row(reducers, tail, x - lead)
     r = []
     top = len(monomials) * w
@@ -584,9 +577,9 @@ def _row_remainder(reducers, i, j, m, p):
             if not hit:
                 r.append((u, c))
                 continue
-            lead, inv, tail = entries[n - hit // slot]
-            row = rows[u] = (_row(reducers, tail, u - lead), inv)
-        acc += (p - c * row[1] % p) * row[0]
+            lead, tail = entries[n - hit // slot]
+            row = rows[u] = _row(reducers, tail, u - lead)
+        acc += (p - c) * row
     return r
 
 
@@ -620,7 +613,7 @@ def reduce_tails(basis, p):
     unpack = basis.unpack
     out = []
     for i in range(len(basis.entries)):
-        r = _reduce_widening(basis, 0, lambda: dict(basis.entries[i][2]), p)
+        r = _reduce_widening(basis, 0, lambda: dict(basis.entries[i][1]), p)
         f = {unpack(basis.entries[i][0]): 1}
         for x, c in r:
             f[unpack(x)] = c
@@ -647,10 +640,7 @@ def _reduce_packed(h, reducers, p):
     n = len(entries)
     slot = reducers.slot
     low = reducers.low
-    index, ones = reducers.index, reducers.ones
-    guard_slots = reducers.low_guards * ones
-    flags = ones << slot - 1
-    carry = flags - guard_slots
+    index, ones, guard_slots, carry, flags = reducers.index_masks()
     heap = [-x for x in h]
     heapify(heap)
     r = []
@@ -664,8 +654,8 @@ def _reduce_packed(h, reducers, p):
         if not hit:
             r.append((u, c))
             continue
-        lead, inv, tail = entries[n - hit // slot]
-        q = p - c * inv % p
+        lead, tail = entries[n - hit // slot]
+        q = p - c
         d = u - lead
         for tx, tc in tail:
             e = tx + d
@@ -683,21 +673,22 @@ def _reduce_packed(h, reducers, p):
 def divide_terms(f, g, p):
     """The quotient f / g when g divides f exactly, else None; g is nonzero.
 
-    A heap division under grevlex on packed monomials: the largest pending
-    term is divided by the leading term of g, and the first one that it
-    does not divide gives None.  The quotient lists its terms largest
-    first.  The leading term of g has the largest total degree of g, so no
-    pending term has a larger total degree than f, and fields that hold
+    A heap division under grevlex by g made monic, packed as a one-entry
+    `Reducers`: the largest pending term is divided by the leading term of
+    g, and the first one that it does not divide gives None.  The quotient
+    lists its terms largest first and is scaled by 1 / lead coefficient at
+    the end.  The leading term of g has the largest total degree of g, so
+    no pending term has a larger total degree than f, and fields that hold
     twice the larger of the two degrees never overflow.
     """
-    lead = leading_exponent(g, GREVLEX, 0)
-    degree = max(sum(lead), max(map(sum, f), default=0))
-    weights, guards, shifts, mask = _layout(GREVLEX, 0, len(lead),
-                                            _width_for(degree))[:4]
-    x = sum(map(mul, lead, weights))
-    inv = pow(g[lead], -1, p)
-    tail = [(sum(map(mul, e, weights)), c) for e, c in g.items() if e != lead]
-    h = {sum(map(mul, e, weights)): c for e, c in f.items()}
+    degree = max(max(map(sum, g)), max(map(sum, f), default=0))
+    divisor = Reducers(GREVLEX, 0, len(next(iter(g))), _width_for(degree))
+    pack = divisor.pack
+    lead = divisor.append_remainder(
+        sorted([(pack(e), c) for e, c in g.items()], reverse=True), p)
+    x, tail = divisor.entries[0]
+    guards = divisor.guards
+    h = {pack(e): c for e, c in f.items()}
     heap = [-u for u in h]
     heapify(heap)
     quotient = []
@@ -708,7 +699,6 @@ def divide_terms(f, g, p):
             continue
         if ((u | guards) - x) & guards != guards:
             return None
-        c = c * inv % p
         d = u - x
         quotient.append((d, c))
         q = p - c
@@ -720,4 +710,6 @@ def divide_terms(f, g, p):
                 heappush(heap, -e)
             else:
                 h[e] = s + q * tc
-    return {tuple([d >> s & mask for s in shifts]): c for d, c in quotient}
+    inv = pow(g[lead], -1, p)
+    unpack = divisor.unpack
+    return {unpack(d): c * inv % p for d, c in quotient}

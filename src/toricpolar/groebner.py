@@ -79,7 +79,7 @@ class GroebnerBasis(Ideal):
         self._minimal = minimal
         self._variables = variables
         self._lead_exps = [self._relabel(minimal.unpack(x))
-                           for x, _, _ in minimal.entries]
+                           for x, _ in minimal.entries]
         self._generators = None
         self._reducers = None
 
@@ -104,13 +104,19 @@ class GroebnerBasis(Ideal):
         return tuple(self._lead_exps)
 
     def _packed(self):
-        """The generators packed as kernel reducers, on first use (most
-        bases only give their leading exponents)."""
+        """The generators packed as kernel reducers, largest term first, on
+        first use (most bases only give their leading exponents)."""
         if self._reducers is None:
-            red = _kernel_py.Reducers(self.order.code, self.order.block,
-                                      self.arity)
-            for g, e in zip(self.generators, self._lead_exps):
-                red.append(g.terms, e, self.field.inv(g.terms[e]))
+            gens = self.generators
+            red = _kernel_py.Reducers(
+                self.order.code, self.order.block, self.arity,
+                _kernel_py._width_for(max((g.total_degree() for g in gens),
+                                          default=0)))
+            pack, p = red.pack, self.field.p
+            for g in gens:
+                red.append_remainder(
+                    sorted([(pack(e), c) for e, c in g.terms.items()],
+                           reverse=True), p)
             self._reducers = red
         return self._reducers
 
@@ -362,7 +368,7 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
             # the terms of the elements
             reducers.interreduce(first, p)
             top, first = s, len(lead)
-            terms = sum(len(tail) + 1 for _, _, tail in reducers.entries)
+            terms = sum(len(tail) + 1 for _, tail in reducers.entries)
             reducers.use_rows(
                 s if comb(s + I.arity - 1, I.arity - 1) <= terms else None)
         m = live.pop((i, j), None)
@@ -426,17 +432,10 @@ def _complete_intersection_hilbert(degrees: Sequence[int], arity: int):
     of the polynomial ring in `arity` variables by a complete intersection
     of forms of these degrees: the coefficient of t^D in
     prod(1 - t^d) / (1 - t)^arity."""
-    numerator = {0: 1}
-    for d in degrees:
-        for k, c in list(numerator.items()):
-            numerator[k + d] = numerator.get(k + d, 0) - c
-    terms = [(k, c) for k, c in numerator.items() if c]
+    terms = [(k, c) for k, c in
+             enumerate(_complete_intersection_numerator(degrees)) if c]
     return lambda D: sum(c * comb(D - k + arity - 1, arity - 1)
                          for k, c in terms if k <= D)
-
-
-def _adjoin_variable_first(g: Polynomial) -> Polynomial:
-    return g.extend_arity(g.arity + 1, 0)
 
 
 def _eliminate_leading(I: Ideal, k: int,
@@ -490,9 +489,9 @@ def saturate(I: Ideal, g: Polynomial) -> GroebnerBasis:
     if g.field != I.field or g.arity != I.arity:
         raise ValueError("polynomial from a different ring")
     m = I.arity
-    lifted = [_adjoin_variable_first(h) for h in I.generators]
+    lifted = [h.extend_arity(m + 1, 0) for h in I.generators]
     t = Polynomial.variable(I.field, m + 1, 0)
-    rab = Polynomial.constant(I.field, m + 1, 1) - t * _adjoin_variable_first(g)
+    rab = Polynomial.constant(I.field, m + 1, 1) - t * g.extend_arity(m + 1, 0)
     return _eliminate_leading(
         Ideal(lifted + [rab], field=I.field, arity=m + 1), 1, range(1, m + 1))
 
@@ -505,8 +504,8 @@ def intersect(I: Ideal, J: Ideal) -> GroebnerBasis:
     m = I.arity
     t = Polynomial.variable(I.field, m + 1, 0)
     one = Polynomial.constant(I.field, m + 1, 1)
-    gens = [t * _adjoin_variable_first(h) for h in I.generators]
-    gens += [(one - t) * _adjoin_variable_first(h) for h in J.generators]
+    gens = [t * h.extend_arity(m + 1, 0) for h in I.generators]
+    gens += [(one - t) * h.extend_arity(m + 1, 0) for h in J.generators]
     return _eliminate_leading(Ideal(gens, field=I.field, arity=m + 1), 1,
                               range(1, m + 1))
 
@@ -534,12 +533,11 @@ def _poly_shift(a, s):
     return [0] * s + list(a)
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+def _complete_intersection_numerator(degrees) -> list[int]:
+    """The coefficients of prod(1 - t^d) over `degrees`, lowest first."""
+    out = [1]
+    for d in degrees:
+        out = _poly_add(out, _poly_shift([-c for c in out], d))
     return out
 
 
@@ -565,9 +563,7 @@ def _hilbert_numerator(gens: list[tuple], memo: dict) -> list[int]:
             break
         seen |= sup
     if coprime:
-        out = [1]
-        for e in gens:
-            out = _poly_mul(out, _poly_add([1], _poly_shift([-1], sum(e))))
+        out = _complete_intersection_numerator([sum(e) for e in gens])
         memo[key] = out
         return out
     # pivot on the most frequent variable
@@ -659,7 +655,7 @@ def _homogeneous_basis(I: Ideal) -> GroebnerBasis:
 def _forms(reducers: _kernel_py.Reducers) -> bool:
     """Whether every entry of a `Reducers` list is a form."""
     unpack = reducers.unpack
-    for x, _, tail in reducers.entries:
+    for x, tail in reducers.entries:
         d = sum(unpack(x))
         if any(sum(unpack(y)) != d for y, _ in tail):
             return False

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from toricpolar import _kernel_py
 from toricpolar.field import PrimeField
 from toricpolar.parse import parse_polynomial
 from toricpolar.poly import Polynomial
@@ -16,6 +17,18 @@ def field():
 def plane(field):
     """Parse in the three plane variables x0, x1, x2."""
     return lambda text: parse_polynomial(text, ("x0", "x1", "x2"), field)
+
+
+def append_reducer(reducers, terms, lead, inv, p):
+    """Append the reducer with leading term inv^-1 x^lead and the other
+    `terms` as its tail to a kernel `Reducers`, through its one append
+    path, packed in the order of `terms` after the lead: made monic, its
+    tail is `inv` times theirs.  The fields first hold twice its degree."""
+    reducers.widen(_kernel_py._width_for(max(map(sum, terms))))
+    pack = reducers.pack
+    reducers.append_remainder(
+        [(pack(lead), pow(inv, -1, p))]
+        + [(pack(e), c) for e, c in terms.items() if e != lead], p)
 
 
 def random_homogeneous(field, rng: random.Random, arity: int, degree: int,

@@ -20,7 +20,7 @@ from toricpolar.groebner import (GroebnerBasis, Ideal, buchberger, eliminate,
 from toricpolar.parse import parse_polynomial
 from toricpolar.poly import GREVLEX, LEX, Polynomial, block_order
 
-from conftest import random_homogeneous, random_polynomial
+from conftest import append_reducer, random_homogeneous, random_polynomial
 
 F = PrimeField()
 
@@ -571,7 +571,7 @@ def test_carried_standard_count_is_the_hilbert_function(seed):
     leads = [e for e in leads if sum(e)] or [(1,) * n]
     reducers = kernel.Reducers(kernel.GREVLEX, 0, n)
     for e in leads:
-        reducers.append({e: 1}, e, 1)
+        append_reducer(reducers, {e: 1}, e, 1, F.p)
     reducers.widen(4)  # fields hold 15, past the last degree counted
     std, width = {0}, reducers.width
     for D in range(13):

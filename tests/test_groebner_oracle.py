@@ -281,6 +281,64 @@ def test_intersect_matches_sympy_elimination(first, second):
     assert canonical(ours(mine)) == canonical(sympy_basis(theirs, n, "grevlex"))
 
 
+@st.composite
+def relabelled_bases(draw):
+    """A basis whose minimal elements live in a larger or permuted ring
+    than the basis: `eliminate` of a variable other than the first (the
+    dropped one moves to the front), or `saturate` or `intersect` (t comes
+    first), of small random ideals; and polynomials to reduce by it."""
+    n, gens = draw(small_ideals(min_vars=2))
+    more = draw(small_ideals(min_vars=n, max_vars=n))[1]
+    kind = draw(st.sampled_from(["eliminate", "saturate", "intersect"]))
+    if kind == "eliminate":
+        G = eliminate(Ideal(gens), {draw(st.integers(1, n - 1))})
+    elif kind == "saturate":
+        G = saturate(Ideal(gens), more[0])
+    else:
+        G = intersect(Ideal(gens), Ideal(more))
+    fs = draw(small_ideals(min_vars=n, max_vars=n))[1]
+    return n, G, fs
+
+
+def sympy_remainder(f, basis, n):
+    """The remainder of f by `basis` from sympy's `reduced` under grevlex,
+    as a term dict with coefficients in [0, p)."""
+    xs = sympy.symbols(f"x0:{n}")
+    if not basis:
+        return dict(f.terms)
+    _, r = sympy.reduced(to_sympy(f, xs), [to_sympy(g, xs) for g in basis],
+                         *xs, modulus=P, order="grevlex")
+    return {tuple(e): int(c) % P
+            for e, c in sympy.Poly(r, *xs, modulus=P).terms() if int(c) % P}
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(relabelled_bases())
+def test_normal_form_of_a_relabelled_basis_matches_sympy(case):
+    """`normal_form` and `contains` of a basis from `eliminate`, `saturate`
+    or `intersect` reduce by its generators packed in its own ring.  The
+    remainder equals sympy's by the same generators, and the normal form
+    is unique: reducing f, moved into the ring of the minimal basis, by
+    the minimal basis and moving the remainder back gives it too."""
+    n, G, fs = case
+    v = G._variables
+    big = G._minimal.arity
+    for f in fs:
+        r = G.normal_form(f)
+        assert dict(r.terms) == sympy_remainder(f, G.generators, n)
+        moved = {}
+        for e, c in f.terms.items():
+            x = [0] * big
+            for i, a in zip(v, e):
+                x[i] = a
+            moved[tuple(x)] = c
+        r_min = kernel.normal_form_terms(moved, G._minimal, P)
+        assert dict(r.terms) == {G._relabel(e): c for e, c in r_min.items()}
+        assert G.contains(f) == (not r.terms)
+        assert all(G.contains(f * g) for g in G.generators)
+
+
 def top_degree_parts(gens):
     """The homogeneous part of top degree of each generator."""
     out = []

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import append_reducer
 from toricpolar import _kernel_py as k
 from toricpolar.errors import ToricPolarError
 from toricpolar.field import PrimeField
@@ -99,17 +100,18 @@ def split(g, p, kind, block):
     return lead, pow(tail.pop(lead), p - 2, p), tail
 
 
-def pack_reducers(lead_exps, lead_invs, tails, kind, block, arity):
+def pack_reducers(lead_exps, lead_invs, tails, p, kind, block, arity):
     """The tuple reducers of the reference, packed for the kernel."""
     reducers = k.Reducers(kind, block, arity)
     for lead, inv, tail in zip(lead_exps, lead_invs, tails):
-        reducers.append({lead: 1, **tail}, lead, inv)
+        append_reducer(reducers, {lead: 1, **tail}, lead, inv, p)
     return reducers
 
 
 def kernel_normal_form(arity, f, lead_exps, lead_invs, tails, p, kind,
                        block):
-    reducers = pack_reducers(lead_exps, lead_invs, tails, kind, block, arity)
+    reducers = pack_reducers(lead_exps, lead_invs, tails, p, kind, block,
+                             arity)
     return k.normal_form_terms(f, reducers, p)
 
 
@@ -168,7 +170,7 @@ def test_overflow_repacks_twice_as_wide():
     # are packed for degree 100, in fields that end at 255; x1^258 sets a
     # guard bit and the reduction runs again in 16-bit fields.
     reducers = k.Reducers(k.LEX, 0, 2)
-    reducers.append({(1, 0): 1, (0, 3): 12}, (1, 0), 1)
+    append_reducer(reducers, {(1, 0): 1, (0, 3): 12}, (1, 0), 1, 13)
     assert reducers.width == 3
     r = k.normal_form_terms({(100, 0): 1}, reducers, 13)
     assert list(r.items()) == [((0, 300), 1)]
@@ -205,7 +207,7 @@ def test_divisor_index_over_many_words(seed):
     kind, block = rng.choice([(k.GREVLEX, 0), (k.LEX, 0), (k.BLOCK, 1)])
     leads, invs, tails = random_reducers(rng, rng.randint(70, 90), 3, p,
                                          kind, block)
-    reducers = pack_reducers(leads, invs, tails, kind, block, 3)
+    reducers = pack_reducers(leads, invs, tails, p, kind, block, 3)
     assert reducers.index.bit_length() > 10 * 64
     for _ in range(5):
         f = random_terms(rng, 3, p, 12)
@@ -224,7 +226,7 @@ def test_divisor_index_after_append_and_subset(seed):
     leads, invs, tails = random_reducers(rng, 40, 4, p, kind, block)
     reducers = k.Reducers(kind, block, 4)
     for i, (lead, inv, tail) in enumerate(zip(leads, invs, tails)):
-        reducers.append({lead: 1, **tail}, lead, inv)
+        append_reducer(reducers, {lead: 1, **tail}, lead, inv, p)
         f = random_terms(rng, 4, p, 6)
         r = k.normal_form_terms(f, reducers, p)
         assert list(r.items()) == list(reference_normal_form(
@@ -248,7 +250,7 @@ def test_divisor_index_rebuilt_when_widened_mid_reduction():
     leads = [(1, 0, 0), (0, 260, 0), (1, 0, 0)]
     tails = [{(0, 3, 0): 12}, {(0, 0, 1): 12}, {(0, 0, 1): 12}]
     case = ({(400, 0, 0): 1}, leads, [1, 1, 1], tails, 13, k.LEX, 0)
-    reducers = pack_reducers(*case[1:4], k.LEX, 0, 3)
+    reducers = pack_reducers(*case[1:5], k.LEX, 0, 3)
     assert reducers.width == 10
     r = k.normal_form_terms(case[0], reducers, 13)
     assert reducers.width == 20
@@ -409,7 +411,7 @@ def s_reference(elements, i, j, p, kind, block):
     m = k.exp_lcm(li, lj)
     reducers = k.Reducers(kind, block, len(li))
     for lead, f in elements:
-        reducers.append(f, lead, 1)
+        append_reducer(reducers, f, lead, 1, p)
     return m, k.normal_form_terms(
         _s_terms(p, fi, li, 1, fj, lj, 1, m), reducers, p)
 
@@ -494,7 +496,7 @@ def test_packed_s_polynomial_widens(monkeypatch, kind, block, elements, i, j,
     p = 13
     reducers = k.Reducers(kind, block, len(elements[0][0]))
     for lead, f in elements:
-        reducers.append(f, lead, 1)
+        append_reducer(reducers, f, lead, 1, p)
     m, expected = s_reference(elements, i, j, p, kind, block)
     calls = counting_widen(monkeypatch)
     r = packed_s_remainder(reducers, i, j, m, p)
@@ -526,7 +528,7 @@ def test_append_remainder_makes_monic_without_repacking():
     pack = reducers.pack
     r = [(pack((2, 0)), 3), (pack((1, 1)), 6), (pack((0, 1)), 1)]
     assert reducers.append_remainder(r, p) == (2, 0)
-    assert reducers.entries == [(pack((2, 0)), 1,
+    assert reducers.entries == [(pack((2, 0)),
                                  [(pack((1, 1)), 2), (pack((0, 1)), 9)])]
     assert reducers.width == 4
 
@@ -553,7 +555,7 @@ def test_reduce_tails_matches_reduction_by_the_others(seed):
         elements.append((lead, {lead: 1, **tail}))
     basis = k.Reducers(kind, block, arity)
     for lead, f in elements:
-        basis.append(f, lead, 1)
+        append_reducer(basis, f, lead, 1, p)
     reduced = k.reduce_tails(basis.subset(range(len(elements))), p)
     for i, (lead, f) in enumerate(elements):
         others = basis.subset([j for j in range(len(elements)) if j != i])
@@ -569,7 +571,7 @@ def test_reduce_tails_widens(monkeypatch):
                 ((1, 0, 0), {(1, 0, 0): 1, (0, 100, 0): 12})]
     basis = k.Reducers(k.LEX, 0, 3)
     for lead, f in elements:
-        basis.append(f, lead, 1)
+        append_reducer(basis, f, lead, 1, p)
     calls = counting_widen(monkeypatch)
     reduced = k.reduce_tails(basis, p)
     assert calls == [(8, 16)]
@@ -608,8 +610,8 @@ def test_row_reduction_of_a_non_form_raises(first, second):
     reduces the same pair."""
     p = 32003
     reducers = k.Reducers(k.GREVLEX, 0, 2)
-    reducers.append(first, (2, 0), 1)
-    reducers.append(second, (1, 1), 1)
+    append_reducer(reducers, first, (2, 0), 1, p)
+    append_reducer(reducers, second, (1, 1), 1, p)
     reducers.use_rows(3)
     with pytest.raises(ToricPolarError, match="not a monomial of that degree"):
         k.s_polynomial_remainder(reducers, 0, 1, (2, 1), p)
@@ -619,11 +621,11 @@ def test_row_reduction_of_a_non_form_raises(first, second):
 
 def test_row_reduction_of_an_unsorted_tail_raises():
     """A row grows from its top slot down, so a tail must be largest
-    first; `append` keeps the order of the terms it is given."""
+    first; `append_remainder` keeps the order of the terms it is given."""
     p = 32003
     reducers = k.Reducers(k.GREVLEX, 0, 2)
-    reducers.append({(2, 0): 1, (0, 2): 5, (1, 1): 7}, (2, 0), 1)
-    reducers.append({(1, 1): 1, (0, 2): 3}, (1, 1), 1)
+    append_reducer(reducers, {(2, 0): 1, (0, 2): 5, (1, 1): 7}, (2, 0), 1, p)
+    append_reducer(reducers, {(1, 1): 1, (0, 2): 3}, (1, 1), 1, p)
     reducers.use_rows(3)
     with pytest.raises(ToricPolarError, match="not below the term before"):
         k.s_polynomial_remainder(reducers, 0, 1, (2, 1), p)
@@ -635,8 +637,8 @@ def test_row_reduction_of_an_overflowing_slot_raises():
     slot into the ones above, and the row path raises instead of looping."""
     p = 32003
     reducers = k.Reducers(k.GREVLEX, 0, 2)
-    reducers.append({(2, 0): 1, (0, 2): 2**300}, (2, 0), 1)
-    reducers.append({(1, 1): 1, (0, 2): 3}, (1, 1), 1)
+    append_reducer(reducers, {(2, 0): 1, (0, 2): 2**300}, (2, 0), 1, p)
+    append_reducer(reducers, {(1, 1): 1, (0, 2): 3}, (1, 1), 1, p)
     reducers.use_rows(3)
     with pytest.raises(ToricPolarError, match="a slot overflowed"):
         k.s_polynomial_remainder(reducers, 0, 1, (2, 1), p)
