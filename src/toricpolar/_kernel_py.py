@@ -63,7 +63,7 @@ bound, `Reducers.interreduce` reduces the tails of one degree's elements
 by each other, in place and packed, when that degree ends.
 
 On those loops `buchberger` may also have `s_polynomial_remainder` reduce
-the S-polynomials of a degree D as rows (`Reducers.use_rows`), the shared
+the S-polynomials of a degree D as rows (its `rows` argument), the shared
 reducer rows of F4 (Faugère, J. Pure Appl. Algebra 139, 1999) in their
 smallest form: one pair at a time, with the steps and remainder of the
 heap path.  The columns are the monomials of degree D, as full packs in
@@ -75,14 +75,16 @@ q * c < p^2 to a slot at most once, and there are at most `columns` steps,
 so no slot carries into the next and `bit_length()` finds the leading
 term.  Each step takes the top slot, reduces it mod p and clears it; the
 row of a reducer multiple is built once per degree and kept on the
-`Reducers` until `widen`, `interreduce` or the next degree drops it.
+`Reducers` until `Reducers._set_columns` builds columns again, the one
+place that drops the rows; `widen` drops the columns.
 `buchberger` asks for rows in a degree only when its C(D + n - 1, n - 1)
 monomials are no more than the terms of the elements, so sparse forms of
 high degree keep the heap.
 `reduce_tails` is the final tail-reduction pass, run when a basis's
-generators are first read, and the one place where whole elements are
-unpacked.  A remainder does not depend on the width, so the basis does
-not either.
+generators are first read.  It reduces each tail in place, so the basis
+goes on reducing normal forms with the same entries, now the reduced
+basis.  A remainder does not depend on the width, so the basis does not
+either.
 
 The divisor index finds the first reducer whose leading exponent divides
 a term without a loop over the reducers.  It is one int of n slots, one
@@ -272,25 +274,22 @@ class Reducers:
     `append_remainder` extends both by one shift-or; `subset` and `widen`
     rebuild them.
 
-    The S-polynomials of degree `row_degree` (None: of no degree; set by
-    `use_rows`) reduce as rows (`_row_remainder`).  `columns` is None or
+    The row path (`_row_remainder`) keeps two caches.  `columns` is None or
     the degree of the last rows, its monomials as ascending packs, the
     column of each pack and the slot width; `widen` drops it.  `rows` maps
-    each reduced monomial of that degree to the row of its reducer multiple;
-    `widen`, `interreduce` and `use_rows` drop it.
+    each reduced monomial of that degree to the row of its reducer
+    multiple; `_set_columns`, which builds the columns, sets it empty.
     """
 
     __slots__ = ("kind", "block", "arity", "width", "weights", "guards",
                  "shifts", "mask", "slot", "low", "low_guards", "entries",
-                 "index", "ones", "row_degree", "columns", "rows")
+                 "index", "ones", "columns", "rows")
 
     def __init__(self, kind, block, arity, width=0, entries=()):
         self.kind = kind
         self.block = block
         self.arity = arity
-        self.row_degree = None
         self.columns = None
-        self.rows = {}
         self._set_width(width)
         self._set_entries(list(entries))
 
@@ -325,7 +324,6 @@ class Reducers:
         if width <= self.width:
             return
         self.columns = None
-        self.rows = {}
         unpack = self.unpack
         plain = [(unpack(lead), [(unpack(x), c) for x, c in tail])
                  for lead, tail in self.entries]
@@ -370,8 +368,8 @@ class Reducers:
         then divides a tail term only where the two are equal, and that
         term becomes its multiple of the other entry's tail, which is
         reduced already.  The leads, the divisor index and the width do not
-        change; each tail stays largest first."""
-        self.rows = {}
+        change; each tail stays largest first.  The cached rows are of the
+        degree that ended; the next rows, of a higher degree, drop them."""
         entries = self.entries
         at = {entries[k][0]: k for k in range(start, len(entries))}
         for k in range(len(entries) - 2, start - 1, -1):
@@ -424,28 +422,23 @@ class Reducers:
         return [a + u for a in xs
                 for u in units[(a & low).bit_length() // step:]]
 
-    def use_rows(self, degree):
-        """Reduce the S-polynomials of `degree` as rows from now on (None:
-        of no degree); drops the rows of the degree before."""
-        self.row_degree = degree
-        self.rows = {}
-
-    def _set_columns(self, p):
-        """Make `columns` hold the monomials of `row_degree` at this width,
-        as packs in ascending order, so a higher column is a larger
-        monomial; they grow from the columns of a lower degree when there
-        are some.  A slot is W = 2 bits(p) + bits(columns + 2) + 1 bits
-        wide: an S-polynomial starts below p^2 in each slot, each of at
-        most `columns` steps adds q * c < p^2 to it once, and
-        (columns + 2) p^2 fits."""
-        degree, xs = 0, [0]
-        if self.columns is not None and self.columns[0] <= self.row_degree:
-            degree, xs = self.columns[:2]
-        for _ in range(degree, self.row_degree):
+    def _set_columns(self, degree, p):
+        """Make `columns` hold the monomials of `degree` at this width, as
+        packs in ascending order, so a higher column is a larger monomial,
+        and drop the rows, which belong to the columns before; the columns
+        grow from those of a lower degree when there are some.  A slot is
+        W = 2 bits(p) + bits(columns + 2) + 1 bits wide: an S-polynomial
+        starts below p^2 in each slot, each of at most `columns` steps adds
+        q * c < p^2 to it once, and (columns + 2) p^2 fits."""
+        start, xs = 0, [0]
+        if self.columns is not None and self.columns[0] <= degree:
+            start, xs = self.columns[:2]
+        for _ in range(start, degree):
             xs = self._successors(xs, self.weights)
         xs.sort()
-        self.columns = (self.row_degree, xs, {x: k for k, x in enumerate(xs)},
+        self.columns = (degree, xs, {x: k for k, x in enumerate(xs)},
                         2 * p.bit_length() + (len(xs) + 2).bit_length() + 1)
+        self.rows = {}
 
 
 def normal_form_terms(f, reducers, p):
@@ -508,17 +501,17 @@ def _s_polynomial(reducers, i, j, m):
     return h
 
 
-def s_polynomial_remainder(reducers, i, j, m, p):
+def s_polynomial_remainder(reducers, i, j, m, p, rows):
     """Packed remainder, largest term first, of the S-polynomial of the
     monic entries i and j of `reducers` (their leading exponents have lcm
     m) modulo all the entries.  The fields first hold twice the degree of
     m; on an overflow they double and the S-polynomial is built again from
-    the re-packed entries.  In the degree of `reducers.row_degree` the
-    reduction runs on rows (`_row_remainder`), with the same remainder."""
-    degree = sum(m)
-    if degree == reducers.row_degree:
+    the re-packed entries.  When `rows` is true the reduction runs on rows
+    over the monomials of that degree (`_row_remainder`), with the same
+    remainder; every entry must then be a form."""
+    if rows:
         return _row_remainder(reducers, i, j, m, p)
-    return _reduce_widening(reducers, degree,
+    return _reduce_widening(reducers, sum(m),
                             partial(_s_polynomial, reducers, i, j, m), p)
 
 
@@ -531,18 +524,18 @@ def _row_remainder(reducers, i, j, m, p):
     Each step takes the top slot, the largest pending monomial, reduces it
     mod p and clears it: 0 is a cancelled term, a monomial that no lead
     divides is a remainder term, and otherwise the row of its reducer
-    multiple, times q = p - c, is added.  That row is built once
-    per degree, from the first divisor the index gives, and kept in
-    `Reducers.rows`.  The steps and the remainder are those of
-    `_reduce_packed`.  Every entry must be a form: a term that is not a
-    monomial of degree D raises `ToricPolarError`, and so does a step that
-    does not take a lower column than the step before, which only a slot
-    that overflowed into the next makes.
+    multiple, times q = p - c, is added.  That row is built once per
+    degree, from the first divisor the index gives, and kept in
+    `Reducers.rows` until the columns are built again.  The steps and the
+    remainder are those of `_reduce_packed`.  Every entry must be a form:
+    a term that is not a monomial of degree D raises `ToricPolarError`, and
+    so does a step that does not take a lower column than the step before,
+    which only a slot that overflowed into the next makes.
     """
     degree = sum(m)
     reducers.widen(_width_for(degree))
     if reducers.columns is None or reducers.columns[0] != degree:
-        reducers._set_columns(p)
+        reducers._set_columns(degree, p)
     _, monomials, _, w = reducers.columns
     rows = reducers.rows
     entries = reducers.entries
@@ -595,7 +588,7 @@ def _row(reducers, tail, d):
         k = columns.get(t + d, top)
         if k >= top:
             raise ToricPolarError(
-                f"the row reduction of degree {reducers.row_degree} met "
+                f"the row reduction of degree {reducers.columns[0]} met "
                 f"the term {reducers.unpack(t + d)}: not a monomial of "
                 f"that degree, or not below the term before it")
         row = row << (top - k) * w | c
@@ -604,21 +597,16 @@ def _row(reducers, tail, d):
 
 
 def reduce_tails(basis, p):
-    """The monic entries of `basis`, a minimal basis, each with its tail
-    reduced by the others: dicts of unpacked terms, largest first.  No
-    lead divides a smaller monomial, so an entry's own lead never divides
-    a term of its tail, and each tail is reduced by all the entries; the
-    divisor found first is the one the others give.  An overflow widens
-    `basis` and starts that entry again."""
-    unpack = basis.unpack
-    out = []
-    for i in range(len(basis.entries)):
+    """Reduce the tail of each monic entry of `basis`, a minimal basis
+    sorted by lead, by all the entries, in place; each stays largest first.
+    The entries go last one first.  A lead that divides a term below lead
+    i is itself below lead i, so an entry's own lead never divides its
+    tail and the steps read only entries not yet reduced.  A minimal basis
+    is a Gröbner basis, so each remainder is unique anyway.  An overflow
+    widens `basis` and starts that entry again."""
+    for i in range(len(basis.entries) - 1, -1, -1):
         r = _reduce_widening(basis, 0, lambda: dict(basis.entries[i][1]), p)
-        f = {unpack(basis.entries[i][0]): 1}
-        for x, c in r:
-            f[unpack(x)] = c
-        out.append(f)
-    return out
+        basis.entries[i] = (basis.entries[i][0], r)
 
 
 def _reduce_packed(h, reducers, p):

@@ -57,17 +57,18 @@ class GroebnerBasis(Ideal):
     `leading_exponents()` are their leading exponents.
 
     It holds the minimal basis that `buchberger` ends at, as packed kernel
-    entries sorted by lead (`minimal`, a `_kernel_py.Reducers` list).  Its
-    leads are those of the reduced basis, so the leads, `len`, the Hilbert
-    data and the dimensions read no more.  The tail pass that makes the
-    reduced basis runs when `generators` is first read, and its result is
-    kept.  `minimal` may live in a larger ring: `variables` then gives the
+    entries sorted by lead (`minimal`, a `_kernel_py.Reducers` list), its
+    only copy.  Its leads are those of the reduced basis, so the leads,
+    `len`, the Hilbert data and the dimensions read no more.  The first
+    read of `generators` reduces its tails in place and unpacks it.  Normal
+    forms reduce by it before and after, with the same remainder.
+    `minimal` may live in a larger ring: `variables` then gives the
     variable of that ring that each variable of this ring is, and the
-    elements use no other.
+    elements use no other; a polynomial to reduce moves into that ring.
     """
 
     __slots__ = ("order", "_lead_exps", "_minimal", "_variables",
-                 "_generators", "_reducers")
+                 "_generators")
 
     def __init__(self, field: PrimeField, order: MonomialOrder,
                  minimal: _kernel_py.Reducers,
@@ -81,7 +82,6 @@ class GroebnerBasis(Ideal):
         self._lead_exps = [self._relabel(minimal.unpack(x))
                            for x, _ in minimal.entries]
         self._generators = None
-        self._reducers = None
 
     def _relabel(self, e: tuple) -> tuple:
         v = self._variables
@@ -91,57 +91,50 @@ class GroebnerBasis(Ideal):
     def generators(self) -> tuple[Polynomial, ...]:
         """The reduced basis, made by one tail pass on first read."""
         if self._generators is None:
-            tails = _kernel_py.reduce_tails(self._minimal, self.field.p)
-            if self._variables is not None:
-                tails = [{self._relabel(e): c for e, c in terms.items()}
-                         for terms in tails]
+            basis = self._minimal
+            _kernel_py.reduce_tails(basis, self.field.p)
+            unpack, relabel = basis.unpack, self._relabel
             self._generators = tuple(
-                Polynomial(self.field, self.arity, terms, _clean=True)
-                for terms in tails)
+                Polynomial(self.field, self.arity,
+                           {relabel(unpack(y)): c for y, c in [(x, 1)] + tail},
+                           _clean=True)
+                for x, tail in basis.entries)
         return self._generators
 
     def leading_exponents(self) -> tuple[tuple, ...]:
         return tuple(self._lead_exps)
 
-    def _packed(self):
-        """The generators packed as kernel reducers, largest term first, on
-        first use (most bases only give their leading exponents)."""
-        if self._reducers is None:
-            gens = self.generators
-            red = _kernel_py.Reducers(
-                self.order.code, self.order.block, self.arity,
-                _kernel_py._width_for(max((g.total_degree() for g in gens),
-                                          default=0)))
-            pack, p = red.pack, self.field.p
-            for g in gens:
-                red.append_remainder(
-                    sorted([(pack(e), c) for e, c in g.terms.items()],
-                           reverse=True), p)
-            self._reducers = red
-        return self._reducers
+    def _remainder(self, terms: dict) -> dict:
+        """The remainder of a term dict of this ring by `minimal`."""
+        v = self._variables
+        if v is not None:
+            # e_k goes to variable v[k] of that ring, the others are 0
+            n = self._minimal.arity
+            terms = {tuple(map(dict(zip(v, e)).get, range(n), [0] * n)): c
+                     for e, c in terms.items()}
+        r = _kernel_py.normal_form_terms(terms, self._minimal, self.field.p)
+        return r if v is None else {self._relabel(e): c for e, c in r.items()}
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.field != self.field or f.arity != self.arity:
             raise ValueError("polynomial from a different ring")
-        r = _kernel_py.normal_form_terms(f.terms, self._packed(),
-                                         self.field.p)
-        return Polynomial(self.field, self.arity, r, _clean=True)
+        return Polynomial(self.field, self.arity, self._remainder(f.terms),
+                          _clean=True)
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
 
     def s_polynomials_reduce_to_zero(self) -> bool:
-        """Debug check of the defining property."""
+        """Debug check of the defining property: the S-polynomial of each
+        pair of reduced generators, built on term dicts, reduces to zero by
+        the same generators, packed once (`minimal`)."""
         p = self.field.p
         lead, elems = self._lead_exps, self.generators
-        invs = [self.field.inv(g.terms[e]) for g, e in zip(elems, lead)]
-        reducers = self._packed()
         for i in range(len(elems)):
             for j in range(i + 1, len(elems)):
-                s = _s_terms(p, elems[i].terms, lead[i], invs[i],
-                             elems[j].terms, lead[j], invs[j],
-                             _kernel_py.exp_lcm(lead[i], lead[j]))
-                if _kernel_py.normal_form_terms(s, reducers, p):
+                s = _s_terms(p, elems[i].terms, lead[i], elems[j].terms,
+                             lead[j], _kernel_py.exp_lcm(lead[i], lead[j]))
+                if self._remainder(s):
                     return False
         return True
 
@@ -152,14 +145,13 @@ class GroebnerBasis(Ideal):
         return len(self._lead_exps)
 
 
-def _s_terms(p: int, f: dict, fe: tuple, f_inv: int, g: dict, ge: tuple,
-             g_inv: int, lcm_exp: tuple) -> dict:
-    """Terms of the S-polynomial of f and g, given each leading exponent and
-    the inverse of each leading coefficient.  The debug check builds its
-    S-polynomials here, on term dicts, apart from the packed builder that
-    `buchberger` uses."""
-    a = _kernel_py.mul_terms(f, {_kernel_py.exp_sub(lcm_exp, fe): f_inv}, p)
-    b = _kernel_py.mul_terms(g, {_kernel_py.exp_sub(lcm_exp, ge): g_inv}, p)
+def _s_terms(p: int, f: dict, fe: tuple, g: dict, ge: tuple,
+             lcm_exp: tuple) -> dict:
+    """Terms of the S-polynomial of the monic f and g, given each leading
+    exponent.  The debug check builds its S-polynomials here, on term
+    dicts, apart from the packed builder that `buchberger` uses."""
+    a = _kernel_py.mul_terms(f, {_kernel_py.exp_sub(lcm_exp, fe): 1}, p)
+    b = _kernel_py.mul_terms(g, {_kernel_py.exp_sub(lcm_exp, ge): 1}, p)
     return _kernel_py.sub_terms(a, b, p)
 
 
@@ -202,9 +194,10 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     packed entries, reduced packed, made monic and appended as it is.  Only
     leading exponents are unpacked, the lcms of kept pairs, and the
     generators' remainders, for their sugar; a whole element is unpacked
-    only by the tail-reduction pass.  The `Reducers` fields
-    hold twice the degree of a pair's lcm and double when a product
-    overflows them; the remainders do not depend on the width.
+    only when the generators are read, after the tail-reduction pass.  The
+    `Reducers` fields hold twice the degree of a pair's lcm and double
+    when a product overflows them; the remainders do not depend on the
+    width.
 
     Under grevlex, with r <= arity nonzero homogeneous generators of
     degrees d_1..d_r, the pair loop is Hilbert-driven (Traverso,
@@ -242,14 +235,15 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     pass only cancels terms equal to a lead; leads, the divisor index and
     the standard set do not change.
 
-    On such a loop a degree D also reduces its S-polynomials as rows
-    (`Reducers.use_rows`, see `_kernel_py`) when it has no more monomials,
-    C(D + arity - 1, arity - 1), than the elements have terms, the sum
-    that also stops the count: each S-polynomial is one big-int row over
-    the monomials of D, and the row of each reducer multiple is built once
-    per degree.  The remainders are those of the heap path, so the pairs,
-    elements and basis do not change.  Sparse forms of high degree, whose
-    degrees have many more monomials than terms, keep the heap path.
+    On such a loop a degree D also reduces its S-polynomials as rows (the
+    `rows` argument of `s_polynomial_remainder`, see `_kernel_py`) when it
+    has no more monomials, C(D + arity - 1, arity - 1), than the elements
+    have terms, the sum that also stops the count: each S-polynomial is
+    one big-int row over the monomials of D, and the row of each reducer
+    multiple is built once per degree.  The remainders are those of the
+    heap path, so the pairs, elements and basis do not change.  Sparse
+    forms of high degree, whose degrees have many more monomials than
+    terms, keep the heap path.
     """
     fld = I.field
     p = fld.p
@@ -358,8 +352,9 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
             [g.total_degree() for g in gens], I.arity)
         std, deg, std_width, h = {0}, 0, reducers.width, bound(0)
 
-    # the sugar of the degree that runs and its first element
-    top, first = 0, len(lead)
+    # the sugar of the degree that runs, its first element and whether
+    # its S-polynomials reduce as rows
+    top, first, rows = 0, len(lead), False
     while heap:
         s, _, i, j = heapq.heappop(heap)
         if counting and s > top:
@@ -369,8 +364,7 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
             reducers.interreduce(first, p)
             top, first = s, len(lead)
             terms = sum(len(tail) + 1 for _, tail in reducers.entries)
-            reducers.use_rows(
-                s if comb(s + I.arity - 1, I.arity - 1) <= terms else None)
+            rows = comb(s + I.arity - 1, I.arity - 1) <= terms
         m = live.pop((i, j), None)
         if m is None:
             continue
@@ -391,7 +385,8 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
                     f"the complete-intersection bound {h}")
         if std is not None and len(std) == h:
             continue  # degree s of the basis is complete
-        r = _kernel_py.s_polynomial_remainder(reducers, i, j, m[1], p)
+        r = _kernel_py.s_polynomial_remainder(reducers, i, j, m[1], p,
+                                              rows)
         if r:
             append(r, s)
             if std is not None:

@@ -31,6 +31,14 @@ def append_reducer(reducers, terms, lead, inv, p):
         + [(pack(e), c) for e, c in terms.items() if e != lead], p)
 
 
+def entry_terms(reducers):
+    """The monic entries of a kernel `Reducers`, unpacked: term dicts, the
+    lead first and the tail after it in its packed order."""
+    unpack = reducers.unpack
+    return [{unpack(x): 1, **{unpack(y): c for y, c in tail}}
+            for x, tail in reducers.entries]
+
+
 def random_homogeneous(field, rng: random.Random, arity: int, degree: int,
                        max_terms: int = 6) -> Polynomial:
     """Random nonzero homogeneous polynomial of the exact given degree."""

@@ -20,7 +20,8 @@ from toricpolar.groebner import (GroebnerBasis, Ideal, buchberger, eliminate,
 from toricpolar.parse import parse_polynomial
 from toricpolar.poly import GREVLEX, LEX, Polynomial, block_order
 
-from conftest import append_reducer, random_homogeneous, random_polynomial
+from conftest import (append_reducer, entry_terms, random_homogeneous,
+                      random_polynomial)
 
 F = PrimeField()
 
@@ -387,6 +388,63 @@ def test_eliminations_carry_their_reduced_grevlex_basis(seed, monkeypatch):
             list(g.terms.items()) for g in fresh.generators]
         assert leads == fresh.leading_exponents()
         passes.calls = 0
+
+
+def _tail_pass_case(kind, seed):
+    """A basis at p = 32003 of the given kind, of three quadrics with linear
+    parts in three variables; random polynomials to reduce; and members of
+    the ideal, multiples of the generators of a second copy of the basis."""
+    field = PrimeField(32003)
+    rng = random.Random(seed)
+
+    def draw(degree, terms):
+        return (random_homogeneous(field, rng, 3, degree, terms)
+                + random_homogeneous(field, rng, 3, degree - 1, 2))
+
+    I = Ideal([draw(2, 3) for _ in range(3)])
+    other = [draw(1, 2), draw(2, 3)]
+    fs = [draw(rng.randint(1, 4), 5) for _ in range(6)]
+    make = {"grevlex": lambda: buchberger(I, GREVLEX),
+            "lex": lambda: buchberger(I, LEX),
+            "block": lambda: buchberger(I, block_order(1)),
+            "eliminate": lambda: eliminate(I, {1}),
+            "saturate": lambda: saturate(I, other[0]),
+            "intersect": lambda: intersect(I, Ideal(other))}[kind]
+    return make(), fs, [g * f for g, f in zip(make().generators, fs)]
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "lex", "block", "eliminate",
+                                  "saturate", "intersect"])
+def test_tail_pass_in_place_keeps_normal_forms_and_leads(kind, monkeypatch):
+    """The tail pass reduces the packed minimal basis in place, and normal
+    forms reduce by that same basis.  Before and after `generators` is
+    first read, `normal_form` gives the same remainder, in the same term
+    order, and `contains` the same answer; the leads do not change.  A
+    second read gives the same tuple and runs no second pass.  `eliminate`
+    of x1 moves it to the front, so its basis lives in a permuted ring;
+    `saturate` and `intersect` live in a ring with one more variable.  On
+    some of the seeds the pass changes a tail, so it is not idle here."""
+    passes = TailPasses(monkeypatch)
+    changed = 0
+    for seed in range(400, 416):
+        G, fs, members = _tail_pass_case(kind, seed)
+        fs += members
+        leads = G.leading_exponents()
+        minimal = entry_terms(G._minimal)
+        before = [list(G.normal_form(f).terms.items()) for f in fs]
+        contained = [G.contains(f) for f in fs]
+        assert all(contained[len(fs) - len(members):])
+        passes.calls = 0
+        generators = G.generators
+        assert G.generators is generators
+        assert passes.calls == 1
+        assert G.leading_exponents() == leads
+        reduced = entry_terms(G._minimal)
+        assert [list(f)[0] for f in reduced] == [list(f)[0] for f in minimal]
+        changed += reduced != minimal
+        assert [list(G.normal_form(f).terms.items()) for f in fs] == before
+        assert [G.contains(f) for f in fs] == contained
+    assert changed
 
 
 def test_eliminations_need_no_second_basis(monkeypatch):

@@ -176,10 +176,10 @@ def test_buchberger_widening_in_the_pair_loop_matches_sympy(monkeypatch,
             doubled.append(width)
         real_widen(self, width)
 
-    def remainder(reducers, i, j, m, p):
+    def remainder(reducers, i, j, m, p, rows):
         pairs.append(m)
         try:
-            return real_remainder(reducers, i, j, m, p)
+            return real_remainder(reducers, i, j, m, p, rows)
         finally:
             pairs.pop()
 
@@ -317,10 +317,10 @@ def sympy_remainder(f, basis, n):
 @given(relabelled_bases())
 def test_normal_form_of_a_relabelled_basis_matches_sympy(case):
     """`normal_form` and `contains` of a basis from `eliminate`, `saturate`
-    or `intersect` reduce by its generators packed in its own ring.  The
-    remainder equals sympy's by the same generators, and the normal form
-    is unique: reducing f, moved into the ring of the minimal basis, by
-    the minimal basis and moving the remainder back gives it too."""
+    or `intersect` move f into the ring of the minimal basis, reduce it
+    there and move the remainder back.  The remainder equals sympy's by the
+    generators in their own ring, and the normal form is unique: reducing
+    the moved f by the minimal basis directly gives it too."""
     n, G, fs = case
     v = G._variables
     big = G._minimal.arity

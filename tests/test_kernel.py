@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import append_reducer
+from conftest import append_reducer, entry_terms
 from toricpolar import _kernel_py as k
 from toricpolar.errors import ToricPolarError
 from toricpolar.field import PrimeField
@@ -413,13 +413,14 @@ def s_reference(elements, i, j, p, kind, block):
     for lead, f in elements:
         append_reducer(reducers, f, lead, 1, p)
     return m, k.normal_form_terms(
-        _s_terms(p, fi, li, 1, fj, lj, 1, m), reducers, p)
+        _s_terms(p, fi, li, fj, lj, m), reducers, p)
 
 
 def packed_s_remainder(reducers, i, j, m, p):
     unpack = reducers.unpack
     return {unpack(x): c
-            for x, c in k.s_polynomial_remainder(reducers, i, j, m, p)}
+            for x, c in k.s_polynomial_remainder(reducers, i, j, m, p,
+                                                 False)}
 
 
 def counting_widen(monkeypatch):
@@ -556,7 +557,9 @@ def test_reduce_tails_matches_reduction_by_the_others(seed):
     basis = k.Reducers(kind, block, arity)
     for lead, f in elements:
         append_reducer(basis, f, lead, 1, p)
-    reduced = k.reduce_tails(basis.subset(range(len(elements))), p)
+    tails = basis.subset(range(len(elements)))
+    k.reduce_tails(tails, p)
+    reduced = entry_terms(tails)
     for i, (lead, f) in enumerate(elements):
         others = basis.subset([j for j in range(len(elements)) if j != i])
         expected = k.normal_form_terms(f, others, p)
@@ -573,7 +576,8 @@ def test_reduce_tails_widens(monkeypatch):
     for lead, f in elements:
         append_reducer(basis, f, lead, 1, p)
     calls = counting_widen(monkeypatch)
-    reduced = k.reduce_tails(basis, p)
+    k.reduce_tails(basis, p)
+    reduced = entry_terms(basis)
     assert calls == [(8, 16)]
     assert list(reduced[1].items()) == [((1, 0, 0), 1), ((0, 1, 1650), 12)]
     assert reduced[0] == elements[0][1]
@@ -589,8 +593,7 @@ def test_row_columns_are_the_monomials_of_the_degree_in_order(arity):
     reducers.widen(4)
     key = k.order_key(k.GREVLEX, 0)
     for degree in [0, 3, 2, 5, 6]:
-        reducers.use_rows(degree)
-        reducers._set_columns(p)
+        reducers._set_columns(degree, p)
         _, monomials, columns, w = reducers.columns
         expected = sorted((e for e in itertools.product(range(degree + 1),
                                                         repeat=arity)
@@ -612,11 +615,9 @@ def test_row_reduction_of_a_non_form_raises(first, second):
     reducers = k.Reducers(k.GREVLEX, 0, 2)
     append_reducer(reducers, first, (2, 0), 1, p)
     append_reducer(reducers, second, (1, 1), 1, p)
-    reducers.use_rows(3)
     with pytest.raises(ToricPolarError, match="not a monomial of that degree"):
-        k.s_polynomial_remainder(reducers, 0, 1, (2, 1), p)
-    reducers.use_rows(None)
-    assert k.s_polynomial_remainder(reducers, 0, 1, (2, 1), p)
+        k.s_polynomial_remainder(reducers, 0, 1, (2, 1), p, True)
+    assert k.s_polynomial_remainder(reducers, 0, 1, (2, 1), p, False)
 
 
 def test_row_reduction_of_an_unsorted_tail_raises():
@@ -626,9 +627,39 @@ def test_row_reduction_of_an_unsorted_tail_raises():
     reducers = k.Reducers(k.GREVLEX, 0, 2)
     append_reducer(reducers, {(2, 0): 1, (0, 2): 5, (1, 1): 7}, (2, 0), 1, p)
     append_reducer(reducers, {(1, 1): 1, (0, 2): 3}, (1, 1), 1, p)
-    reducers.use_rows(3)
     with pytest.raises(ToricPolarError, match="not below the term before"):
-        k.s_polynomial_remainder(reducers, 0, 1, (2, 1), p)
+        k.s_polynomial_remainder(reducers, 0, 1, (2, 1), p, True)
+
+
+def test_row_cache_holds_only_the_degree_of_its_columns():
+    """The rows of reducer multiples are kept for the degree of the
+    columns: after row reductions in degree 3 and then in degree 4 on one
+    `Reducers`, every cached row is that of a monomial of degree 4.  A
+    `widen` drops the columns, so the next rows are built again at the new
+    width.  Each remainder is the heap path's."""
+    field = PrimeField(32003)
+    p = field.p
+    G = buchberger(Ideal([
+        Polynomial(field, 3, {(2, 0, 0): 1, (0, 1, 1): 3, (0, 0, 2): 1}),
+        Polynomial(field, 3, {(0, 2, 0): 1, (1, 0, 1): 5, (1, 1, 0): 7}),
+        Polynomial(field, 3, {(1, 1, 0): 1, (0, 0, 2): 1})]))
+    reducers = G._minimal
+
+    def row_degrees():
+        return {sum(reducers.unpack(u)) for u in reducers.rows}
+
+    m = k.exp_lcm(*[reducers.unpack(x) for x, _ in reducers.entries[:2]])
+    for m in [m, (m[0], m[1], m[2] + 1)]:
+        r = k.s_polynomial_remainder(reducers, 0, 1, m, p, True)
+        assert r == k.s_polynomial_remainder(reducers, 0, 1, m, p, False)
+        assert row_degrees() == {sum(m)}
+    width = reducers.width
+    reducers.widen(2 * width)
+    assert reducers.columns is None
+    r = k.s_polynomial_remainder(reducers, 0, 1, m, p, True)
+    assert r == k.s_polynomial_remainder(reducers, 0, 1, m, p, False)
+    assert reducers.columns[0] == sum(m) and reducers.width == 2 * width
+    assert row_degrees() == {sum(m)}
 
 
 def test_row_reduction_of_an_overflowing_slot_raises():
@@ -639,6 +670,5 @@ def test_row_reduction_of_an_overflowing_slot_raises():
     reducers = k.Reducers(k.GREVLEX, 0, 2)
     append_reducer(reducers, {(2, 0): 1, (0, 2): 2**300}, (2, 0), 1, p)
     append_reducer(reducers, {(1, 1): 1, (0, 2): 3}, (1, 1), 1, p)
-    reducers.use_rows(3)
     with pytest.raises(ToricPolarError, match="a slot overflowed"):
-        k.s_polynomial_remainder(reducers, 0, 1, (2, 1), p)
+        k.s_polynomial_remainder(reducers, 0, 1, (2, 1), p, True)

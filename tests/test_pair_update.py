@@ -39,6 +39,7 @@ from toricpolar.maps import (RandomizationConfig, multidegrees,
 from toricpolar.parse import parse_polynomial
 from toricpolar.poly import GREVLEX, Polynomial, block_order
 
+from conftest import entry_terms
 from test_groebner_oracle import (F, fermat_surface, homogeneous_ideals,
                                   small_ideals)
 
@@ -107,12 +108,14 @@ def tuple_buchberger(I, order):
         m = live.pop((i, j), None)
         if m is None:
             continue
-        r = k.s_polynomial_remainder(reducers, i, j, m, p)
+        r = k.s_polynomial_remainder(reducers, i, j, m, p, False)
         if r:
             append(r, s)
     active.sort(key=lambda i: order.key(lead[i]))
+    basis = reducers.subset(active)
+    k.reduce_tails(basis, p)
     return [Polynomial(fld, I.arity, r, _clean=True)
-            for r in k.reduce_tails(reducers.subset(active), p)]
+            for r in entry_terms(basis)]
 
 
 class PairLog:
@@ -130,8 +133,8 @@ class PairLog:
     def __enter__(self):
         real = kernel.s_polynomial_remainder
 
-        def remainder(reducers, i, j, m, p):
-            r = real(reducers, i, j, m, p)
+        def remainder(reducers, i, j, m, p, rows):
+            r = real(reducers, i, j, m, p, rows)
             self.pairs.append((i, j, m))
             if r:
                 self.nonzero_pairs.append((i, j, m))
@@ -224,11 +227,11 @@ def widenings_in_reductions(gens, order):
         if inside and self.width > before:
             widenings.append((len(self.entries), len(reduced)))
 
-    def remainder(reducers, i, j, m, p):
+    def remainder(reducers, i, j, m, p, rows):
         reduced.append((i, j))
         inside.append(True)
         try:
-            return real_remainder(reducers, i, j, m, p)
+            return real_remainder(reducers, i, j, m, p, rows)
         finally:
             inside.pop()
 
