@@ -8,6 +8,13 @@ This is the package's only term kernel, whatever the prime.  The
 polynomial and Gröbner code call its functions as attributes of this
 module, so a wrapper set on the module sees every call.
 
+`substitute_terms` is the one substitution.  `Polynomial.substitute` calls
+it on one polynomial; a slice calls it on all of its restricted
+combinations at once (`maps._restrict_to_subspace`), so their shared
+monomials' images are built once.  Images and powers come from
+`mul_terms`; each result term is a plain-int sum reduced mod p once per
+added term, in one dict per polynomial.
+
 Monomial-order codes (`kind`):
   0  graded reverse lexicographic
   1  lexicographic
@@ -227,6 +234,45 @@ def mul_terms(a, b, p):
             elif e in r:
                 del r[e]
     return r
+
+
+def substitute_terms(polys, images, arity, p):
+    """Each of `polys` with variable i replaced by images[i], a polynomial
+    in `arity` variables.
+
+    Within one call each power of an image and each distinct monomial's
+    image is built once, so polynomials with shared monomials share their
+    images.  A monomial's image is the product, by `mul_terms`, of its
+    variables' powers in variable order, and images[i]^x is
+    images[i]^(x-1) * images[i].  Each term c * x^e adds c * v for every
+    term v of the image of x^e, reduced mod p once, and drops a sum that
+    reaches 0; so the result is the same dict, in the same insertion order,
+    as adding the terms' images one after another.
+    """
+    one = (0,) * arity
+    powers = [[None, g] for g in images]  # powers[i][x] is images[i]^x
+    cache = {}
+    out = []
+    for f in polys:
+        r = {}
+        for e, c in f.items():
+            img = cache.get(e)
+            if img is None:
+                for i, x in enumerate(e):
+                    if x:
+                        row = powers[i]
+                        while len(row) <= x:
+                            row.append(mul_terms(row[-1], row[1], p))
+                        img = row[x] if img is None else mul_terms(img, row[x], p)
+                cache[e] = img = {one: 1} if img is None else img
+            for m, v in img.items():
+                s = (r.get(m, 0) + c * v) % p
+                if s:
+                    r[m] = s
+                elif m in r:
+                    del r[m]
+        out.append(r)
+    return out
 
 
 def _width_for(degree):

@@ -320,9 +320,10 @@ def verify_propositions(cfg: RandomizationConfig | None = None,
 
     Every random object is regenerated from the master seed `cfg.seed`, so
     a report is reproducible.  Failures carry a witness string.  Each
-    distinct toric polar map (keyed by its coordinates, so f and its powers
-    share one) is solved once per call; an error is not kept, so every
-    check that asks for that map raises it again.  The checks look entries
+    distinct input's toric polar map is built once per call, and each
+    distinct map (keyed by its coordinates, so f and its powers share one)
+    is solved once; an error is not kept, so every check that asks for that
+    input raises it again.  The checks look entries
     up by name, so a corpus with a repeated name is a `PreconditionError`.
     """
     cfg = cfg or RandomizationConfig()
@@ -340,13 +341,17 @@ def verify_propositions(cfg: RandomizationConfig | None = None,
     polys = {e.name: e.polynomial(field) for e in entries}
 
     solved: dict[tuple, tuple[int, ...]] = {}
+    by_input: dict[frozenset, tuple[int, ...]] = {}
 
     def md_of(f):
-        phi = toric_polar_map(f)
-        key = tuple(frozenset(c.terms.items()) for c in phi.coordinates)
-        if key not in solved:
-            solved[key] = multidegrees(phi, cfg).values
-        return solved[key]
+        known = frozenset(f.terms.items())
+        if known not in by_input:
+            phi = toric_polar_map(f)
+            key = tuple(frozenset(c.terms.items()) for c in phi.coordinates)
+            if key not in solved:
+                solved[key] = multidegrees(phi, cfg).values
+            by_input[known] = solved[key]
+        return by_input[known]
 
     def check_corpus_expectations():
         for e in entries:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from . import _kernel_py
 from .errors import PreconditionError, SpecializationError, ToricPolarError
 from .field import DEFAULT_PRIME, PrimeField, is_prime
 from .gcdtools import _running_gcd, squarefree_part
@@ -211,16 +212,26 @@ def _random_nonzero_vector(rng: random.Random, length: int, p: int) -> list[int]
             return v
 
 
-def _random_combination(polys, rng: random.Random) -> Polynomial:
-    p = polys[0].field.p
+def _random_combination(polys, rng: random.Random, sub: int) -> Polynomial:
+    """A random combination of `polys` that is not zero, from at most 16
+    draws of `_random_nonzero_vector`; `sub` is the slice's sub-seed, named
+    when every draw vanishes.  The scaled polynomials are added into one
+    dict, a sum that reaches 0 dropped."""
+    fld = polys[0].field
+    p = fld.p
     for _ in range(16):
         coeffs = _random_nonzero_vector(rng, len(polys), p)
-        out = Polynomial.zero(polys[0].field, polys[0].arity)
+        out = {}
         for c, g in zip(coeffs, polys):
-            out = out + g * c
-        if not out.is_zero():
-            return out
-    raise SpecializationError("random combinations keep vanishing")
+            for e, v in g.terms.items():
+                s = (out.get(e, 0) + c * v) % p
+                if s:
+                    out[e] = s
+                elif e in out:
+                    del out[e]
+        if out:
+            return Polynomial(fld, polys[0].arity, out, _clean=True)
+    raise SpecializationError("random combinations keep vanishing", (sub,))
 
 
 def _linear_form(field: PrimeField, row: list[int]) -> Polynomial:
@@ -259,21 +270,30 @@ def _restrict_to_subspace(polys: list[Polynomial],
                           rows: list[list[int]]) -> list[Polynomial] | None:
     """The polynomials on the common zeros of the linear forms `rows`, in
     the free variables of their echelon form (each pivot variable is minus
-    its row); None when a row depends on the earlier ones."""
+    its row); None when a row depends on the earlier ones.  All of them go
+    through one `_kernel_py.substitute_terms` call, so the images of their
+    shared monomials are built once."""
     if not rows:
         return list(polys)
     field, arity = polys[0].field, polys[0].arity
-    pivots = _echelon_mod_p(rows, field.p)
+    p = field.p
+    pivots = _echelon_mod_p(rows, p)
     if pivots is None:
         return None
     bound = {col for col, _ in pivots}
     free = [i for i in range(arity) if i not in bound]
+    units = [tuple(int(k == m) for k in range(len(free)))
+             for m in range(len(free))]
     images = [None] * arity
-    for k, i in enumerate(free):
-        images[i] = Polynomial.variable(field, len(free), k)
+    for e, i in zip(units, free):
+        images[i] = {e: 1}
     for col, row in pivots:
-        images[col] = _linear_form(field, [-row[i] for i in free])
-    return [g.substitute(images) for g in polys]
+        # the echelon rows are reduced mod p
+        images[col] = {e: p - row[i] for e, i in zip(units, free) if row[i]}
+    restricted = _kernel_py.substitute_terms([g.terms for g in polys], images,
+                                             len(free), p)
+    return [Polynomial(field, len(free), terms, _clean=True)
+            for terms in restricted]
 
 
 def _slice_degree(phi: RationalMapSpec, j: int, seed: int, trial: int) -> int:
@@ -284,9 +304,10 @@ def _slice_degree(phi: RationalMapSpec, j: int, seed: int, trial: int) -> int:
     rng = random.Random(sub)
     fld = phi.field
     n = phi.n
-    pullbacks = [_random_combination(phi.coordinates, rng) for _ in range(j)]
+    pullbacks = [_random_combination(phi.coordinates, rng, sub)
+                 for _ in range(j)]
     rows = [_random_nonzero_vector(rng, n + 1, fld.p) for _ in range(n - j)]
-    saturant = _random_combination(phi.coordinates, rng)
+    saturant = _random_combination(phi.coordinates, rng, sub)
     gens = _restrict_to_subspace(pullbacks + [saturant], rows)
     if gens is None:
         raise SpecializationError("degenerate random linear form", (sub,))

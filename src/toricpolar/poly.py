@@ -256,7 +256,9 @@ class Polynomial:
         return total
 
     def substitute(self, images: Sequence[Polynomial]) -> Polynomial:
-        """Compose: replace variable i by images[i] (all in one common ring)."""
+        """Compose: replace variable i by images[i] (all in one common ring).
+
+        One call of `_kernel_py.substitute_terms` on this one polynomial."""
         if len(images) != self.arity:
             raise ValueError("need one image per variable")
         if not images:
@@ -266,29 +268,10 @@ class Polynomial:
         for g in images:
             if g.field != target_field or g.arity != target_arity:
                 raise ValueError("images from different rings")
-        # cache powers of each image up to the largest exponent used
-        max_exp = [0] * self.arity
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x > max_exp[i]:
-                    max_exp[i] = x
-        powers = []
-        for g, top in zip(images, max_exp):
-            row = [g]  # row[x - 1] is g^x
-            for _ in range(top - 1):
-                row.append(row[-1] * g)
-            powers.append(row)
-        out = Polynomial.zero(target_field, target_arity)
-        for e, c in self.terms.items():
-            term = None
-            for i, x in enumerate(e):
-                if x:
-                    power = powers[i][x - 1]
-                    term = power * c if term is None else term * power
-            if term is None:
-                term = Polynomial.constant(target_field, target_arity, c)
-            out = out + term
-        return out
+        [terms] = _kernel_py.substitute_terms(
+            [self.terms], [g.terms for g in images], target_arity,
+            target_field.p)
+        return Polynomial(target_field, target_arity, terms, _clean=True)
 
     def set_variable_zero(self, i: int) -> Polynomial:
         """Restriction to the hyperplane x_i = 0 (arity preserved)."""

@@ -9,7 +9,7 @@ from toricpolar.constructions import (CorpusEntry, MonomialMatrix,
                                       monomial_sum_polynomial, parse_corpus,
                                       pyramid, random_monomial_matrix,
                                       verify_propositions)
-from toricpolar.errors import PreconditionError
+from toricpolar.errors import PreconditionError, ToricPolarError
 from toricpolar.field import PrimeField
 from toricpolar.maps import (RandomizationConfig, monomial_pullback,
                              multidegrees, topological_degree,
@@ -241,6 +241,48 @@ def test_verify_propositions_solves_each_map_once(monkeypatch):
     assert all(r.passed for r in results)
     assert len(solved) == 43
     assert len(set(solved)) == len(solved)
+
+
+def test_verify_propositions_builds_each_input_map_once(monkeypatch):
+    """An input asked for again is looked up by its terms, so its map (its
+    squarefree part and coordinate gcd) is not built again: one build for
+    each of the 44 distinct inputs of a seed-0 pass."""
+    from toricpolar import constructions
+    built = []
+
+    def recording(f, seed=0):
+        built.append(frozenset(f.terms.items()))
+        return toric_polar_map(f, seed)
+
+    monkeypatch.setattr(constructions, "toric_polar_map", recording)
+    results = verify_propositions(cfg=RandomizationConfig(seed=0))
+    assert all(r.passed for r in results)
+    assert len(built) == 44
+    assert len(set(built)) == len(built)
+
+
+@pytest.mark.parametrize("stage", ["toric_polar_map", "multidegrees"])
+def test_verify_propositions_raises_again_on_every_ask(monkeypatch, stage):
+    """A build or solve that raises is not kept: an input asked for twice
+    (the corpus check and the reduced-powers check both ask for the
+    cuspidal cubic) is built and solved again, and raises again."""
+    from toricpolar import constructions
+    asked = []
+
+    def failing(*args, **kwargs):
+        asked.append(args[0])
+        raise ToricPolarError(f"{stage} fails")
+
+    monkeypatch.setattr(constructions, stage, failing)
+    results = verify_propositions(cfg=RandomizationConfig(seed=0))
+    by_name = {r.name: r for r in results}
+    for name in ("corpus-multidegrees", "reduced-powers"):
+        assert not by_name[name].passed
+        assert by_name[name].witness == f"ToricPolarError: {stage} fails"
+    keys = [frozenset(a.terms.items()) if stage == "toric_polar_map"
+            else tuple(frozenset(c.terms.items()) for c in a.coordinates)
+            for a in asked]
+    assert len(set(keys)) < len(keys)
 
 
 def test_verify_propositions_flags_wrong_expectation():

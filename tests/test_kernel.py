@@ -376,6 +376,89 @@ def test_term_arithmetic_matches_dict_reference(case):
     assert (a, b) == (a_before, b_before)
 
 
+@st.composite
+def substitutions(draw):
+    """Up to 5 polynomials over one pool of monomials, the zero exponent
+    among them, and images in a ring of 1 to 3 variables, some of them
+    zero."""
+    p = draw(st.sampled_from(PRIMES))
+    arity = draw(st.integers(1, 3))
+    target = draw(st.integers(1, 3))
+    exps = st.lists(st.integers(0, arity - 1), max_size=4).map(
+        lambda v: tuple(v.count(i) for i in range(arity)))
+    pool = draw(st.lists(exps, min_size=1, max_size=5, unique=True))
+    if draw(st.booleans()):
+        pool.append((0,) * arity)
+    polys = draw(st.lists(st.dictionaries(st.sampled_from(pool),
+                                          st.integers(1, p - 1), max_size=5),
+                          min_size=1, max_size=5))
+    images = draw(st.lists(st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * target), st.integers(1, p - 1),
+        max_size=3), min_size=arity, max_size=arity))
+    return polys, images, target, p
+
+
+def expand(e, images, one):
+    """The terms of the product of images[i]^e[i], one (exponent, integer
+    coefficient) pair for each choice of one image term per factor; `one`
+    is the zero exponent of the images' ring."""
+    factors = [images[i] for i, x in enumerate(e) for _ in range(x)]
+    out = []
+    for choice in itertools.product(*(list(g.items()) for g in factors)):
+        exponent, coefficient = one, 1
+        for d, c in choice:
+            exponent, coefficient = exp_sum(exponent, d), coefficient * c
+        out.append((exponent, coefficient))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(substitutions())
+def test_substitute_terms_matches_term_by_term_expansion(case):
+    """Each polynomial's terms, expanded one by one, summed mod p; and in
+    the insertion order of adding, one term after another, c times the
+    product by `mul_terms` of the powers images[i]^e[i] in variable order,
+    each power built as images[i]^(x-1) * images[i]."""
+    polys, images, arity, p = case
+    before = [dict(f) for f in polys], [dict(g) for g in images]
+    got = k.substitute_terms(polys, images, arity, p)
+    one = (0,) * arity
+    for f, r in zip(polys, got, strict=True):
+        assert r == reference_terms(
+            [(d, c * v) for e, c in f.items()
+             for d, v in expand(e, images, one)], p)
+        sequential = {}
+        for e, c in f.items():
+            image = {one: c}
+            for i, x in enumerate(e):
+                if x:
+                    power = images[i]
+                    for _ in range(x - 1):
+                        power = k.mul_terms(power, images[i], p)
+                    image = k.mul_terms(image, power, p)
+            sequential = k.add_terms(sequential, image, p)
+        assert list(r.items()) == list(sequential.items())
+    assert ([dict(f) for f in polys], [dict(g) for g in images]) == before
+
+
+def test_substitute_terms_builds_each_power_and_image_once(monkeypatch):
+    """x0^2*x1 in three polynomials and x0^3 in one take three products in
+    one call: x0^2, its image times x1, and x0^3 from x0^2."""
+    images = [{(1, 0): 1, (0, 1): 2}, {(0, 1): 3}]
+    polys = [{(2, 1): 1}, {(2, 1): 5, (3, 0): 1}, {(2, 1): 2}]
+    alone = [k.substitute_terms([f], images, 2, 13)[0] for f in polys]
+    products = []
+    real = k.mul_terms
+
+    def counting(a, b, p):
+        products.append((a, b))
+        return real(a, b, p)
+
+    monkeypatch.setattr(k, "mul_terms", counting)
+    assert k.substitute_terms(polys, images, 2, 13) == alone
+    assert len(products) == 3
+
+
 # x0^2 + x0*x1 - x2^2 modulo g1 = x0^2 - x2^2 and g2 = x0*x1 - x2^2 (grevlex,
 # p = 13).  Reducing x0^2 cancels x2^2; reducing x0*x1 creates it again, and
 # it must then reach the remainder once, with coefficient 1.  Without the

@@ -437,25 +437,33 @@ def reference_restrict(polys, rows):
 
 @st.composite
 def restrictions(draw):
-    """Homogeneous polynomials and up to arity-1 coefficient rows, some of
-    them zero or combinations of earlier rows, over a small and two large
-    primes."""
+    """Up to 6 homogeneous polynomials whose monomials come from one small
+    pool per degree, so that they share monomials as the combinations of a
+    slice do, and up to arity-1 coefficient rows, some of them zero or
+    combinations of earlier rows, over a small and two large primes."""
     p = draw(st.sampled_from([5, 32003, 2**31 - 1]))
     field = PrimeField(p)
     arity = draw(st.integers(2, 5))
     coefficient = st.one_of(st.sampled_from([0, 0, 1, p - 1]),
                             st.integers(0, p - 1))
 
-    def form(degree):
-        monomial = st.lists(st.integers(0, arity - 1), min_size=degree,
-                            max_size=degree).map(
+    def monomial(degree):
+        return st.lists(st.integers(0, arity - 1), min_size=degree,
+                        max_size=degree).map(
             lambda v: tuple(v.count(i) for i in range(arity)))
-        return st.dictionaries(monomial, st.integers(1, p - 1), min_size=1,
+
+    pools = {degree: draw(st.lists(monomial(degree), min_size=1, max_size=4,
+                                   unique=True))
+             for degree in (1, 2, 3)}
+
+    def form(degree):
+        return st.dictionaries(st.sampled_from(pools[degree]),
+                               st.integers(1, p - 1), min_size=1,
                                max_size=4).map(
             lambda terms: Polynomial(field, arity, terms))
 
     polys = draw(st.lists(st.integers(1, 3).flatmap(form), min_size=1,
-                          max_size=3))
+                          max_size=6))
     rows = []
     for _ in range(draw(st.integers(0, arity - 1))):
         if rows and draw(st.integers(0, 3)) == 0:
@@ -487,6 +495,65 @@ def test_restriction_matches_sequential_reference(case):
 
 def all_ones(rng, length, p):
     return [1] * length
+
+
+def reference_combination(polys, rng):
+    """The combination as a sum of scaled polynomials, one `+` at a time."""
+    p = polys[0].field.p
+    for _ in range(16):
+        coeffs = maps._random_nonzero_vector(rng, len(polys), p)
+        out = Polynomial.zero(polys[0].field, polys[0].arity)
+        for c, g in zip(coeffs, polys):
+            out = out + g * c
+        if not out.is_zero():
+            return out
+    return None
+
+
+def test_random_combination_matches_sum_of_scaled_polynomials(monkeypatch):
+    """The same polynomial, term for term and in the same insertion order,
+    from the same draws: the `Random` is left in the same state.  The
+    lists g, -g, h and g, h, g + h, -h have vanishing combinations, so at
+    p = 3, 5 and 7 some combinations are drawn again."""
+    draws = []
+    real = maps._random_nonzero_vector
+
+    def counting(rng, length, p):
+        draws.append(length)
+        return real(rng, length, p)
+
+    monkeypatch.setattr(maps, "_random_nonzero_vector", counting)
+    calls = retries = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        field = PrimeField(rng.choice([3, 5, 7, 32003]))
+        g = random_homogeneous(field, rng, 3, 2)
+        h = random_homogeneous(field, rng, 3, 2)
+        polys = [g, -g, h] if seed % 2 else [g, h, g + h, -h]
+        mine, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            draws.clear()
+            got = maps._random_combination(polys, mine, 7)
+            expected = reference_combination(polys, ref)
+            assert list(got.terms.items()) == list(expected.terms.items())
+            assert mine.getstate() == ref.getstate()
+            calls += 1
+            retries += len(draws) > 2
+    assert retries and retries < calls
+
+
+def test_vanishing_random_combinations_name_the_slice(monkeypatch):
+    """Every vector cancels the two equal coordinates x0*x1 and -x0*x1, so
+    the first pullback of the slice vanishes 16 times."""
+    monkeypatch.setattr(maps, "_random_nonzero_vector",
+                        lambda rng, length, p: [1, 1, 0])
+    phi = RationalMapSpec([P("x0*x1"), P("-x0*x1"), P("x2^2")])
+    with pytest.raises(SpecializationError) as err:
+        maps._slice_degree(phi, 1, CFG.seed, 0)
+    sub = derive_seed(CFG.seed, 1, 0)
+    assert str(err.value) == (
+        f"random combinations keep vanishing [seeds: {sub}]")
+    assert err.value.seeds == (sub,)
 
 
 def test_dependent_linear_forms_raise(monkeypatch):
