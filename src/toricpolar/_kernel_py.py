@@ -116,10 +116,11 @@ slots.  `Reducers.standard_successors` runs the same test on the
 monomials of one degree, to find those that no leading exponent divides,
 for the complete-intersection bound of `buchberger`.
 
-The Gebauer-Möller update of `buchberger` works in the same layout and
-has none of its own: it reads the divisibility pack of each lead as
-`entry lead & low`, and takes `low_guards`, `slot` and `width` from the
-`Reducers`.
+The Gebauer-Möller update of `buchberger` is `Reducers.update_pairs`, in
+the same layout: the `Reducers` hold the live pairs, each lcm as a
+divisibility pack beside its tuple, and on the counting loops the
+standard set.  `Reducers.widen` re-packs them with the entries, so no
+other code reads the layout and no other code re-packs.
 
 Pending coefficients are plain ints: a reduction step by a monic entry
 adds q * c with q = p - c_u, and a coefficient is reduced mod p once, when
@@ -325,17 +326,26 @@ class Reducers:
     column of each pack and the slot width; `widen` drops it.  `rows` maps
     each reduced monomial of that degree to the row of its reducer
     multiple; `_set_columns`, which builds the columns, sets it empty.
+
+    The pair state of `buchberger` lives here too.  `pairs` maps each live
+    pair (i, j) to its lcm as a divisibility pack and as a tuple;
+    `update_pairs` fills and prunes it.  `std` is None or the standard
+    monomials of one degree as divisibility packs; `standard_successors`
+    advances it and `append_remainder` takes each new lead out of it.
+    `widen`, the one re-packing, re-packs both with the entries.
     """
 
     __slots__ = ("kind", "block", "arity", "width", "weights", "guards",
                  "shifts", "mask", "slot", "low", "low_guards", "entries",
-                 "index", "ones", "columns", "rows")
+                 "index", "ones", "columns", "rows", "pairs", "std")
 
     def __init__(self, kind, block, arity, width=0, entries=()):
         self.kind = kind
         self.block = block
         self.arity = arity
         self.columns = None
+        self.pairs = {}
+        self.std = None
         self._set_width(width)
         self._set_entries(list(entries))
 
@@ -366,22 +376,32 @@ class Reducers:
         return tuple([x >> s & mask for s in self.shifts])
 
     def widen(self, width):
-        """Re-pack at `width` when it is wider than the current width."""
+        """Re-pack at `width` when it is wider than the current width: the
+        entries, the lcms of the live pairs and the standard set.  The
+        columns of the row path are dropped."""
         if width <= self.width:
             return
         self.columns = None
         unpack = self.unpack
         plain = [(unpack(lead), [(unpack(x), c) for x, c in tail])
                  for lead, tail in self.entries]
+        std = None if self.std is None else [unpack(x) for x in self.std]
         self._set_width(width)
         pack = self.pack
+        low = self.low
         self._set_entries([(pack(lead), [(pack(e), c) for e, c in tail])
                            for lead, tail in plain])
+        self.pairs.update([(ab, (pack(m) & low, m))
+                           for ab, (_, m) in self.pairs.items()])
+        if std is not None:
+            self.std = {pack(e) & low for e in std}
 
     def append_remainder(self, r, p):
         """Append a packed polynomial (largest term first, in fields that
         hold its terms) made monic.  Returns its leading exponent, the only
-        term unpacked."""
+        term unpacked.  While a standard set is held, the lead leaves it; a
+        lead outside it is a broken invariant and raises
+        `ToricPolarError`."""
         x, c = r[0]
         tail = r[1:]
         if c != 1:
@@ -389,9 +409,17 @@ class Reducers:
             tail = [(y, d * inv % p) for y, d in tail]
         self.entries.append((x, tail))
         slot = self.slot
-        self.index = self.index << slot | self.low_guards - (x & self.low)
+        a = x & self.low
+        self.index = self.index << slot | self.low_guards - a
         self.ones = self.ones << slot | 1
-        return self.unpack(x)
+        e = self.unpack(x)
+        if self.std is not None:
+            if a not in self.std:
+                raise ToricPolarError(
+                    f"the new leading exponent {e} of degree {sum(e)} is not "
+                    f"a standard monomial")
+            self.std.remove(a)
+        return e
 
     def index_masks(self):
         """(index, ones, guard_slots, carry, flags): the divisor index and
@@ -433,19 +461,85 @@ class Reducers:
             entries[k] = (x, sorted([(y, c % p) for y, c in h.items()
                                      if c % p], reverse=True))
 
-    def repack_low(self, xs, width):
-        """The set `xs` of divisibility packs made at `width`, at the
-        current width: `xs` itself when the widths agree."""
-        if width == self.width:
-            return xs
-        shifts, mask = _layout(self.kind, self.block, self.arity, width)[2:4]
-        moves = list(zip(shifts, self.shifts))
-        return {sum([(x >> a & mask) << b for a, b in moves]) for x in xs}
+    def update_pairs(self, lead, active):
+        """The Gebauer-Möller update (J. Symbolic Comput. 6, 1988) for the
+        last entry h, whose leading exponent is lead[h]; `lead` holds the
+        leading exponent of every entry and `active` the entries that no
+        later lead divides.  Returns the new pairs (i, h) that it keeps, as
+        (i, lcm), in the order they are found; the caller keys and queues
+        them.
 
-    def standard_successors(self, std, width):
-        """The standard monomials of degree D + 1 (no leading exponent
-        divides them), as a set of divisibility packs at the current width,
-        given `std`, those of degree D, made at `width`.
+        `pairs` maps each live pair to its lcm as a divisibility pack and
+        as a tuple; the caller pops a pair from it when it reduces the
+        pair, and a pair that is no longer there was dropped.  Old pairs go
+        by the B_k criterion: one guard test per pair, tuple lcms only for
+        the pairs whose lcm lead h divides.  The new pairs are filtered by
+        the M, F and product criteria.  The active leads sit side by side
+        in one int, active[c] in slot c, so a few big-int operations give
+        lcm(lead, lead h) in every slot and the flags of the leads that
+        lead h divides; one more batch per candidate gives the flags of the
+        candidates whose lcm divides its own.  Those divided leads leave
+        `active`, and h joins it.  The pairs that survive, and their order,
+        are those of the same criteria on exponent tuples.
+        """
+        pairs = self.pairs
+        low = self.low
+        guards = self.low_guards
+        slot = self.slot
+        entries = self.entries
+        h = len(entries) - 1
+        e = lead[h]
+        x = entries[h][0] & low
+        # B_k: drop (a, b) when lead h divides its lcm strictly on both sides
+        for ab in [ab for ab, (m, _) in pairs.items()
+                   if ((m | guards) - x) & guards == guards]:
+            m = pairs[ab][1]
+            if exp_lcm(lead[ab[0]], e) != m and exp_lcm(lead[ab[1]], e) != m:
+                del pairs[ab]
+        # in each field t keeps its guard where lead >= lead h, so M holds
+        # lcm(lead, lead h) in every slot
+        n = len(active)
+        ones = ((1 << n * slot) - 1) // ((1 << slot) - 1)
+        gs = guards * ones
+        flags = ones << slot - 1
+        carry = flags - gs
+        A = 0
+        for i in reversed(active):
+            A = A << slot | entries[i][0] & low
+        X = x * ones
+        t = ((A | gs) - X) & gs
+        f = t - (t >> self.width)
+        M = A & f | X & ~f
+        # M and F criteria against the other new pairs; pairs with coprime
+        # leading terms serve as witnesses, then the product criterion
+        # drops them.  A candidate is dropped when the lcm of a lower slot,
+        # or of a slot kept already, divides its own.
+        full = (1 << slot) - 1
+        below = (1 << n * slot) - 1
+        seen, kept = 0, []
+        for c in range(n - 1, -1, -1):
+            below >>= slot
+            i = active[c]
+            m = M >> c * slot & full
+            if m != (A >> c * slot & full) + x:
+                hits = (((m * ones | gs) - M & gs) + carry) & flags
+                if hits & (seen | below):
+                    continue
+                mt = self.unpack(m)
+                pairs[(i, h)] = (m, mt)
+                kept.append((i, mt))
+            seen |= 1 << (c + 1) * slot - 1
+        gone = (t + carry) & flags
+        if gone:
+            active[:] = [i for c, i in enumerate(active)
+                         if not gone >> (c + 1) * slot - 1 & 1]
+        active.append(h)
+        return kept
+
+    def standard_successors(self):
+        """Advance `std`, the standard monomials of degree D (no leading
+        exponent divides them) as divisibility packs, to those of degree
+        D + 1.
 
         A monomial of degree D + 1 is standard exactly when its divisors of
         degree D are, so it is one of the `_successors` of the standard
@@ -453,9 +547,9 @@ class Reducers:
         big-int operations.  The fields must hold D + 1.
         """
         index, ones, guard_slots, carry, flags = self.index_masks()
-        return {b for b in self._successors(self.repack_low(std, width),
-                                            [1 << s for s in self.shifts])
-                if not ((b * ones + index) & guard_slots) + carry & flags}
+        self.std = {b for b in self._successors(self.std,
+                                                [1 << s for s in self.shifts])
+                    if not ((b * ones + index) & guard_slots) + carry & flags}
 
     def _successors(self, xs, units):
         """x^a * x_v for each pack x^a in `xs` and each variable v from the

@@ -164,30 +164,18 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     below and ascending on the others; the sugar strategy (Giovini, Mora,
     Niesi, Robbiano and Traverso, ISSAC 1991) ranks a pair by the degree it
     would have if the input were homogenized, which matters because the
-    generator 1 - t*g of `saturate` makes the ideal inhomogeneous.  Each new element passes
-    through the Gebauer-Möller update (J. Symbolic Comput. 6, 1988): its own
-    pairs are filtered by the M, F and product criteria, old pairs by the
-    B_k criterion, and elements whose leading term it divides leave the
-    active set.  A dropped old pair is deleted from `live` and skipped when
-    the heap returns it.  The active set ends as the minimal basis, which
-    the result keeps packed: one tail-reduction pass turns it into the
-    reduced basis when the generators are first read (`GroebnerBasis`), and
+    generator 1 - t*g of `saturate` makes the ideal inhomogeneous.  Each
+    new element passes through the Gebauer-Möller update
+    (`Reducers.update_pairs`, on the divisibility packs of the entries):
+    its own pairs are filtered by the M, F and product criteria, old pairs
+    by the B_k criterion, and elements whose leading term it divides leave
+    the active set.  The `Reducers` hold the live pairs, each lcm packed
+    and as a tuple, which gives its heap key and its S-polynomial; a
+    dropped old pair is no longer live and is skipped when the heap
+    returns it.  The active set ends as the minimal basis, which the
+    result keeps packed: one tail-reduction pass turns it into the reduced
+    basis when the generators are first read (`GroebnerBasis`), and
     callers that read only leads never run it.
-
-    The update reads the divisibility packs that the `Reducers` keep (see
-    `_kernel_py`): exponent i in field i, `width` bits and a guard bit per
-    field.  A lead's pack is the low part of its entry, and the guards,
-    slot and width are those of the `Reducers`.  Each live pair keeps its
-    lcm as a pack and a tuple; the tuple gives its heap key, the B_k tuple
-    check and its S-polynomial.  The reductions may widen the fields; the
-    next `append` then packs the live lcms again from their tuples.  B_k
-    tests each live pair with one guard test and builds tuple lcms only for
-    the pairs whose lcm the new lead divides.  The active leads sit side by
-    side in one int, one slot each with a flag bit on top, so a few big-int
-    operations give lcm(lead, e) in every slot and the flags of the leads
-    that e divides; one more batch per candidate gives the flags of the
-    candidates whose lcm divides its own.  The pairs that survive, and
-    their order, are those of the same criteria on exponent tuples.
 
     The elements live only packed, as the entries of one kernel `Reducers`
     list (see `_kernel_py`): a pair's S-polynomial is built from the two
@@ -196,8 +184,9 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     generators' remainders, for their sugar; a whole element is unpacked
     only when the generators are read, after the tail-reduction pass.  The
     `Reducers` fields hold twice the degree of a pair's lcm and double
-    when a product overflows them; the remainders do not depend on the
-    width.
+    when a product overflows them, and `Reducers.widen` then re-packs the
+    live lcms and the standard set with the entries; the remainders do not
+    depend on the width.
 
     Under grevlex, with r <= arity nonzero homogeneous generators of
     degrees d_1..d_r, the pair loop is Hilbert-driven (Traverso,
@@ -209,18 +198,19 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     which form a regular sequence.  The elements are homogeneous and the
     sugar is their degree, so the heap returns the pairs degree by degree.
     At the first pair of degree D, the standard monomials of degree D (no
-    lead divides them) are made from those of degree D - 1 through the
-    divisor index (`Reducers.standard_successors`), and each nonzero
-    remainder of degree D takes its lead out of them.  They number at
-    least HF(R/I)(D), so once their count c equals h(D) the leads span the
-    leading terms of I_D: every remaining pair of degree D would reduce to
-    zero and is dropped unreduced, and the same elements join in the same
-    order.  Counting stops for the call after the first degree that ends
-    with c > h(D), as it does early on an ideal that is not a complete
-    intersection, and after a degree whose standard monomials outnumber
-    the terms of the elements: the next degree would then cost more than
-    a pass over the basis, as on sparse forms of high degree.  A count
-    below h(D), or a new lead outside the standard set, is a broken
+    lead divides them), held by the `Reducers`, are made from those of
+    degree D - 1 through the divisor index
+    (`Reducers.standard_successors`), and each nonzero remainder of degree
+    D takes its lead out of them as it joins (`append_remainder`).  They
+    number at least HF(R/I)(D), so once their count c equals h(D) the leads
+    span the leading terms of I_D: every remaining pair of degree D would
+    reduce to zero and is dropped unreduced, and the same elements join in
+    the same order.  Counting stops for the call after the first degree
+    that ends with c > h(D), as it does early on an ideal that is not a
+    complete intersection, and after a degree whose standard monomials
+    outnumber the terms of the elements: the next degree would then cost
+    more than a pass over the basis, as on sparse forms of high degree.  A
+    count below h(D), or a new lead outside the standard set, is a broken
     invariant and raises `ToricPolarError`.
 
     Whether a loop counts is decided once, from the generators
@@ -247,18 +237,14 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     """
     fld = I.field
     p = fld.p
-    lcm_of = _kernel_py.exp_lcm
 
     # the elements, monic, as packed entries; lead[h] is the leading
-    # exponent of entry h.  `live` maps each live pair to its lcm, packed
-    # at `width`, and as a tuple.
+    # exponent of entry h.  The live pairs are `reducers.pairs`.
     reducers = _kernel_py.Reducers(order.code, order.block, I.arity)
     lead: list[tuple] = []
     sugar: list[int] = []
     active: list[int] = []
-    live: dict[tuple[int, int], tuple[int, tuple]] = {}
     heap: list[tuple] = []
-    width = reducers.width
     gens = sorted(I.generators, key=lambda g: order.key(g.leading_term(order)[0]))
     counting = _hilbert_driven(gens, order, I.arity)
     if counting:
@@ -269,73 +255,13 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
         pair_key = order.key
 
     def append(r: list, s: int):
-        nonlocal width
-        low = reducers.low
-        if reducers.width != width:
-            # the reductions widened the fields since the last append
-            width = reducers.width
-            pack = reducers.pack
-            live.update([(ab, (pack(m) & low, m))
-                         for ab, (_, m) in live.items()])
-        guards = reducers.low_guards
-        slot = reducers.slot
         e = reducers.append_remainder(r, p)
-        entries = reducers.entries
-        x = entries[-1][0] & low
-        h = len(lead)
-        dh = sum(e)
-        # B_k: drop (a, b) when lead(h) divides its lcm strictly on both
-        # sides; one guard test per pair, tuple lcms only where it divides
-        for ab in [ab for ab, (m, _) in live.items()
-                   if ((m | guards) - x) & guards == guards]:
-            m = live[ab][1]
-            if lcm_of(lead[ab[0]], e) != m and lcm_of(lead[ab[1]], e) != m:
-                del live[ab]
-        # the active leads side by side, active[c] in slot c (slot 0 the
-        # lowest); in each field t keeps its guard where lead >= e, so M
-        # holds lcm(lead, e) in every slot
-        n = len(active)
-        ones = ((1 << n * slot) - 1) // ((1 << slot) - 1)
-        gs = guards * ones
-        flags = ones << slot - 1
-        carry = flags - gs
-        A = 0
-        for i in reversed(active):
-            A = A << slot | entries[i][0] & low
-        X = x * ones
-        t = ((A | gs) - X) & gs
-        f = t - (t >> width)
-        M = A & f | X & ~f
-        # pairs (i, h): M and F criteria against the other new pairs; pairs
-        # with coprime leading terms serve as witnesses, then the product
-        # criterion drops them.  A candidate is dropped when the lcm of a
-        # lower slot, or of a slot kept already, divides its own; a kept
-        # one goes on the heap.
-        full = (1 << slot) - 1
-        below = (1 << n * slot) - 1
-        seen = 0
-        for c in range(n - 1, -1, -1):
-            below >>= slot
-            i = active[c]
-            m = M >> c * slot & full
-            if m != (A >> c * slot & full) + x:
-                hits = (((m * ones | gs) - M & gs) + carry) & flags
-                if hits & (seen | below):
-                    continue
-                mt = reducers.unpack(m)
-                live[(i, h)] = (m, mt)
-                d = sum(mt)
-                heapq.heappush(heap, (max(sugar[i] + d - sum(lead[i]),
-                                          s + d - dh), pair_key(mt), i, h))
-            seen |= 1 << (c + 1) * slot - 1
+        h, dh = len(lead), sum(e)
         lead.append(e)
         sugar.append(s)
-        # the active leads that lead(h) divides leave the active set
-        gone = (t + carry) & flags
-        if gone:
-            active[:] = [i for c, i in enumerate(active)
-                         if not gone >> (c + 1) * slot - 1 & 1]
-        active.append(h)
+        for i, m in reducers.update_pairs(lead, active):
+            heapq.heappush(heap, (max(sugar[i] - sum(lead[i]), s - dh)
+                                  + sum(m), pair_key(m), i, h))
 
     for g in gens:
         r = _kernel_py.normal_form_packed(g.terms, reducers, p)
@@ -343,14 +269,13 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
             append(r, max(g.total_degree(),
                           max(sum(reducers.unpack(x)) for x, _ in r)))
 
-    # while the complete-intersection bound is counted: the standard
-    # monomials of degree `deg`, as divisibility packs made at `std_width`,
-    # and the bound h in that degree; std is None when it is not
-    std = None
+    # while the complete-intersection bound is counted, `reducers.std`
+    # holds the standard monomials of degree `deg` and h is the bound in
+    # that degree; it is None when the bound is not counted
     if heap and counting:
         bound = _complete_intersection_hilbert(
             [g.total_degree() for g in gens], I.arity)
-        std, deg, std_width, h = {0}, 0, reducers.width, bound(0)
+        reducers.std, deg, h = {0}, 0, bound(0)  # the monomial 1
 
     # the sugar of the degree that runs, its first element and whether
     # its S-polynomials reduce as rows
@@ -365,40 +290,29 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
             top, first = s, len(lead)
             terms = sum(len(tail) + 1 for _, tail in reducers.entries)
             rows = comb(s + I.arity - 1, I.arity - 1) <= terms
-        m = live.pop((i, j), None)
+        m = reducers.pairs.pop((i, j), None)
         if m is None:
             continue
-        while std is not None and deg < s:
+        while reducers.std is not None and deg < s:
             # degree `deg` ended: stop counting if it ended above its bound,
             # or if the next degree would cost more than a pass over the
             # terms of the elements; else count it
-            if len(std) > h or len(std) > terms:
-                std = None
+            if len(reducers.std) > h or len(reducers.std) > terms:
+                reducers.std = None
                 break
-            std = reducers.standard_successors(std, std_width)
-            std_width = reducers.width
+            reducers.standard_successors()
             deg += 1
             h = bound(deg)
-            if len(std) < h:
+            if len(reducers.std) < h:
                 raise ToricPolarError(
-                    f"{len(std)} standard monomials of degree {deg}, below "
-                    f"the complete-intersection bound {h}")
-        if std is not None and len(std) == h:
+                    f"{len(reducers.std)} standard monomials of degree "
+                    f"{deg}, below the complete-intersection bound {h}")
+        if reducers.std is not None and len(reducers.std) == h:
             continue  # degree s of the basis is complete
         r = _kernel_py.s_polynomial_remainder(reducers, i, j, m[1], p,
                                               rows)
         if r:
-            append(r, s)
-            if std is not None:
-                # the new lead is a standard monomial of degree s
-                std = reducers.repack_low(std, std_width)
-                std_width = reducers.width
-                x = reducers.entries[-1][0] & reducers.low
-                if x not in std:
-                    raise ToricPolarError(
-                        f"the new leading exponent {lead[-1]} of degree {s} "
-                        f"is not a standard monomial")
-                std.remove(x)
+            append(r, s)  # its lead leaves the standard set
 
     # Every element is reduced by all earlier ones, so no leading term
     # divides a later one and the active elements form a minimal basis.
@@ -678,15 +592,23 @@ def projective_dimension(I: Ideal) -> int:
     The quotient has the Krull dimension of the quotient by the leading
     monomials, which is the size of the largest set of variables that
     contains the support of no lead (Cox, Little & O'Shea, Ideals,
-    Varieties, and Algorithms, ch. 9, §1-3).  The sets are searched by
-    decreasing size as bitmasks, against the support bitmasks of the leads.
+    Varieties, and Algorithms, ch. 9, §1-3).  A constant lead leaves no
+    such set, and a set holds no variable that has a pure-power lead; the
+    sets of the other variables are searched by decreasing size as
+    bitmasks, against the support bitmasks of the leads that touch no
+    pure-power variable.  So an m-primary lead ideal searches nothing.
     The basis is taken as in `hilbert_dim_degree`.
     """
     G = _homogeneous_basis(I)
     supports = {sum(1 << i for i, x in enumerate(e) if x)
                 for e in G.leading_exponents()}
-    for size in range(G.arity, 0, -1):
-        for chosen in combinations(range(G.arity), size):
+    if 0 in supports:
+        return -1
+    pure = sum(s for s in supports if not s & s - 1)
+    rest = [i for i in range(G.arity) if not pure >> i & 1]
+    supports = [s for s in supports if not s & pure]
+    for size in range(len(rest), 0, -1):
+        for chosen in combinations(rest, size):
             free = sum(1 << i for i in chosen)
             if all(s & ~free for s in supports):
                 return size - 1

@@ -177,6 +177,43 @@ def test_overflow_repacks_twice_as_wide():
     assert reducers.width == 16
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_widen_repacks_the_pairs_and_the_standard_set(seed):
+    """A `Reducers` that holds live pairs and a standard set and widens
+    twice, advancing the set in between, holds exactly the packs that one
+    made at the final width holds: `widen` re-packs the entries, the lcms
+    of the live pairs and the standard set, and nothing else has to."""
+    rng = random.Random(300 + seed)
+    n = rng.randint(2, 4)
+    # no lead is a power of the last variable, so its powers stay standard
+    leads = sorted({e for e in (tuple(rng.randint(0, 2) for _ in range(n))
+                                for _ in range(rng.randint(3, 6)))
+                    if any(e[:-1])} | {(3,) + (0,) * (n - 1)})
+    tails = [random_terms(rng, n, 13, 2, top=1) for _ in leads]
+
+    def build(width, widths):
+        reducers = k.Reducers(k.GREVLEX, 0, n, width)
+        lead, active = [], []
+        for e, tail in zip(leads, tails):
+            append_reducer(reducers, {e: 1, **tail}, e, 1, 13)
+            lead.append(e)
+            reducers.update_pairs(lead, active)
+        reducers.std = {0}
+        for w in widths:
+            reducers.standard_successors()
+            reducers.widen(w)
+        return reducers
+
+    widened = build(3, [3, 5, 3, 9])
+    fresh = build(9, [9] * 4)
+    assert widened.width == fresh.width == 9
+    assert widened.pairs and widened.pairs == fresh.pairs
+    assert list(widened.pairs) == list(fresh.pairs)
+    assert widened.std and widened.std == fresh.std
+    assert widened.entries == fresh.entries
+    assert widened.index == fresh.index
+
+
 def random_reducers(rng, count, arity, p, kind, block):
     """`count` random reducers as the reference takes them.  Leads repeat
     with different tails, so several reducers divide the same terms and

@@ -1,7 +1,9 @@
-"""The Gebauer-Möller update of `buchberger` works on the divisibility
-packs of its `Reducers`.  These tests pin it to the same criteria on
-exponent tuples: the S-pairs it reduces, their order and the basis must
-not change, also when the `Reducers` widen while pairs are live.  On
+"""The Gebauer-Möller update of `buchberger` is `Reducers.update_pairs`,
+on the divisibility packs of the entries; the `Reducers` hold the live
+pairs' lcms, and `Reducers.widen` re-packs them with the entries.  These
+tests pin the update to the same criteria on exponent tuples: the S-pairs
+it reduces, their order and the basis must not change, also when the
+`Reducers` widen while pairs are live.  On
 homogeneous grevlex input `buchberger` also leaves out the rest of a
 degree once the complete-intersection bound is met; it then reduces a
 subsequence of the reference's pairs that keeps every nonzero reduction.
@@ -256,7 +258,7 @@ def test_widening_in_the_pair_loop_matches_tuple_criteria():
 def test_widening_with_live_pairs_matches_tuple_criteria():
     """Three cubics under grevlex: the fields start 3 bits wide and widen
     to 4 inside a reduction while the pair (0, 1) waits on the heap, so
-    the next `append` packs its lcm and the others again.  With stale packs
+    `Reducers.widen` packs its lcm and the others again.  With stale packs
     the B_k guard test drops a pair that the tuple criteria reduce."""
     x0, x1, x2 = (Polynomial.variable(F, 3, i) for i in range(3))
     gens = [2 * x0 ** 2 * x1 + 4 * x1 * x2 ** 2,
