@@ -93,6 +93,11 @@ class GroebnerBasis(Ideal):
         if self._generators is None:
             basis = self._minimal
             _kernel_py.reduce_tails(basis, self.field.p)
+            if _DEBUG_CHECK_BASES and not self._tails_reduced():
+                raise ToricPolarError(
+                    f"Gröbner basis check failed: the tail pass left a "
+                    f"term that a lead divides in the {len(self)}-element "
+                    f"basis under the {self.order.kind} order")
             unpack, relabel = basis.unpack, self._relabel
             self._generators = tuple(
                 Polynomial(self.field, self.arity,
@@ -126,16 +131,32 @@ class GroebnerBasis(Ideal):
 
     def s_polynomials_reduce_to_zero(self) -> bool:
         """Debug check of the defining property: the S-polynomial of each
-        pair of reduced generators, built on term dicts, reduces to zero by
-        the same generators, packed once (`minimal`)."""
+        pair of minimal elements, built on term dicts, reduces to zero by
+        the same elements, packed (`minimal`).  The minimal basis is a
+        Gröbner basis when the reduced one is, so the check runs no tail
+        pass and never reads `generators`; it works in the ring of
+        `minimal`."""
         p = self.field.p
-        lead, elems = self._lead_exps, self.generators
-        for i in range(len(elems)):
-            for j in range(i + 1, len(elems)):
-                s = _s_terms(p, elems[i].terms, lead[i], elems[j].terms,
-                             lead[j], _kernel_py.exp_lcm(lead[i], lead[j]))
-                if self._remainder(s):
+        basis = self._minimal
+        unpack = basis.unpack
+        elems = [(unpack(x), {unpack(y): c for y, c in [(x, 1)] + tail})
+                 for x, tail in basis.entries]
+        for k, (li, fi) in enumerate(elems):
+            for lj, fj in elems[k + 1:]:
+                s = _s_terms(p, fi, li, fj, lj, _kernel_py.exp_lcm(li, lj))
+                if _kernel_py.normal_form_terms(s, basis, p):
                     return False
+        return True
+
+    def _tails_reduced(self) -> bool:
+        """Debug check of the tail pass: each tail of `minimal` is its own
+        normal form, so no lead divides a term of it."""
+        p, basis = self.field.p, self._minimal
+        unpack = basis.unpack
+        for _, tail in basis.entries:
+            t = {unpack(y): c for y, c in tail}
+            if _kernel_py.normal_form_terms(t, basis, p) != t:
+                return False
         return True
 
     def __iter__(self):
@@ -159,14 +180,29 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     """Reduced Gröbner basis of I; it is unique, so it does not depend on
     the order of the generators or of the pair selection.
 
-    S-pairs wait in a heap keyed, once at creation, by (sugar, lcm in the
-    order, i, j), the lcm descending on the loops that count the bound
-    below and ascending on the others; the sugar strategy (Giovini, Mora,
-    Niesi, Robbiano and Traverso, ISSAC 1991) ranks a pair by the degree it
-    would have if the input were homogenized, which matters because the
-    generator 1 - t*g of `saturate` makes the ideal inhomogeneous.  Each
-    new element passes through the Gebauer-Möller update
-    (`Reducers.update_pairs`, on the divisibility packs of the entries):
+    S-pairs wait in a heap keyed, once at creation, by (sugar, key, i, j).
+    The sugar strategy (Giovini, Mora, Niesi, Robbiano and Traverso, ISSAC
+    1991) ranks a pair by the degree it would have if the input were
+    homogenized.  Degrees count the variables outside the eliminated block,
+    which weighs 0; grevlex and lex eliminate none, so there every variable
+    counts.  An input element's sugar is the largest degree of its terms,
+    and the pair of elements i and j with lcm m has sugar max(sugar_i -
+    deg lead_i, sugar_j - deg lead_j) + deg m, which its nonzero remainder
+    keeps.  Under a block order an input reduced by an earlier one can gain
+    degree (t*y + 1 by t - x^5 leaves x^5*y + 1), so its sugar, read from
+    its unreduced terms, may lie below the degree of its lead; that only
+    moves pairs in the heap, never changes the basis.  The generator
+    1 - t*g of `saturate` has the sugar of g, not one more, and the pairs
+    through it come with the pairs of the same degree among the generators
+    of I.  The key is the lcm in the order, descending, on the loops that
+    count the bound below; on the others it is the lcm's degree in the
+    eliminated block, higher first, and after it the lcm ascending in the
+    order.  So at each sugar the pairs that eliminate t come first, and the
+    elements free of t that they make join before the pairs among the
+    earlier t-free elements of that sugar are reduced; the update below
+    drops many of those, which mostly reduce to zero.  Each new element
+    passes through the Gebauer-Möller update (`Reducers.update_pairs`, on
+    the divisibility packs of the entries):
     its own pairs are filtered by the M, F and product criteria, old pairs
     by the B_k criterion, and elements whose leading term it divides leave
     the active set.  The `Reducers` hold the live pairs, each lcm packed
@@ -180,13 +216,12 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     The elements live only packed, as the entries of one kernel `Reducers`
     list (see `_kernel_py`): a pair's S-polynomial is built from the two
     packed entries, reduced packed, made monic and appended as it is.  Only
-    leading exponents are unpacked, the lcms of kept pairs, and the
-    generators' remainders, for their sugar; a whole element is unpacked
-    only when the generators are read, after the tail-reduction pass.  The
-    `Reducers` fields hold twice the degree of a pair's lcm and double
-    when a product overflows them, and `Reducers.widen` then re-packs the
-    live lcms and the standard set with the entries; the remainders do not
-    depend on the width.
+    leading exponents and the lcms of kept pairs are unpacked; a whole
+    element is unpacked only when the generators are read, after the
+    tail-reduction pass.  The `Reducers` fields hold twice the degree of a
+    pair's lcm and double when a product overflows them, and
+    `Reducers.widen` then re-packs the live lcms and the standard set with
+    the entries; the remainders do not depend on the width.
 
     Under grevlex, with r <= arity nonzero homogeneous generators of
     degrees d_1..d_r, the pair loop is Hilbert-driven (Traverso,
@@ -242,32 +277,39 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     # exponent of entry h.  The live pairs are `reducers.pairs`.
     reducers = _kernel_py.Reducers(order.code, order.block, I.arity)
     lead: list[tuple] = []
-    sugar: list[int] = []
+    excess: list[int] = []  # sugar minus the weight of the lead
     active: list[int] = []
     heap: list[tuple] = []
     gens = sorted(I.generators, key=lambda g: order.key(g.leading_term(order)[0]))
     counting = _hilbert_driven(gens, order, I.arity)
+    # the eliminated block (none under grevlex and lex) weighs 0
+    b = order.block
+
+    def weight(e):
+        return sum(e[b:])
+
     if counting:
         # descending lcm within a degree
         def pair_key(m):
             return tuple([-f for f in order.key(m)])
     else:
-        pair_key = order.key
+        # higher degree in the eliminated block first, then the lcm
+        def pair_key(m):
+            return -sum(m[:b]), order.key(m)
 
     def append(r: list, s: int):
         e = reducers.append_remainder(r, p)
-        h, dh = len(lead), sum(e)
+        h, xh = len(lead), s - weight(e)
         lead.append(e)
-        sugar.append(s)
+        excess.append(xh)
         for i, m in reducers.update_pairs(lead, active):
-            heapq.heappush(heap, (max(sugar[i] - sum(lead[i]), s - dh)
-                                  + sum(m), pair_key(m), i, h))
+            heapq.heappush(heap, (max(excess[i], xh) + weight(m),
+                                  pair_key(m), i, h))
 
     for g in gens:
         r = _kernel_py.normal_form_packed(g.terms, reducers, p)
         if r:
-            append(r, max(g.total_degree(),
-                          max(sum(reducers.unpack(x)) for x, _ in r)))
+            append(r, max(map(weight, g.terms)))
 
     # while the complete-intersection bound is counted, `reducers.std`
     # holds the standard monomials of degree `deg` and h is the bound in

@@ -176,6 +176,17 @@ def test_debug_check_catches_a_broken_packed_s_polynomial_under_python_O():
         0, "False ToricPolarError\n", "")
 
 
+def test_debug_check_catches_a_skipped_tail_pass(monkeypatch):
+    """The debug check of `buchberger` reads only the minimal basis, so
+    the first read of `generators` checks its own tail pass: with the pass
+    skipped, the lead x1 still divides a tail term of this basis."""
+    monkeypatch.setattr(groebner, "_DEBUG_CHECK_BASES", True)
+    G = buchberger(Ideal([P("x2^2 - x0"), P("x2^2 - x1")]))
+    monkeypatch.setattr(kernel, "reduce_tails", lambda basis, p: None)
+    with pytest.raises(ToricPolarError, match="the tail pass left a term"):
+        G.generators
+
+
 # --- normal form ----------------------------------------------------------------
 
 def test_normal_form_examples():

@@ -5,10 +5,11 @@ counted over sympy's basis.
 
 sympy computes over GF(p) with its own Buchberger implementation, so it is
 an oracle that shares no code with toricpolar.  Both sides order variables
-x0 > x1 > x2 in grevlex and lex, and in the block order `block_order(1)`,
-which sympy spells as a ProductOrder of two grevlex blocks.  The dense
-surface translates are also run with the debug check of every basis on,
-which builds its S-polynomials apart from the packed pair loop.
+x0 > x1 > x2 in grevlex and lex, and in the block orders `block_order(1)`
+and `block_order(2)`, which sympy spells as a ProductOrder of two grevlex
+blocks.  The dense surface translates are also run with the debug check of
+every basis on, which builds its S-polynomials apart from the packed pair
+loop.
 """
 
 import itertools
@@ -151,9 +152,13 @@ def test_buchberger_with_the_complete_intersection_bound_matches_sympy(
     assert G.s_polynomials_reduce_to_zero()
 
 
-# block_order(1): grevlex on x0, then grevlex on the other variables
-BLOCK_1 = ProductOrder((grevlex, lambda m: m[:1]),
-                       (grevlex, lambda m: m[1:]))
+def product_order(k):
+    """sympy's spelling of block_order(k): grevlex on the first k
+    variables, then grevlex on the others."""
+    return ProductOrder((grevlex, lambda m: m[:k]), (grevlex, lambda m: m[k:]))
+
+
+BLOCK_1 = product_order(1)
 
 
 @pytest.mark.parametrize("order, theirs", [(LEX, "lex"),
@@ -206,6 +211,23 @@ def test_eliminate_matches_sympy_lex_elimination(ideal):
     mine = buchberger(Ideal(E.generators, field=F, arity=n), GREVLEX)
     assert canonical(ours(mine)) == canonical(
         sympy_basis(theirs, n, "grevlex") if theirs else [])
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_ideals(min_vars=3))
+def test_eliminate_of_two_variables_matches_sympy_block_order(ideal):
+    """`eliminate` of x0 and x1 runs `buchberger` under block_order(2),
+    whose pair sugar gives both variables weight 0.  Its basis must be
+    sympy's under the same order, and the elements free of x0 and x1 are
+    the reduced grevlex basis that `eliminate` returns."""
+    n, gens = ideal
+    theirs = sympy_basis(gens, n, product_order(2))
+    G = buchberger(Ideal(gens), block_order(2))
+    assert canonical(ours(G)) == canonical(theirs)
+    E = eliminate(Ideal(gens), {0, 1})
+    assert canonical(ours(E)) == canonical(
+        [terms for terms in theirs if not any(e[0] or e[1] for e in terms)])
 
 
 @st.composite
@@ -279,6 +301,32 @@ def test_intersect_matches_sympy_elimination(first, second):
     meet = intersect(Ideal(I), Ideal(J))
     mine = buchberger(Ideal(meet.generators, field=F, arity=n), GREVLEX)
     assert canonical(ours(mine)) == canonical(sympy_basis(theirs, n, "grevlex"))
+
+
+@st.composite
+def ideal_pairs(draw):
+    """Two small ideals in the same ring of 1 to 3 variables."""
+    n, gens = draw(small_ideals())
+    return n, gens, draw(small_ideals(min_vars=n, max_vars=n))[1]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ideal_pairs())
+def test_intersect_matches_sympy_block_order(case):
+    """`intersect` eliminates t from t*I + (1-t)*J under block_order(1).
+    sympy's basis of the same ideal under that order, as a ProductOrder,
+    holds the reduced grevlex basis of I ∩ J as its t-free elements, with
+    up to three variables besides t."""
+    n, I, J = case
+    t = Polynomial.variable(F, n + 1, 0)
+    one = Polynomial.constant(F, n + 1, 1)
+    mixed = ([t * h.extend_arity(n + 1, 0) for h in I]
+             + [(one - t) * h.extend_arity(n + 1, 0) for h in J])
+    theirs = [{e[1:]: c for e, c in terms.items()}
+              for terms in sympy_basis(mixed, n + 1, BLOCK_1)
+              if all(e[0] == 0 for e in terms)]
+    assert canonical(ours(intersect(Ideal(I), Ideal(J)))) == canonical(theirs)
 
 
 @st.composite

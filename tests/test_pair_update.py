@@ -10,8 +10,11 @@ subsequence of the reference's pairs that keeps every nonzero reduction.
 
 `tuple_buchberger` below is the reference: the pair loop of `buchberger`
 with the update written on exponent tuples, one `exp_divides` test per
-candidate pair, and no bound.  Both call `_kernel_py.s_polynomial_remainder`
-once per reduced pair, so wrapping it records the pair sequence of either.
+candidate pair, and no bound.  It keys its pairs as `buchberger` does:
+under a block order the sugar counts degrees in the kept variables only,
+and at equal sugar a higher degree of the lcm in the eliminated block
+comes first.  Both call `_kernel_py.s_polynomial_remainder` once per
+reduced pair, so wrapping it records the pair sequence of either.
 On the loops that count the bound (`groebner._hilbert_driven`) both take a
 degree's pairs by descending lcm and, when a degree ends, reduce the tails
 of its elements by each other with `Reducers.interreduce`.
@@ -64,6 +67,12 @@ def tuple_buchberger(I, order):
     gens = sorted(I.generators,
                   key=lambda g: order.key(g.leading_term(order)[0]))
     counting = _hilbert_driven(gens, order, I.arity)
+    # under a block order the sugar counts the degree in the kept
+    # variables only, and a larger degree in the eliminated block goes first
+    block = order.block if order.kind == "block" else 0
+
+    def weight(e):
+        return sum(e[block:])
 
     def append(r, s):
         e = reducers.append_remainder(r, p)
@@ -82,25 +91,26 @@ def tuple_buchberger(I, order):
                 del live[(a, b)]
         lead.append(e)
         sugar.append(s)
-        dh = sum(e)
+        dh = weight(e)
         for i, m in kept:
             if m == exp_add(lead[i], e):
                 continue
-            d = sum(m)
+            d = weight(m)
             live[(i, h)] = m
             key = order.key(m)
             if counting:
                 key = tuple(-f for f in key)
-            heapq.heappush(heap, (max(sugar[i] + d - sum(lead[i]), s + d - dh),
-                                  key, i, h))
+            if block:
+                key = (-sum(m[:block]), key)
+            heapq.heappush(heap, (max(sugar[i] + d - weight(lead[i]),
+                                      s + d - dh), key, i, h))
         active[:] = [i for i in active if not divides(e, lead[i])]
         active.append(h)
 
     for g in gens:
         r = k.normal_form_packed(g.terms, reducers, p)
         if r:
-            append(r, max(g.total_degree(),
-                          max(sum(reducers.unpack(x)) for x, _ in r)))
+            append(r, max(map(weight, g.terms)))
     top, first = 0, len(lead)
     while heap:
         s, _, i, j = heapq.heappop(heap)
@@ -271,12 +281,12 @@ def test_widening_with_live_pairs_matches_tuple_criteria():
 
 def test_pair_counts_of_a_verify_pass():
     """One in-process `verify` pass reduces these pairs.  The update on
-    exponent tuples reduces 2389; the complete-intersection bound leaves
+    exponent tuples reduces 2150; the complete-intersection bound leaves
     out 11 of those that reduce to zero, and none of the nonzero ones."""
     with PairLog() as log:
         results = verify_propositions(RandomizationConfig(seed=0))
     assert all(r.passed for r in results)
-    assert (len(log.pairs), log.nonzero) == (2378, 1059)
+    assert (len(log.pairs), log.nonzero) == (2139, 1040)
 
 
 def test_pair_counts_of_the_quartic_translate_base_ideal():
@@ -300,7 +310,7 @@ def test_pair_counts_of_cremona_4():
     with PairLog() as log:
         values = multidegrees(toric_polar_map(cremona_poly(4))).values
     assert values == (1, 4, 6, 4, 1)
-    assert (len(log.pairs), log.nonzero) == (258, 104)
+    assert (len(log.pairs), log.nonzero) == (206, 98)
 
 
 def rows_against_heap(gens):
