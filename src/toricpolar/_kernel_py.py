@@ -50,13 +50,18 @@ twice the largest total degree of the reducers and of the polynomial being
 reduced.  A grevlex reduction never leaves that range; under lex and block
 orders a product can.  Its fields are then below twice the field range, so
 a guard bit is set.  One retry loop, `_reduce_widening`, serves every
-reduction: it re-packs the reducers at twice the width, builds the packed
-input again and starts over.  Only the remainder is unpacked; it is the
-same dict, in the same insertion order, as a reduction on exponent tuples
+reduction: its caller builds the packed input once, and on an overflow the
+loop re-packs the reducers at twice the width, builds the packed input
+again and starts over.  Only the remainder is unpacked; it is the same
+dict, in the same insertion order, as a reduction on exponent tuples
 gives.
 
 `buchberger` keeps its elements packed from pair to basis.  Each is an
-entry of one `Reducers` list and has no other copy.
+entry of one `Reducers` list and has no other copy.  Its inputs are
+packed once, by `input_remainders`: the fields widen once, to hold twice
+the largest input degree, each input is packed, the inputs go by packed
+lead, and each is reduced from its pack, which is made again from its
+term dict only after an overflow has widened the fields.
 `s_polynomial_remainder` packs the lcm m of two leads once, widening first
 to hold twice its degree, and shifts each tail by one int add: its terms
 times m / lead are the tail packs plus (pack of m) - (pack of lead), the
@@ -83,7 +88,10 @@ so no slot carries into the next and `bit_length()` finds the leading
 term.  Each step takes the top slot, reduces it mod p and clears it; the
 row of a reducer multiple is built once per degree and kept on the
 `Reducers` until `Reducers._set_columns` builds columns again, the one
-place that drops the rows; `widen` drops the columns.
+place that drops the rows; `widen` drops the columns.  The S-polynomial's
+first half, (m / lead_i) tail_i, is the row of m's reducer multiple when
+entry i is m's first divisor, so it is read from those rows, or built into
+them; only when an earlier entry divides m first is it built apart.
 `buchberger` asks for rows in a degree only when its C(D + n - 1, n - 1)
 monomials are no more than the terms of the elements, so sparse forms of
 high degree keep the heap.
@@ -109,12 +117,16 @@ lead k; `ones` holds 1 in every slot.  For a term with divisibility pack b:
                                     order, or 0 when there is none.
 
 So the divisor chosen, and with it every remainder and basis, is the one a
-scan of the list gives.  The order pack is left out of the index: its
-forms are linear with nonnegative coefficients, so x^a | x^b already gives
-form(a) <= form(b) for every form, and comparing them would only widen the
-slots.  `Reducers.standard_successors` runs the same test on the
-monomials of one degree, to find those that no leading exponent divides,
-for the complete-intersection bound of `buchberger`.
+scan of the list gives.  Each step checks the reducer the index names: its
+lead a divides the term u exactly when u - a sets no guard bit, so a
+stale index raises `ToricPolarError` instead of stepping by a lead that
+does not divide the term, which would overflow on every retry.  The order
+pack is left out of the index: its forms are linear with nonnegative
+coefficients, so x^a | x^b already gives form(a) <= form(b) for every
+form, and comparing them would only widen the slots.
+`Reducers.standard_successors` runs the same test on the monomials of one
+degree, to find those that no leading exponent divides, for the
+complete-intersection bound of `buchberger`.
 
 The Gebauer-Möller update of `buchberger` is `Reducers.update_pairs`, in
 the same layout: the `Reducers` hold the live pairs, each lcm as a
@@ -237,6 +249,17 @@ def mul_terms(a, b, p):
     return r
 
 
+def pow_terms(a, n, p):
+    """a^n for n >= 1, by square-and-multiply on `mul_terms`."""
+    result = None
+    while n:
+        if n & 1:
+            result = a if result is None else mul_terms(result, a, p)
+        a = mul_terms(a, a, p) if n > 1 else a
+        n >>= 1
+    return result
+
+
 def substitute_terms(polys, images, arity, p):
     """Each of `polys` with variable i replaced by images[i], a polynomial
     in `arity` variables.
@@ -324,8 +347,9 @@ class Reducers:
     The row path (`_row_remainder`) keeps two caches.  `columns` is None or
     the degree of the last rows, its monomials as ascending packs, the
     column of each pack and the slot width; `widen` drops it.  `rows` maps
-    each reduced monomial of that degree to the row of its reducer
-    multiple; `_set_columns`, which builds the columns, sets it empty.
+    each reduced monomial of that degree, and each lcm whose pair's first
+    entry is its first divisor, to the row of its reducer multiple;
+    `_set_columns`, which builds the columns, sets it empty.
 
     The pair state of `buchberger` lives here too.  `pairs` maps each live
     pair (i, j) to its lcm as a divisibility pack and as a tuple;
@@ -599,26 +623,56 @@ def normal_form_terms(f, reducers, p):
 
 def normal_form_packed(f, reducers, p):
     """The remainder of `normal_form_terms`, left packed at the width of
-    `reducers`: (packed exponent, coefficient) pairs, largest first."""
-    return _reduce_widening(
-        reducers, max(map(sum, f), default=0),
-        lambda: {reducers.pack(e): c for e, c in f.items()}, p)
+    `reducers`: (packed exponent, coefficient) pairs, largest first.  The
+    fields first hold twice the degree of `f`."""
+    reducers.widen(_width_for(max(map(sum, f), default=0)))
+    return _reduce_widening(reducers, _pack_terms(reducers, f), p,
+                            _pack_terms, reducers, f)
 
 
-def _reduce_widening(reducers, degree, build, p):
-    """Packed remainder of the packed dict that `build()` makes at the
-    current width of `reducers`, largest term first.  The fields first hold
-    twice `degree`.  When `build` returns None or a product overflows, they
-    double and `build` runs again on the re-packed entries, so the
+def input_remainders(reducers, fs, p):
+    """The remainders of the nonzero term dicts `fs`, the inputs of
+    `buchberger`, each by the entries there are when it is asked for: yields
+    (k, packed remainder of fs[k]) for each k, by ascending leading
+    exponent, inputs with the same one in the order of `fs`.  The caller
+    appends a nonzero remainder before it asks for the next.
+
+    The fields are widened once, to hold twice the largest degree of the
+    inputs, and each input is packed once.  Its lead is its largest pack,
+    so the order is the one that sorting by the order's key of the leading
+    exponents gives.  An input is packed again, from its term dict, only
+    when an overflow has widened the fields since."""
+    reducers.widen(_width_for(max([max(map(sum, f)) for f in fs],
+                                  default=0)))
+    width = reducers.width
+    packs = [_pack_terms(reducers, f) for f in fs]
+    for k in sorted(range(len(fs)), key=lambda k: max(packs[k])):
+        h = packs[k]
+        if reducers.width != width:
+            h = _pack_terms(reducers, fs[k])
+        yield k, _reduce_widening(reducers, h, p, _pack_terms, reducers,
+                                  fs[k])
+
+
+def _pack_terms(reducers, f):
+    """The term dict `f` as a packed dict at the width of `reducers`."""
+    pack = reducers.pack
+    return {pack(e): c for e, c in f.items()}
+
+
+def _reduce_widening(reducers, h, p, build, *args):
+    """Packed remainder, largest term first, of the packed dict `h`, made
+    at the current width of `reducers`; h is None when a term of it
+    overflowed.  Then, or when a product overflows, the fields double and
+    `build(*args)` makes the dict again from the re-packed entries, so the
     remainder does not depend on the width."""
-    reducers.widen(_width_for(degree))
     while True:
-        h = build()
         if h is not None:
             r = _reduce_packed(h, reducers, p)
             if r is not None:
                 return r
         reducers.widen(2 * reducers.width)
+        h = build(*args)
 
 
 def _s_polynomial(reducers, i, j, m):
@@ -651,8 +705,9 @@ def s_polynomial_remainder(reducers, i, j, m, p, rows):
     remainder; every entry must then be a form."""
     if rows:
         return _row_remainder(reducers, i, j, m, p)
-    return _reduce_widening(reducers, sum(m),
-                            partial(_s_polynomial, reducers, i, j, m), p)
+    reducers.widen(_width_for(sum(m)))
+    return _reduce_widening(reducers, _s_polynomial(reducers, i, j, m), p,
+                            _s_polynomial, reducers, i, j, m)
 
 
 def _row_remainder(reducers, i, j, m, p):
@@ -666,11 +721,16 @@ def _row_remainder(reducers, i, j, m, p):
     divides is a remainder term, and otherwise the row of its reducer
     multiple, times q = p - c, is added.  That row is built once per
     degree, from the first divisor the index gives, and kept in
-    `Reducers.rows` until the columns are built again.  The steps and the
-    remainder are those of `_reduce_packed`.  Every entry must be a form:
-    a term that is not a monomial of degree D raises `ToricPolarError`, and
-    so does a step that does not take a lower column than the step before,
-    which only a slot that overflowed into the next makes.
+    `Reducers.rows` until the columns are built again.  The S-polynomial
+    starts from the row of (m / lead_i) tail_i, which is that of m's
+    reducer multiple when entry i is m's first divisor: it is then read
+    from `Reducers.rows`, or built into it, and otherwise built apart.
+    The steps and the remainder are those of `_reduce_packed`, and a
+    reducer whose lead does not divide its term (a stale index) raises
+    `ToricPolarError`.  Every entry must be a form: a term that is not a
+    monomial of degree D raises `ToricPolarError`, and so does a step that
+    does not take a lower column than the step before, which only a slot
+    that overflowed into the next makes.
     """
     degree = sum(m)
     reducers.widen(_width_for(degree))
@@ -682,10 +742,19 @@ def _row_remainder(reducers, i, j, m, p):
     n = len(entries)
     slot = reducers.slot
     low = reducers.low
+    guards = reducers.guards
     index, ones, guard_slots, carry, flags = reducers.index_masks()
     x = reducers.pack(m)
     lead, tail = entries[i]
-    acc = _row(reducers, tail, x - lead)
+    hit = ((((x & low) * ones + index) & guard_slots) + carry
+           & flags).bit_length()
+    if n - hit // slot == i:
+        # (m / lead_i) tail_i is the row of m's reducer multiple
+        acc = rows.get(x)
+        if acc is None:
+            acc = rows[x] = _row(reducers, tail, x - lead)
+    else:
+        acc = _row(reducers, tail, x - lead)
     lead, tail = entries[j]
     acc += (p - 1) * _row(reducers, tail, x - lead)
     r = []
@@ -711,7 +780,10 @@ def _row_remainder(reducers, i, j, m, p):
                 r.append((u, c))
                 continue
             lead, tail = entries[n - hit // slot]
-            row = rows[u] = _row(reducers, tail, u - lead)
+            d = u - lead
+            if d & guards:
+                _stale_index(reducers, u, lead)
+            row = rows[u] = _row(reducers, tail, d)
         acc += (p - c) * row
     return r
 
@@ -745,8 +817,14 @@ def reduce_tails(basis, p):
     is a Gröbner basis, so each remainder is unique anyway.  An overflow
     widens `basis` and starts that entry again."""
     for i in range(len(basis.entries) - 1, -1, -1):
-        r = _reduce_widening(basis, 0, lambda: dict(basis.entries[i][1]), p)
+        r = _reduce_widening(basis, _tail_terms(basis, i), p, _tail_terms,
+                             basis, i)
         basis.entries[i] = (basis.entries[i][0], r)
+
+
+def _tail_terms(basis, i):
+    """The tail of entry i of `basis` as a packed dict."""
+    return dict(basis.entries[i][1])
 
 
 def _reduce_packed(h, reducers, p):
@@ -760,8 +838,10 @@ def _reduce_packed(h, reducers, p):
     coefficient is a plain int, reduced mod p only when it is popped; one
     that is then 0 has cancelled and is skipped.  The first divisor of a
     popped term comes from the divisor index in a fixed number of big-int
-    operations.  Only a new key can overflow: its fields are below twice the
-    field range, so a set guard bit shows it.
+    operations; a lead that does not divide the term, which only a stale
+    index gives, sets a guard bit of the shift and raises
+    `ToricPolarError`.  Only a new key can overflow: its fields are below
+    twice the field range, so a set guard bit shows it.
     """
     guards = reducers.guards
     entries = reducers.entries
@@ -783,8 +863,10 @@ def _reduce_packed(h, reducers, p):
             r.append((u, c))
             continue
         lead, tail = entries[n - hit // slot]
-        q = p - c
         d = u - lead
+        if d & guards:
+            _stale_index(reducers, u, lead)
+        q = p - c
         for tx, tc in tail:
             e = tx + d
             s = h.get(e)
@@ -796,6 +878,15 @@ def _reduce_packed(h, reducers, p):
             else:
                 h[e] = s + q * tc
     return r
+
+
+def _stale_index(reducers, u, lead):
+    """Raise for a reducer that the divisor index chose for the term of
+    pack u although its lead does not divide u."""
+    unpack = reducers.unpack
+    raise ToricPolarError(
+        f"the divisor index chose the lead {unpack(lead)}, which does not "
+        f"divide the term {unpack(u)}: the index is stale")
 
 
 def divide_terms(f, g, p):

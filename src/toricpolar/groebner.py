@@ -58,8 +58,10 @@ class GroebnerBasis(Ideal):
 
     It holds the minimal basis that `buchberger` ends at, as packed kernel
     entries sorted by lead (`minimal`, a `_kernel_py.Reducers` list), its
-    only copy.  Its leads are those of the reduced basis, so the leads,
-    `len`, the Hilbert data and the dimensions read no more.  The first
+    only copy, and takes their leading exponents (`leads`, in the ring of
+    `minimal`) as the pair loop unpacked them.  Its leads are those of the
+    reduced basis, so the leads, `len`, the Hilbert data and the
+    dimensions read no more.  The first
     read of `generators` reduces its tails in place and unpacks it.  Normal
     forms reduce by it before and after, with the same remainder.
     `minimal` may live in a larger ring: `variables` then gives the
@@ -71,7 +73,7 @@ class GroebnerBasis(Ideal):
                  "_generators")
 
     def __init__(self, field: PrimeField, order: MonomialOrder,
-                 minimal: _kernel_py.Reducers,
+                 minimal: _kernel_py.Reducers, leads: Sequence[tuple],
                  variables: Sequence[int] | None = None):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "arity", minimal.arity if variables is None
@@ -79,8 +81,7 @@ class GroebnerBasis(Ideal):
         self.order = order
         self._minimal = minimal
         self._variables = variables
-        self._lead_exps = [self._relabel(minimal.unpack(x))
-                           for x, _ in minimal.entries]
+        self._lead_exps = [self._relabel(e) for e in leads]
         self._generators = None
 
     def _relabel(self, e: tuple) -> tuple:
@@ -215,13 +216,18 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
 
     The elements live only packed, as the entries of one kernel `Reducers`
     list (see `_kernel_py`): a pair's S-polynomial is built from the two
-    packed entries, reduced packed, made monic and appended as it is.  Only
-    leading exponents and the lcms of kept pairs are unpacked; a whole
-    element is unpacked only when the generators are read, after the
-    tail-reduction pass.  The `Reducers` fields hold twice the degree of a
-    pair's lcm and double when a product overflows them, and
-    `Reducers.widen` then re-packs the live lcms and the standard set with
-    the entries; the remainders do not depend on the width.
+    packed entries, reduced packed, made monic and appended as it is.  The
+    inputs are packed once (`_kernel_py.input_remainders`), after one
+    widening to twice their largest degree, and reduced in the order of
+    their packed leads, which is the order of their leading terms.  Only
+    leading exponents and the lcms of kept pairs are unpacked; the active
+    elements are sorted by packed lead at the end, and the result takes
+    the leading exponents the loop unpacked.  A whole element is unpacked
+    only when the generators are read, after the tail-reduction pass.  The
+    `Reducers` fields hold twice the degree of a pair's lcm and double when
+    a product overflows them, and `Reducers.widen` then re-packs the live
+    lcms and the standard set with the entries; the remainders do not
+    depend on the width.
 
     Under grevlex, with r <= arity nonzero homogeneous generators of
     degrees d_1..d_r, the pair loop is Hilbert-driven (Traverso,
@@ -280,7 +286,7 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     excess: list[int] = []  # sugar minus the weight of the lead
     active: list[int] = []
     heap: list[tuple] = []
-    gens = sorted(I.generators, key=lambda g: order.key(g.leading_term(order)[0]))
+    gens = I.generators
     counting = _hilbert_driven(gens, order, I.arity)
     # the eliminated block (none under grevlex and lex) weighs 0
     b = order.block
@@ -306,10 +312,10 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
             heapq.heappush(heap, (max(excess[i], xh) + weight(m),
                                   pair_key(m), i, h))
 
-    for g in gens:
-        r = _kernel_py.normal_form_packed(g.terms, reducers, p)
+    for k, r in _kernel_py.input_remainders(reducers, [g.terms for g in gens],
+                                            p):
         if r:
-            append(r, max(map(weight, g.terms)))
+            append(r, max(map(weight, gens[k].terms)))
 
     # while the complete-intersection bound is counted, `reducers.std`
     # holds the standard monomials of degree `deg` and h is the bound in
@@ -360,8 +366,10 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     # divides a later one and the active elements form a minimal basis.
     # Reducing each by the others keeps its leading term, so the one tail
     # pass that `generators` runs leaves the reduced basis.
-    active.sort(key=lambda i: order.key(lead[i]))
-    result = GroebnerBasis(fld, order, reducers.subset(active))
+    entries = reducers.entries
+    active.sort(key=lambda i: entries[i][0])
+    result = GroebnerBasis(fld, order, reducers.subset(active),
+                           [lead[i] for i in active])
     if _DEBUG_CHECK_BASES and not result.s_polynomials_reduce_to_zero():
         raise ToricPolarError(
             f"Gröbner basis check failed: an S-polynomial of the "
@@ -402,8 +410,9 @@ def _eliminate_leading(I: Ideal, k: int,
     packed and reduce their tails among themselves on first read.
     """
     G = buchberger(I, block_order(k) if k else GREVLEX)
-    kept = [h for h, e in enumerate(G.leading_exponents()) if not any(e[:k])]
-    return GroebnerBasis(I.field, GREVLEX, G._minimal.subset(kept), variables)
+    kept = [h for h, e in enumerate(G._lead_exps) if not any(e[:k])]
+    return GroebnerBasis(I.field, GREVLEX, G._minimal.subset(kept),
+                         [G._lead_exps[h] for h in kept], variables)
 
 
 def eliminate(I: Ideal, drop: Iterable[int]) -> GroebnerBasis:

@@ -11,56 +11,62 @@ Grammar (whitespace insignificant):
 The optional leading '-' is accepted so that every string produced by the
 canonical printer (which uses symmetric coefficient representatives) parses
 back; parse-print-parse is a fixed point.
+
+The parser works on term dicts end to end.  A sum accumulates into one
+dict, one reduction mod p per added term, and drops a key whose sum reaches
+0.  In a product the factors with one term fold into one monomial, whose
+exponents add and whose coefficients multiply; only factors with several
+terms go through `mul_terms`, or `pow_terms` for a power.  One `Polynomial`
+is built at the end.  Its terms, in items and in insertion order, are those
+of evaluating the text with `Polynomial` arithmetic, left to right.
 """
 
 from __future__ import annotations
 
 import re
+from operator import add
 from typing import Sequence
 
+from . import _kernel_py
 from .errors import ParseError, PreconditionError
 from .field import PrimeField
 from .poly import Polynomial
 
-# Each level of parentheses costs four Python frames (expr, term, factor,
-# atom), so this limit keeps parsing far below the default recursion limit
+# Each level of parentheses costs two Python frames (expr, term), so this
+# limit keeps parsing far below the default recursion limit
 # of 1000 even when the caller is already deep in the stack.
 MAX_NESTING = 100
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_TOKEN = re.compile(rf"\s*(?:(\d+)|({_IDENT.pattern})|([-+*^()]))")
+# a token, or in the last group a character that starts none
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({_IDENT.pattern})|([-+*^()])|(\S))")
+_KINDS = (None, "uint", "ident", "op")
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.group(1) is not None:
-            tokens.append(("uint", m.group(1), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("ident", m.group(2), m.start(2)))
-        else:
-            tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        k = m.lastindex
+        if k == 4:
+            raise ParseError(f"unexpected character {m.group(4)!r}",
+                             m.start(4))
+        tokens.append((_KINDS[k], m.group(k), m.start(k)))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
+    """Parses on term dicts.  A sum accumulates into one dict; a product
+    folds its single-term factors into one monomial and multiplies only its
+    factors with several terms; one `Polynomial` is built at the end."""
+
     def __init__(self, tokens, field: PrimeField, variables: Sequence[str]):
         self.tokens = tokens
         self.i = 0
         self.depth = 0
-        self.field = field
-        self.names = list(variables)
-        self.arity = len(self.names)
-        self.index = {name: i for i, name in enumerate(self.names)}
+        self.p = field.p
+        self.arity = len(variables)
+        self.index = {name: i for i, name in enumerate(variables)}
 
     def peek(self):
         return self.tokens[self.i]
@@ -76,66 +82,102 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
         return self.advance()
 
-    def parse_expr(self) -> Polynomial:
+    def parse_expr(self) -> dict:
+        """The terms of a sum, in one dict that each term adds into."""
+        terms = {}
+        sign = 1
         kind, value, _ = self.peek()
-        negate = False
         if kind == "op" and value == "-":
             self.advance()
-            negate = True
-        result = self.parse_term()
-        if negate:
-            result = -result
+            sign = -1
         while True:
+            self.add_term(terms, sign)
             kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.parse_term()
-                result = result + rhs if value == "+" else result - rhs
-            else:
-                return result
+            if kind != "op" or value not in "+-":
+                return terms
+            self.advance()
+            sign = 1 if value == "+" else -1
 
-    def parse_term(self) -> Polynomial:
-        result = self.parse_factor()
+    def add_term(self, terms: dict, sign: int):
+        """Add `sign` times the next product to `terms`, one reduction mod p
+        per term; a key whose sum reaches 0 is dropped.
+
+        A factor with one term (a number, a variable, or a group that
+        reduced to one term), raised to its exponent, folds into one
+        monomial: exponents add and coefficients multiply.  Only factors
+        with several terms are multiplied, left to right, by `mul_terms`,
+        and a power of one by `pow_terms`.  A product by a monomial moves
+        every key one-to-one and scales every coefficient by a unit, so
+        shifting and scaling the product of the other factors at the end
+        gives the terms, and the order, of multiplying left to right.
+        """
+        p = self.p
+        e = [0] * self.arity
+        c = 1
+        product = None  # the product of the factors with several terms
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                result = result * self.parse_factor()
+            kind, value, pos = self.advance()
+            if kind == "uint":
+                c = c * pow(int(value), self.parse_exponent(), p) % p
+            elif kind == "ident":
+                i = self.index.get(value)
+                if i is None:
+                    raise ParseError(f"unknown identifier {value!r}", pos)
+                e[i] += self.parse_exponent()
+            elif kind == "op" and value == "(":
+                if self.depth == MAX_NESTING:
+                    raise ParseError(
+                        f"parentheses nested deeper than {MAX_NESTING} "
+                        f"levels", pos)
+                self.depth += 1
+                inner = self.parse_expr()
+                self.expect_op(")")
+                self.depth -= 1
+                k = self.parse_exponent()
+                if len(inner) > 1:
+                    if k:
+                        power = _kernel_py.pow_terms(inner, k, p)
+                        product = (power if product is None else
+                                   _kernel_py.mul_terms(product, power, p))
+                elif inner:
+                    (f, d), = inner.items()
+                    e = [x + k * y for x, y in zip(e, f)]
+                    c = c * pow(d, k, p) % p
+                else:
+                    c *= 0 ** k  # 0^0 is 1
             else:
-                return result
+                raise ParseError("expected a number, identifier or '('", pos)
+            kind, value, _ = self.peek()
+            if kind != "op" or value != "*":
+                break
+            self.advance()
+        if not c:
+            return
+        c *= sign
+        if product is None:
+            product = {tuple(e): 1}
+        elif any(e):
+            product = {tuple(map(add, t, e)): d for t, d in product.items()}
+        for t, d in product.items():
+            s = (terms.get(t, 0) + c * d) % p
+            if s:
+                terms[t] = s
+            elif t in terms:
+                del terms[t]
 
-    def parse_factor(self) -> Polynomial:
-        base = self.parse_atom()
+    def parse_exponent(self) -> int:
+        """The exponent after '^', or 1 when there is none."""
+        kind, value, _ = self.peek()
+        if kind != "op" or value != "^":
+            return 1
+        self.advance()
         kind, value, pos = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            kind, value, pos = self.peek()
-            if kind == "op" and value == "-":
-                raise ParseError("negative exponent", pos)
-            if kind != "uint":
-                raise ParseError("expected a nonnegative integer exponent", pos)
-            self.advance()
-            return base ** int(value)
-        return base
-
-    def parse_atom(self) -> Polynomial:
-        kind, value, pos = self.advance()
-        if kind == "uint":
-            return Polynomial.constant(self.field, self.arity, int(value))
-        if kind == "ident":
-            if value not in self.index:
-                raise ParseError(f"unknown identifier {value!r}", pos)
-            return Polynomial.variable(self.field, self.arity, self.index[value])
-        if kind == "op" and value == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(
-                    f"parentheses nested deeper than {MAX_NESTING} levels", pos)
-            self.depth += 1
-            inner = self.parse_expr()
-            self.expect_op(")")
-            self.depth -= 1
-            return inner
-        raise ParseError("expected a number, identifier or '('", pos)
+        if kind == "op" and value == "-":
+            raise ParseError("negative exponent", pos)
+        if kind != "uint":
+            raise ParseError("expected a nonnegative integer exponent", pos)
+        self.advance()
+        return int(value)
 
 
 def parse_polynomial(text: str, variables: Sequence[str],
@@ -154,8 +196,8 @@ def parse_polynomial(text: str, variables: Sequence[str],
         if not _IDENT.fullmatch(name):
             raise PreconditionError(f"variable name {name!r} is not an identifier")
     parser = _Parser(_tokenize(text), field, names)
-    result = parser.parse_expr()
+    terms = parser.parse_expr()
     kind, _, pos = parser.peek()
     if kind != "end":
         raise ParseError("trailing input", pos)
-    return result
+    return Polynomial(field, len(names), terms, _clean=True)

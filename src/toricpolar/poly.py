@@ -190,14 +190,9 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial.constant(self.field, self.arity, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if n == 0:
+            return Polynomial.constant(self.field, self.arity, 1)
+        return self._wrap(_kernel_py.pow_terms(self.terms, n, self.field.p))
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -295,6 +295,32 @@ def test_divisor_index_rebuilt_when_widened_mid_reduction():
     assert list(reference_normal_form(*case).items()) == [((0, 160, 4), 1)]
 
 
+def stale_index(monkeypatch, order):
+    """Make the divisor index of every `Reducers` rank its entries in
+    `order`, also after a widening rebuilds it: an index that names the
+    wrong entries, as a stale one would."""
+    real = k.Reducers.index_masks
+    monkeypatch.setattr(k.Reducers, "index_masks",
+                        lambda self: real(self.subset(order)))
+
+
+def test_stale_divisor_index_raises_on_the_heap_path(monkeypatch):
+    """The heap path takes each reducer from the divisor index and checks
+    that its lead divides the term.  Here the index ranks the two entries
+    swapped, so for x1^2 it names x0 + x1: that step would shift the tail
+    x1 out of its fields, and with the index still stale every wider try
+    would too, so the fields would double without end.  The check raises
+    at once instead."""
+    p = 13
+    reducers = k.Reducers(k.GREVLEX, 0, 2)
+    append_reducer(reducers, {(1, 0): 1, (0, 1): 1}, (1, 0), 1, p)
+    append_reducer(reducers, {(0, 2): 1, (0, 0): 1}, (0, 2), 1, p)
+    assert k.normal_form_terms({(0, 2): 1}, reducers, p) == {(0, 0): 12}
+    stale_index(monkeypatch, [1, 0])
+    with pytest.raises(ToricPolarError, match="the index is stale"):
+        k.normal_form_terms({(0, 2): 1}, reducers, p)
+
+
 @pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
 def test_deferred_reduction_cancels_and_stays_in_range(p):
     # x_i - x_12 for i < 12 (grevlex leads x_i).  Each of x_0 .. x_11
@@ -792,3 +818,115 @@ def test_row_reduction_of_an_overflowing_slot_raises():
     append_reducer(reducers, {(1, 1): 1, (0, 2): 3}, (1, 1), 1, p)
     with pytest.raises(ToricPolarError, match="a slot overflowed"):
         k.s_polynomial_remainder(reducers, 0, 1, (2, 1), p, True)
+
+
+def three_quadrics(p):
+    """x0*x1 + 5*x2^2, x0^2 + 2*x1*x2 and x1^2 + 3*x2^2 as monic grevlex
+    entries.  Lead 0 divides the lcm of leads 1 and 2, x0^2*x1^2, so entry
+    0 is that lcm's first divisor; it is also the first divisor of the lcm
+    of leads 0 and 1, x0^2*x1."""
+    reducers = k.Reducers(k.GREVLEX, 0, 3)
+    append_reducer(reducers, {(1, 1, 0): 1, (0, 0, 2): 5}, (1, 1, 0), 1, p)
+    append_reducer(reducers, {(2, 0, 0): 1, (0, 1, 1): 2}, (2, 0, 0), 1, p)
+    append_reducer(reducers, {(0, 2, 0): 1, (0, 0, 2): 3}, (0, 2, 0), 1, p)
+    return reducers
+
+
+def counting_rows(monkeypatch):
+    """Record (tail, shift) of every `_row` call."""
+    calls = []
+    real = k._row
+
+    def row(reducers, tail, d):
+        calls.append((tail, d))
+        return real(reducers, tail, d)
+    monkeypatch.setattr(k, "_row", row)
+    return calls
+
+
+def test_row_half_comes_from_the_cache_when_entry_i_divides_first(
+        monkeypatch):
+    """The first half (m / lead_i) tail_i of a row S-polynomial is the row
+    of m's reducer multiple when entry i is m's first divisor: it is taken
+    from `Reducers.rows`, and stored there when it has to be built.  A
+    second reduction of the pair builds only the other half."""
+    p = 32003
+    reducers = three_quadrics(p)
+    m = (2, 1, 0)
+    calls = counting_rows(monkeypatch)
+    r = k.s_polynomial_remainder(reducers, 0, 1, m, p, True)
+    x = reducers.pack(m)
+    lead, tail = reducers.entries[0]
+    assert calls[0] == (tail, x - lead)
+    assert reducers.rows[x] == k._row(reducers, tail, x - lead)
+    assert r == k.s_polynomial_remainder(reducers, 0, 1, m, p, False)
+    del calls[:]
+    assert k.s_polynomial_remainder(reducers, 0, 1, m, p, True) == r
+    lead, tail = reducers.entries[1]
+    assert calls == [(tail, x - lead)]
+
+
+def test_row_half_is_built_apart_when_another_entry_divides_first(
+        monkeypatch):
+    """When an earlier entry is m's first divisor, the row of m's reducer
+    multiple is that entry's, not entry i's: the half is built from entry
+    i and not cached.  The leading terms cancel, so the reduction never
+    meets m itself."""
+    p = 32003
+    reducers = three_quadrics(p)
+    m = (2, 2, 0)
+    calls = counting_rows(monkeypatch)
+    r = k.s_polynomial_remainder(reducers, 1, 2, m, p, True)
+    x = reducers.pack(m)
+    lead, tail = reducers.entries[1]
+    assert calls[0] == (tail, x - lead)
+    assert x not in reducers.rows
+    assert r == k.s_polynomial_remainder(reducers, 1, 2, m, p, False)
+
+
+def test_stale_divisor_index_raises_on_the_row_path(monkeypatch):
+    """The row path checks the reducer that the index names before it
+    builds its row, as the heap path does: with the index of the entries in
+    another order, the first reducer step raises."""
+    p = 32003
+    reducers = three_quadrics(p)
+    stale_index(monkeypatch, [2, 0, 1])
+    with pytest.raises(ToricPolarError, match="the index is stale"):
+        k.s_polynomial_remainder(reducers, 0, 1, (2, 1, 0), p, True)
+
+
+def test_row_halves_on_a_counting_loop(monkeypatch):
+    """The base ideal of the toric polar map of a general translate of the
+    Fermat quartic surface (translate seed 1) reduces every pair on rows.
+    Each remainder is the heap path's, and each cached row is the row of
+    its monomial's reducer multiple by the first divisor, whether it was
+    made for a reducer step or as the first half of an S-polynomial.  The
+    loop makes 448 rows; building both halves of every S-polynomial apart
+    made 483."""
+    from toricpolar.maps import random_translate, toric_polar_map
+    from toricpolar.parse import parse_polynomial
+    names = ("x0", "x1", "x2", "x3")
+    quartic = parse_polynomial(" + ".join(f"{v}^4" for v in names), names,
+                               PrimeField())
+    coordinates = toric_polar_map(random_translate(quartic, 1)).coordinates
+    real_row = k._row
+    real_remainder = k._row_remainder
+    heap_path = k.s_polynomial_remainder
+    calls = counting_rows(monkeypatch)
+    pairs = []
+
+    def row_remainder(reducers, i, j, m, p):
+        r = real_remainder(reducers, i, j, m, p)
+        assert r == heap_path(reducers, i, j, m, p, False)
+        unpack = reducers.unpack
+        for u, row in reducers.rows.items():
+            lead, tail = next(
+                (lead, tail) for lead, tail in reducers.entries
+                if k.exp_divides(unpack(lead), unpack(u)))
+            assert row == real_row(reducers, tail, u - lead)
+        pairs.append(m)
+        return r
+    monkeypatch.setattr(k, "_row_remainder", row_remainder)
+    buchberger(Ideal(coordinates))
+    assert len(pairs) == 63
+    assert len(calls) == 448

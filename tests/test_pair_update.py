@@ -27,7 +27,6 @@ and which degrees take rows.
 """
 
 import heapq
-from functools import partial
 from operator import add
 from unittest import mock
 
@@ -315,18 +314,18 @@ def test_pair_counts_of_cremona_4():
 
 def rows_against_heap(gens):
     """Runs `buchberger` on `gens` under grevlex.  Each pair that it
-    reduces on rows is reduced again on the heap path (`_reduce_widening`
-    over `_s_polynomial`), from the same `Reducers`, and the two packed
-    remainders must agree term by term and in order.  Returns the degree
-    of each pair reduced on rows and of each pair reduced."""
+    reduces on rows is reduced again on the heap path
+    (`s_polynomial_remainder` without rows), from the same `Reducers`, and
+    the two packed remainders must agree term by term and in order.
+    Returns the degree of each pair reduced on rows and of each pair
+    reduced."""
     real = kernel._row_remainder
+    heap_path = kernel.s_polynomial_remainder  # before `PairLog` wraps it
     rows = []
 
     def row_remainder(reducers, i, j, m, p):
         r = real(reducers, i, j, m, p)
-        heap = kernel._reduce_widening(
-            reducers, sum(m), partial(kernel._s_polynomial, reducers, i, j, m),
-            p)
+        heap = heap_path(reducers, i, j, m, p, False)
         assert r == heap
         rows.append(sum(m))
         return r
