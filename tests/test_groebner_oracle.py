@@ -6,8 +6,8 @@ counted over sympy's basis.
 sympy computes over GF(p) with its own Buchberger implementation, so it is
 an oracle that shares no code with toricpolar.  Both sides order variables
 x0 > x1 > x2 in grevlex and lex, and in the block orders `block_order(1)`
-and `block_order(2)`, which sympy spells as a ProductOrder of two grevlex
-blocks.  The dense surface translates are also run with the debug check of
+and `block_order(2)`, which sympy is given as the key of a ProductOrder of
+two grevlex blocks, flattened (`product_order`).  The dense surface translates are also run with the debug check of
 every basis on, which builds its S-polynomials apart from the packed pair
 loop.
 """
@@ -152,10 +152,44 @@ def test_buchberger_with_the_complete_intersection_bound_matches_sympy(
     assert G.s_polynomials_reduce_to_zero()
 
 
+class _MemoKey(dict):
+    """The values of `key`, computed once per monomial."""
+
+    def __init__(self, key):
+        super().__init__()
+        self.key = key
+
+    def __missing__(self, m):
+        value = self[m] = self.key(m)
+        return value
+
+
 def product_order(k):
-    """sympy's spelling of block_order(k): grevlex on the first k
-    variables, then grevlex on the others."""
-    return ProductOrder((grevlex, lambda m: m[:k]), (grevlex, lambda m: m[k:]))
+    """block_order(k) as a sympy order key: grevlex on the first k
+    variables, then grevlex on the others.  It is the key of sympy's
+    ProductOrder of the two grevlex blocks, flattened into one tuple, and
+    computed once per monomial.  sympy finds every leading term by taking
+    the key of each term, so on some draws the ProductOrder key (two
+    grevlex keys through two lambdas per call) took nearly all of a basis
+    computation, up to minutes."""
+    def key(m):
+        a, b = m[:k], m[k:]
+        return (sum(a), *[-e for e in reversed(a)],
+                sum(b), *[-e for e in reversed(b)])
+    return _MemoKey(key).__getitem__
+
+
+def test_product_order_key_orders_as_sympy_product_order():
+    """The flattened key sorts monomials as sympy's ProductOrder does."""
+    for k in (1, 2):
+        reference = ProductOrder((grevlex, lambda m: m[:k]),
+                                 (grevlex, lambda m: m[k:]))
+        monomials = [e for e in itertools.product(range(4), repeat=4)
+                     if sum(e) <= 5]
+        ours_sorted = sorted(monomials, key=product_order(k))
+        assert ours_sorted == sorted(monomials, key=reference)
+        keys = [reference(e) for e in ours_sorted]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 BLOCK_1 = product_order(1)
