@@ -12,8 +12,11 @@ module, so a wrapper set on the module sees every call.
 it on one polynomial; a slice calls it on all of its restricted
 combinations at once (`maps._restrict_to_subspace`), so their shared
 monomials' images are built once.  Images and powers come from
-`mul_terms`; each result term is a plain-int sum reduced mod p once per
-added term, in one dict per polynomial.
+`mul_terms`; the images add into one dict per polynomial through
+`add_into`, the one accumulator of term sums: one reduction mod p per
+added term, a key whose sum reaches 0 dropped, new keys in arrival order.
+Every term-dict sum of the package goes through it; only `mul_terms`
+keeps the same rule fused into its product loop, which is faster.
 
 Monomial-order codes (`kind`):
   0  graded reverse lexicographic
@@ -194,47 +197,25 @@ def leading_exponent(terms, kind, block):
     return max(terms, key=order_key(kind, block), default=None)
 
 
-def add_terms(a, b, p):
-    r = dict(a)
-    for e, c in b.items():
-        s = (r.get(e, 0) + c) % p
+def add_into(r, terms, c, p):
+    """Add c times each (exponent, coefficient) pair of `terms` into the
+    dict `r`, in place, and return `r`.
+
+    This is the package's one accumulator: each sum is reduced mod p once
+    per added term, a key whose sum reaches 0 is dropped, and a new key
+    goes last, so a key that cancels and comes back goes last too.
+    """
+    for e, v in terms:
+        s = (r.get(e, 0) + c * v) % p
         if s:
             r[e] = s
         elif e in r:
             del r[e]
-    return r
-
-
-def sub_terms(a, b, p):
-    r = dict(a)
-    for e, c in b.items():
-        s = (r.get(e, 0) - c) % p
-        if s:
-            r[e] = s
-        elif e in r:
-            del r[e]
-    return r
-
-
-def neg_terms(a, p):
-    return {e: p - c for e, c in a.items()}
-
-
-def scale_terms(a, c, p):
-    c %= p
-    if c == 0:
-        return {}
-    if c == 1:
-        return dict(a)
-    r = {}
-    for e, v in a.items():
-        w = v * c % p
-        if w:
-            r[e] = w
     return r
 
 
 def mul_terms(a, b, p):
+    # the rule of `add_into`, fused into the product loop
     if len(a) > len(b):
         a, b = b, a
     r = {}
@@ -268,10 +249,9 @@ def substitute_terms(polys, images, arity, p):
     image is built once, so polynomials with shared monomials share their
     images.  A monomial's image is the product, by `mul_terms`, of its
     variables' powers in variable order, and images[i]^x is
-    images[i]^(x-1) * images[i].  Each term c * x^e adds c * v for every
-    term v of the image of x^e, reduced mod p once, and drops a sum that
-    reaches 0; so the result is the same dict, in the same insertion order,
-    as adding the terms' images one after another.
+    images[i]^(x-1) * images[i].  Each term c * x^e adds c times the image
+    of x^e by `add_into`, so the result is the same dict, in the same
+    insertion order, as adding the terms' images one after another.
     """
     one = (0,) * arity
     powers = [[None, g] for g in images]  # powers[i][x] is images[i]^x
@@ -289,12 +269,7 @@ def substitute_terms(polys, images, arity, p):
                             row.append(mul_terms(row[-1], row[1], p))
                         img = row[x] if img is None else mul_terms(img, row[x], p)
                 cache[e] = img = {one: 1} if img is None else img
-            for m, v in img.items():
-                s = (r.get(m, 0) + c * v) % p
-                if s:
-                    r[m] = s
-                elif m in r:
-                    del r[m]
+            add_into(r, img.items(), c, p)
         out.append(r)
     return out
 

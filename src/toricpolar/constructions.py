@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Callable, Sequence
 
@@ -27,28 +26,29 @@ from .poly import Polynomial
 
 
 def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant over the integers (fraction-free elimination)."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
+    """Exact determinant over the integers, by fraction-free (Bareiss)
+    elimination: every entry stays an int, each step divides exactly by
+    the previous pivot, and a row swap flips the sign."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
         if pivot is None:
             return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    if det.denominator != 1:
-        raise ToricPolarError(f"determinant of an integer matrix came out "
-                              f"as {det}")
-    return int(det)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        top = m[k]
+        for row in m[k + 1:]:
+            for j in range(k + 1, n):
+                q, rest = divmod(row[j] * top[k] - row[k] * top[j], prev)
+                if rest:
+                    raise ToricPolarError("Bareiss step of an integer "
+                                          "determinant left a remainder")
+                row[j] = q
+        prev = top[k]
+    return sign * m[-1][-1] if n else 1
 
 
 @dataclass(frozen=True)

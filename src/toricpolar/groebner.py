@@ -174,7 +174,7 @@ def _s_terms(p: int, f: dict, fe: tuple, g: dict, ge: tuple,
     dicts, apart from the packed builder that `buchberger` uses."""
     a = _kernel_py.mul_terms(f, {_kernel_py.exp_sub(lcm_exp, fe): 1}, p)
     b = _kernel_py.mul_terms(g, {_kernel_py.exp_sub(lcm_exp, ge): 1}, p)
-    return _kernel_py.sub_terms(a, b, p)
+    return _kernel_py.add_into(a, b.items(), -1, p)
 
 
 def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:

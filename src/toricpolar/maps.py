@@ -216,19 +216,14 @@ def _random_combination(polys, rng: random.Random, sub: int) -> Polynomial:
     """A random combination of `polys` that is not zero, from at most 16
     draws of `_random_nonzero_vector`; `sub` is the slice's sub-seed, named
     when every draw vanishes.  The scaled polynomials are added into one
-    dict, a sum that reaches 0 dropped."""
+    dict by `_kernel_py.add_into`."""
     fld = polys[0].field
     p = fld.p
     for _ in range(16):
         coeffs = _random_nonzero_vector(rng, len(polys), p)
         out = {}
         for c, g in zip(coeffs, polys):
-            for e, v in g.terms.items():
-                s = (out.get(e, 0) + c * v) % p
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
+            _kernel_py.add_into(out, g.terms.items(), c, p)
         if out:
             return Polynomial(fld, polys[0].arity, out, _clean=True)
     raise SpecializationError("random combinations keep vanishing", (sub,))

@@ -13,8 +13,9 @@ canonical printer (which uses symmetric coefficient representatives) parses
 back; parse-print-parse is a fixed point.
 
 The parser works on term dicts end to end.  A sum accumulates into one
-dict, one reduction mod p per added term, and drops a key whose sum reaches
-0.  In a product the factors with one term fold into one monomial, whose
+dict through `_kernel_py.add_into`, the one accumulator of term sums: one
+reduction mod p per added term, a key whose sum reaches 0 dropped.  In a
+product the factors with one term fold into one monomial, whose
 exponents add and whose coefficients multiply; only factors with several
 terms go through `mul_terms`, or `pow_terms` for a power.  One `Polynomial`
 is built at the end.  Its terms, in items and in insertion order, are those
@@ -99,8 +100,7 @@ class _Parser:
             sign = 1 if value == "+" else -1
 
     def add_term(self, terms: dict, sign: int):
-        """Add `sign` times the next product to `terms`, one reduction mod p
-        per term; a key whose sum reaches 0 is dropped.
+        """Add `sign` times the next product to `terms` by `add_into`.
 
         A factor with one term (a number, a variable, or a group that
         reduced to one term), raised to its exponent, folds into one
@@ -153,17 +153,11 @@ class _Parser:
             self.advance()
         if not c:
             return
-        c *= sign
         if product is None:
             product = {tuple(e): 1}
         elif any(e):
             product = {tuple(map(add, t, e)): d for t, d in product.items()}
-        for t, d in product.items():
-            s = (terms.get(t, 0) + c * d) % p
-            if s:
-                terms[t] = s
-            elif t in terms:
-                del terms[t]
+        _kernel_py.add_into(terms, product.items(), sign * c, p)
 
     def parse_exponent(self) -> int:
         """The exponent after '^', or 1 when there is none."""

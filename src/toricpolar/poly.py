@@ -159,8 +159,9 @@ class Polynomial:
         if isinstance(other, int):
             other = Polynomial.constant(self.field, self.arity, other)
         self._check_compatible(other)
-        return self._wrap(_kernel_py.add_terms(self.terms, other.terms,
-                                               self.field.p))
+        return self._wrap(_kernel_py.add_into(dict(self.terms),
+                                              other.terms.items(), 1,
+                                              self.field.p))
 
     __radd__ = __add__
 
@@ -168,19 +169,20 @@ class Polynomial:
         if isinstance(other, int):
             other = Polynomial.constant(self.field, self.arity, other)
         self._check_compatible(other)
-        return self._wrap(_kernel_py.sub_terms(self.terms, other.terms,
-                                               self.field.p))
+        return self._wrap(_kernel_py.add_into(dict(self.terms),
+                                              other.terms.items(), -1,
+                                              self.field.p))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return self._wrap(_kernel_py.neg_terms(self.terms, self.field.p))
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return self._wrap(_kernel_py.scale_terms(self.terms, other,
-                                                     self.field.p))
+            return self._wrap(_kernel_py.add_into({}, self.terms.items(),
+                                                  other, self.field.p))
         self._check_compatible(other)
         return self._wrap(_kernel_py.mul_terms(self.terms, other.terms,
                                                self.field.p))
@@ -216,23 +218,9 @@ class Polynomial:
     def partial_derivative(self, i: int) -> Polynomial:
         if not 0 <= i < self.arity:
             raise PreconditionError("variable index out of range")
-        p = self.field.p
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            w = c * (e[i] % p) % p
-            if not w:
-                continue
-            d = list(e)
-            d[i] -= 1
-            d = tuple(d)
-            s = (out.get(d, 0) + w) % p
-            if s:
-                out[d] = s
-            elif d in out:
-                del out[d]
-        return self._wrap(out)
+        return self._wrap(_kernel_py.add_into(
+            {}, ((e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i])
+                 for e, c in self.terms.items() if e[i]), 1, self.field.p))
 
     # ---------------------------------------------------------------- substitution
 
@@ -277,15 +265,9 @@ class Polynomial:
         """Set x_chart = 1 and drop that variable (arity shrinks by one)."""
         if not 0 <= chart < self.arity:
             raise ValueError("chart index out of range")
-        p = self.field.p
-        out = {}
-        for e, c in self.terms.items():
-            d = e[:chart] + e[chart + 1:]
-            s = (out.get(d, 0) + c) % p
-            if s:
-                out[d] = s
-            elif d in out:
-                del out[d]
+        out = _kernel_py.add_into(
+            {}, ((e[:chart] + e[chart + 1:], c) for e, c in self.terms.items()),
+            1, self.field.p)
         return Polynomial(self.field, self.arity - 1, out, _clean=True)
 
     def extend_arity(self, new_arity: int, position: int) -> Polynomial:

@@ -1,7 +1,13 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import toricpolar
 from toricpolar.constructions import (CorpusEntry, MonomialMatrix,
                                       birational_family, cremona_poly,
                                       default_corpus, dolgachev_quadric,
@@ -32,6 +38,41 @@ def test_integer_determinant():
     assert integer_determinant([(1, 0), (0, 1)]) == 1
     assert integer_determinant([(1, 1), (1, 1)]) == 0
     assert integer_determinant([(0, 2, 0), (1, 1, 0), (1, 0, 1)]) == -2
+
+
+def leibniz_determinant(rows):
+    """The sum over permutations, each signed by its inversions."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def test_integer_determinant_matches_leibniz_expansion():
+    """Random square matrices of size 1 to 5, entries in -4..4, about half
+    of them zero, so pivots are often zero and rows get swapped."""
+    rng = random.Random(11)
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-4, 4) if rng.random() < 0.5 else 0
+                 for _ in range(n)] for _ in range(n)]
+        assert integer_determinant(rows) == leibniz_determinant(rows), rows
+
+
+def test_import_leaves_fractions_and_decimal_unloaded():
+    src = str(Path(toricpolar.__file__).parent.parent)
+    code = ("import sys, toricpolar; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 def test_monomial_matrix_validation():

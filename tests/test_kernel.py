@@ -6,8 +6,8 @@ by scanning with `exp_cmp`.  Both reduce the largest pending term by the
 first divisor, so they must return the same remainder, in the same
 insertion order, even when the reducers are not a Gröbner basis.  The
 order keys and the packs are checked against `exp_cmp` and the tuple
-helpers, and the term arithmetic against dicts summed term by term,
-reduced mod p, with zero coefficients dropped.
+helpers, and the term arithmetic, `add_into` among it, against dicts
+summed term by term, reduced mod p, with zero coefficients dropped.
 """
 
 import itertools
@@ -414,7 +414,7 @@ def operands(draw):
     exps = st.tuples(*[st.integers(0, 3)] * arity)
     terms = st.dictionaries(exps, st.integers(1, p - 1), max_size=8)
     # scalars may be negative, zero, one or beyond p
-    scalar = st.one_of(st.sampled_from([0, 1, p, p + 1]),
+    scalar = st.one_of(st.sampled_from([0, 1, -1, p, p + 1]),
                        st.integers(-2 * p, 2 * p))
     return draw(terms), draw(terms), draw(exps), draw(scalar), p
 
@@ -425,11 +425,11 @@ def test_term_arithmetic_matches_dict_reference(case):
     a, b, d, c, p = case
     a_before, b_before = dict(a), dict(b)
     A, B = list(a.items()), list(b.items())
-    assert k.add_terms(a, b, p) == reference_terms(A + B, p)
-    assert k.sub_terms(a, b, p) == reference_terms(
-        A + [(e, -v) for e, v in B], p)
-    assert k.neg_terms(a, p) == reference_terms([(e, -v) for e, v in A], p)
-    assert k.scale_terms(a, c, p) == reference_terms(
+    for s in (c, 1, -1):
+        r = dict(a)
+        assert k.add_into(r, b.items(), s, p) is r
+        assert r == reference_terms(A + [(e, s * v) for e, v in B], p)
+    assert k.add_into({}, A, c, p) == reference_terms(
         [(e, c * v) for e, v in A], p)
     # times one term: the terms of `a` shifted, in their order
     assert list(k.mul_terms(a, {d: c}, p).items()) == list(reference_terms(
@@ -437,6 +437,21 @@ def test_term_arithmetic_matches_dict_reference(case):
     assert k.mul_terms(a, b, p) == reference_terms(
         [(exp_sum(ea, eb), va * vb) for ea, va in A for eb, vb in B], p)
     assert (a, b) == (a_before, b_before)
+
+
+def test_add_into_keeps_arrival_order():
+    """A new key goes last, a key whose sum reaches 0 is dropped, and one
+    that cancels and comes back goes last; a sum of 0 at a new key adds
+    nothing."""
+    p = 7
+    r = {(1,): 3, (2,): 4}
+    assert k.add_into(r, [((1,), 4), ((3,), 1), ((4,), 7), ((1,), 2)], 1,
+                      p) is r
+    assert list(r.items()) == [((2,), 4), ((3,), 1), ((1,), 2)]
+    assert k.add_into(r, [((2,), 5)], 0, p) is r
+    assert list(r.items()) == [((2,), 4), ((3,), 1), ((1,), 2)]
+    assert list(k.add_into(r, [((2,), 1)], p + 3, p).items()) == [
+        ((3,), 1), ((1,), 2)]
 
 
 @st.composite
@@ -499,7 +514,7 @@ def test_substitute_terms_matches_term_by_term_expansion(case):
                     for _ in range(x - 1):
                         power = k.mul_terms(power, images[i], p)
                     image = k.mul_terms(image, power, p)
-            sequential = k.add_terms(sequential, image, p)
+            k.add_into(sequential, image.items(), 1, p)
         assert list(r.items()) == list(sequential.items())
     assert ([dict(f) for f in polys], [dict(g) for g in images]) == before
 
