@@ -30,9 +30,11 @@ sums deg, deg - e_{n-1}, deg - e_{n-1} - e_{n-2}, ..., e_0; lex uses the
 e_i themselves; a block order uses the grevlex forms of each block.
 `leading_exponent` and `MonomialOrder.key` read the order from it.
 
-`normal_form_terms` keeps its pending terms in a heap (Monagan & Pearce,
-"Sparse polynomial division using a heap", J. Symbolic Comput. 46, 2011)
-and works on packed monomials (Monagan & Pearce, "Polynomial division
+`_reduce_packed` is the one heap loop: every normal form, every input
+and heap-path S-pair of `buchberger`, every tail pass and every exact
+division keeps its pending terms in its heap (Monagan & Pearce, "Sparse
+polynomial division using a heap", J. Symbolic Comput. 46, 2011) and works
+on packed monomials (Monagan & Pearce, "Polynomial division
 using dynamic arrays, heaps, and packed exponent vectors", CASC 2007;
 Bachmann & Schönemann, "Monomial representations for Gröbner bases
 computations", ISSAC 1998).  A `Reducers` entry is a monic polynomial,
@@ -47,17 +49,18 @@ is the mask of all guard bits):
 
 Both packs are linear in e, so integer addition is monomial multiplication.
 The reducers are packed once, by `Reducers.append_remainder`, the one
-way in.  The width comes
-from the data: every form is at most the total degree, and the fields hold
-twice the largest total degree of the reducers and of the polynomial being
-reduced.  A grevlex reduction never leaves that range; under lex and block
+way in and the kernel's one inverse: it makes each reducer monic.  The
+width comes from the data: every form is at most the total degree, and
+the fields hold twice the largest total degree of the reducers and of the
+polynomial being reduced.  A grevlex reduction never leaves that range; under lex and block
 orders a product can.  Its fields are then below twice the field range, so
 a guard bit is set.  One retry loop, `_reduce_widening`, serves every
 reduction: its caller builds the packed input once, and on an overflow the
 loop re-packs the reducers at twice the width, builds the packed input
 again and starts over.  Only the remainder is unpacked; it is the same
 dict, in the same insertion order, as a reduction on exponent tuples
-gives.
+gives.  Exact division is such a normal form too: `divide_terms` reduces
+z * f by the one entry z * g - 1, z one more variable (see there).
 
 `buchberger` keeps its elements packed from pair to basis.  Each is an
 entry of one `Reducers` list and has no other copy.  Its inputs are
@@ -867,43 +870,32 @@ def _stale_index(reducers, u, lead):
 def divide_terms(f, g, p):
     """The quotient f / g when g divides f exactly, else None; g is nonzero.
 
-    A heap division under grevlex by g made monic, packed as a one-entry
-    `Reducers`: the largest pending term is divided by the leading term of
-    g, and the first one that it does not divide gives None.  The quotient
-    lists its terms largest first and is scaled by 1 / lead coefficient at
-    the end.  The leading term of g has the largest total degree of g, so
-    no pending term has a larger total degree than f, and fields that hold
-    twice the larger of the two degrees never overflow.
+    Exact division is a normal form in one more variable z, placed last,
+    under grevlex: z * f is reduced by the one monic entry z * g - 1.  A
+    step on a term u z with lead(g) | u adds u / lead(g), times the step's
+    coefficient over the lead coefficient of g; that term has no z, so no
+    step reduces it again.  The same step subtracts (u / lead(g)) z tail(g),
+    as long division does.  So the remainder is the quotient plus
+    z (f mod g), its z-free terms found largest first, and the division is
+    exact when no remainder term has z.  The fields first hold twice
+    max(deg f, deg g) + 1; z is one pack added to each term of f and g, and
+    a term's z is read off its divisibility field.
     """
-    degree = max(max(map(sum, g)), max(map(sum, f), default=0))
-    divisor = Reducers(GREVLEX, 0, len(next(iter(g))), _width_for(degree))
+    divisor = Reducers(GREVLEX, 0, len(next(iter(g))) + 1, _width_for(
+        max(max(map(sum, g)), max(map(sum, f), default=0)) + 1))
+    divisor.append_remainder(
+        sorted(_times_z(divisor, g).items(), reverse=True) + [(0, p - 1)], p)
+    r = _reduce_widening(divisor, _times_z(divisor, f), p, _times_z,
+                         divisor, f)
+    mask, shifts = divisor.mask, divisor.shifts
+    if any(x >> shifts[-1] & mask for x, _ in r):
+        return None
+    return {tuple([x >> s & mask for s in shifts[:-1]]): c for x, c in r}
+
+
+def _times_z(divisor, f):
+    """z * f as a packed dict at the width of `divisor`, z its last
+    variable: the pack of z added to the pack of each exponent of f."""
+    z = divisor.weights[-1]
     pack = divisor.pack
-    lead = divisor.append_remainder(
-        sorted([(pack(e), c) for e, c in g.items()], reverse=True), p)
-    x, tail = divisor.entries[0]
-    guards = divisor.guards
-    h = {pack(e): c for e, c in f.items()}
-    heap = [-u for u in h]
-    heapify(heap)
-    quotient = []
-    while heap:
-        u = -heappop(heap)
-        c = h.pop(u) % p
-        if not c:
-            continue
-        if ((u | guards) - x) & guards != guards:
-            return None
-        d = u - x
-        quotient.append((d, c))
-        q = p - c
-        for tx, tc in tail:
-            e = tx + d
-            s = h.get(e)
-            if s is None:
-                h[e] = q * tc
-                heappush(heap, -e)
-            else:
-                h[e] = s + q * tc
-    inv = pow(g[lead], -1, p)
-    unpack = divisor.unpack
-    return {unpack(d): c * inv % p for d, c in quotient}
+    return {pack(e) + z: c for e, c in f.items()}

@@ -296,6 +296,11 @@ def default_corpus() -> list[CorpusEntry]:
 # --------------------------------------------------------------------------
 # proposition harness
 
+# coprime curve pairs of `reducible-curves`, monomial matrices drawn by
+# `monomial-invariance`
+_CURVE_PAIRS = 10
+_MONOMIAL_SAMPLES = 5
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -420,7 +425,7 @@ def verify_propositions(cfg: RandomizationConfig | None = None,
 
     results.append(_run("general-position", check_general_position))
 
-    def check_reducible_curves(pair_count=10):
+    def check_reducible_curves():
         rng = random.Random(derive_seed(seed, 0xC0))
         candidates = [e.name for e in entries
                       if polys[e.name].arity == 3
@@ -429,7 +434,7 @@ def verify_propositions(cfg: RandomizationConfig | None = None,
             return None
         pairs = set()
         tries = 0
-        while len(pairs) < pair_count and tries < 200:
+        while len(pairs) < _CURVE_PAIRS and tries < 200:
             tries += 1
             a, b = rng.sample(candidates, 2)
             key = tuple(sorted((a, b)))
@@ -464,11 +469,11 @@ def verify_propositions(cfg: RandomizationConfig | None = None,
 
     results.append(_run("pyramid-families", check_pyramid_families))
 
-    def check_monomial_invariance(samples=5):
+    def check_monomial_invariance():
         rng = random.Random(derive_seed(seed, 0xD0))
         cusp = polys.get("cuspidal_cubic")
         base_deg = md_of(cusp)[-1] if cusp is not None else None
-        for _ in range(samples):
+        for _ in range(_MONOMIAL_SAMPLES):
             k = rng.choice((1, 2, 2, 3))
             A = random_monomial_matrix(2, k, rng)
             if cusp is not None:

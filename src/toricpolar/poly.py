@@ -27,7 +27,8 @@ class MonomialOrder:
     kind: str = "grevlex"
     block: int = 0
 
-    _CODES = {"grevlex": 0, "lex": 1, "block": 2}
+    _CODES = {"grevlex": _kernel_py.GREVLEX, "lex": _kernel_py.LEX,
+              "block": _kernel_py.BLOCK}
 
     def __post_init__(self):
         if self.kind not in self._CODES:

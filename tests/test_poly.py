@@ -222,6 +222,32 @@ def test_exact_divide_matches_long_division(case):
             assert got * g == f
 
 
+X4 = ("x0", "x1", "x2", "x3")
+
+
+@pytest.mark.parametrize("f, g, variables, p, exact", [
+    ("x0^2 + 3*x1*x2 - 5", "7", ("x0", "x1", "x2"), F.p, True),
+    ("0", "x0 + x1", ("x0", "x1", "x2"), F.p, True),
+    ("x0^2 - x1*x2 + 4", "x0^2 - x1*x2 + 4", ("x0", "x1", "x2"), F.p, True),
+    ("(x1^2 - 3) * (x0 + x2*x3 + x1)", "x1^2 - 3", X4, F.p, True),
+    ("(x0 + 2*x1) * (x0^2 + x1*x2 + 2)", "x0 + 2*x1", ("x0", "x1", "x2"), 3,
+     True),
+    ("(x0 + x1)^30", "(x0 + x1)^7", ("x0", "x1"), F.p, True),
+    ("x0^2 + x1", "x0", ("x0", "x1"), F.p, False),
+], ids=["constant divisor", "zero dividend", "f = g", "one variable of four",
+        "p = 3", "degree 30 by 7", "inexact"])
+def test_exact_divide_edge_cases(f, g, variables, p, exact):
+    field = PrimeField(p)
+    f, g = (parse_polynomial(t, variables, field) for t in (f, g))
+    want = reference_exact_divide(f.terms, g.terms, p)
+    got = f.exact_divide(g)
+    if not exact:
+        assert want is None and got is None
+        return
+    assert list(got.terms.items()) == list(want.items())
+    assert got * g == f
+
+
 def test_evaluate():
     cubic = P("4*x1^3 - x0*x1^2 - 18*x0*x1*x2 + 27*x0*x2^2 + 4*x0^2*x2")
     assert cubic.evaluate([1, 0, 0]) == 0
