@@ -64,10 +64,13 @@ z * f by the one entry z * g - 1, z one more variable (see there).
 
 `buchberger` keeps its elements packed from pair to basis.  Each is an
 entry of one `Reducers` list and has no other copy.  Its inputs are
-packed once, by `input_remainders`: the fields widen once, to hold twice
-the largest input degree, each input is packed, the inputs go by packed
-lead, and each is reduced from its pack, which is made again from its
-term dict only after an overflow has widened the fields.
+packed once, by `input_remainders`: the fields widen once, to a width that
+holds every S-polynomial of two inputs (twice 2d: d is the largest input
+degree, and an lcm of two leads has degree at most 2d), each input is
+packed, the inputs go by packed lead, and each is reduced from its pack,
+which is made again from its term dict only after an overflow has widened
+the fields.  So a pair of two inputs finds the fields wide enough for its
+lcm and re-packs nothing unless a reduction overflows.
 `s_polynomial_remainder` packs the lcm m of two leads once, widening first
 to hold twice its degree, and shifts each tail by one int add: its terms
 times m / lead are the tail packs plus (pack of m) - (pack of lead), the
@@ -615,13 +618,15 @@ def input_remainders(reducers, fs, p):
     exponent, inputs with the same one in the order of `fs`.  The caller
     appends a nonzero remainder before it asks for the next.
 
-    The fields are widened once, to hold twice the largest degree of the
-    inputs, and each input is packed once.  Its lead is its largest pack,
-    so the order is the one that sorting by the order's key of the leading
-    exponents gives.  An input is packed again, from its term dict, only
-    when an overflow has widened the fields since."""
-    reducers.widen(_width_for(max([max(map(sum, f)) for f in fs],
-                                  default=0)))
+    The fields are widened once, to a width that holds every S-polynomial
+    of two inputs: the lcm of two leads has degree at most 2d, d the
+    largest input degree, so the fields hold twice 2d.  Each input is
+    packed once.  Its lead is its largest pack, so the order is the one
+    that sorting by the order's key of the leading exponents gives.  An
+    input is packed again, from its term dict, only when an overflow has
+    widened the fields since."""
+    reducers.widen(_width_for(2 * max([max(map(sum, f)) for f in fs],
+                                      default=0)))
     width = reducers.width
     packs = [_pack_terms(reducers, f) for f in fs]
     for k in sorted(range(len(fs)), key=lambda k: max(packs[k])):

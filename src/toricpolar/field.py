@@ -6,6 +6,8 @@ one term kernel, `toricpolar._kernel_py`, which the polynomial and
 Gröbner code call as a module.
 """
 
+from functools import lru_cache
+
 from . import _kernel_py
 from .errors import PreconditionError
 
@@ -17,8 +19,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981  # psi_13
 
 
+@lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n below psi_13 (3.3 * 10^24)."""
+    """Deterministic Miller-Rabin for n below psi_13 (3.3 * 10^24).  Each
+    modulus is tested once; a raised `PreconditionError` is not cached."""
     if n >= _MR_BOUND:
         raise PreconditionError(f"modulus {n} is not below {_MR_BOUND}")
     if n < 2:

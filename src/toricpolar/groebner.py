@@ -218,11 +218,12 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     list (see `_kernel_py`): a pair's S-polynomial is built from the two
     packed entries, reduced packed, made monic and appended as it is.  The
     inputs are packed once (`_kernel_py.input_remainders`), after one
-    widening to twice their largest degree, and reduced in the order of
-    their packed leads, which is the order of their leading terms.  Only
-    leading exponents and the lcms of kept pairs are unpacked; the active
-    elements are sorted by packed lead at the end, and the result takes
-    the leading exponents the loop unpacked.  A whole element is unpacked
+    widening to a width that holds every S-polynomial of two inputs, and
+    reduced in the order of their packed leads, which is the order of
+    their leading terms.  Only leading exponents and the lcms of kept
+    pairs are unpacked; the active elements are sorted by packed lead at
+    the end, and the result takes the leading exponents the loop
+    unpacked.  A whole element is unpacked
     only when the generators are read, after the tail-reduction pass.  The
     `Reducers` fields hold twice the degree of a pair's lcm and double when
     a product overflows them, and `Reducers.widen` then re-packs the live

@@ -24,12 +24,29 @@ def test_is_prime(n, expected):
     assert is_prime(n) == expected
 
 
+def test_is_prime_matches_a_sieve():
+    sieve = [True] * 10**4
+    sieve[0] = sieve[1] = False
+    for i in range(2, 100):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, 10**4, i))
+    assert [is_prime(n) for n in range(10**4)] == sieve
+
+
+# strong pseudoprimes to the bases 2..7, 2..11 and 2..13
+@pytest.mark.parametrize("n", [3215031751, 2152302898747, 3474749660383])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
 # psi_13 = 1287836182261 * 2575672364521, a strong pseudoprime to 2..41,
 # and the Mersenne prime 2^89 - 1 above it
 @pytest.mark.parametrize("n", [3317044064679887385961981, 2**89 - 1])
 def test_is_prime_rejects_moduli_from_psi_13(n):
-    with pytest.raises(PreconditionError):
-        is_prime(n)
+    # raised on every call: the cache keeps no error
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            is_prime(n)
     with pytest.raises(PreconditionError):
         PrimeField(n)
     with pytest.raises(PreconditionError):

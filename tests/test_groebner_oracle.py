@@ -200,9 +200,15 @@ BLOCK_1 = product_order(1)
                          ids=["lex", "block"])
 def test_buchberger_widening_in_the_pair_loop_matches_sympy(monkeypatch,
                                                             order, theirs):
-    """x0^2 - x2^5 and x1 - x0 + x0^2*x2^12: an S-polynomial reduction
-    overflows its packed fields, which double in the middle of the pair
-    loop; the basis must still be sympy's."""
+    """S-polynomial reductions that overflow their packed fields, which
+    double in the middle of the pair loop; each basis must still be
+    sympy's.  x0^2 - x2^7 and x1 - x0 + x0^4*x2^2 double from 5 to 10 bits
+    in their first pair, whose lcm x0^4 needs only the input width.  The
+    second ideal doubles while pairs wait on the heap, so `Reducers.widen`
+    must pack their lcms again: under lex x2^9 - x0*x1,
+    x1^2 + x0^3*x1^3*x2 + x0^3*x1^2*x2 and x0^2*x1^2*x2^2 - x0*x1^3 go
+    from 6 to 12 bits, under the block order 1 - x0*x1*x2 + x2^3 + x1^20,
+    x0^3*x1^3*x2 + x0*x1^3*x2^2 and x0*x1 + x0^2*x2^2 from 7 to 14."""
     doubled = []
     pairs = []
     real_widen = kernel.Reducers.widen
@@ -224,12 +230,21 @@ def test_buchberger_widening_in_the_pair_loop_matches_sympy(monkeypatch,
 
     monkeypatch.setattr(kernel.Reducers, "widen", widen)
     monkeypatch.setattr(kernel, "s_polynomial_remainder", remainder)
-    gens = [Polynomial(F, 3, {(2, 0, 0): 1, (0, 0, 5): P - 1}),
-            Polynomial(F, 3, {(0, 1, 0): 1, (1, 0, 0): P - 1,
-                              (2, 0, 12): 1})]
-    G = buchberger(Ideal(gens), order)
-    assert doubled
-    assert canonical(ours(G)) == canonical(sympy_basis(gens, 3, theirs))
+    x0, x1, x2 = (Polynomial.variable(F, 3, i) for i in range(3))
+    one = Polynomial.constant(F, 3, 1)
+    if order == LEX:
+        waiting = [x2 ** 9 - x0 * x1,
+                   x1 ** 2 + x0 ** 3 * x1 ** 3 * x2 + x0 ** 3 * x1 ** 2 * x2,
+                   x0 ** 2 * x1 ** 2 * x2 ** 2 - x0 * x1 ** 3]
+    else:
+        waiting = [one - x0 * x1 * x2 + x2 ** 3 + x1 ** 20,
+                   x0 ** 3 * x1 ** 3 * x2 + x0 * x1 ** 3 * x2 ** 2,
+                   x0 * x1 + x0 ** 2 * x2 ** 2]
+    for gens in ([x0 ** 2 - x2 ** 7, x1 - x0 + x0 ** 4 * x2 ** 2], waiting):
+        doubled.clear()
+        G = buchberger(Ideal(gens), order)
+        assert doubled
+        assert canonical(ours(G)) == canonical(sympy_basis(gens, 3, theirs))
 
 
 @settings(max_examples=60, deadline=None,

@@ -695,6 +695,75 @@ def test_append_remainder_makes_monic_without_repacking():
     assert reducers.width == 4
 
 
+def sizing_log(monkeypatch):
+    """Wrap `input_remainders` and `s_polynomial_remainder`.  Returns the
+    list of (d, width) for each `buchberger` run, d the largest input
+    degree and width the field width once the inputs are sized, and the
+    list of the widths each pair whose lcm has degree at most 2d grew by
+    in its reduction."""
+    real_inputs = k.input_remainders
+    real_remainder = k.s_polynomial_remainder
+    sized, grown, bound = [], [], {}
+
+    def input_remainders(reducers, fs, p):
+        d = max(max(map(sum, f)) for f in fs)
+        bound[id(reducers)] = d
+        remainders = real_inputs(reducers, fs, p)
+        yield next(remainders)  # the first input meets no entry
+        sized.append((d, reducers.width))
+        yield from remainders
+
+    def remainder(reducers, i, j, m, p, rows):
+        width = reducers.width
+        r = real_remainder(reducers, i, j, m, p, rows)
+        if sum(m) <= 2 * bound[id(reducers)]:
+            grown.append(reducers.width - width)
+        return r
+    monkeypatch.setattr(k, "input_remainders", input_remainders)
+    monkeypatch.setattr(k, "s_polynomial_remainder", remainder)
+    return sized, grown
+
+
+def test_inputs_are_sized_for_every_s_polynomial_of_two_inputs(monkeypatch):
+    """The lcm of two input leads has degree at most 2d, d the largest
+    input degree, so the inputs are packed `_width_for(2 * d)` wide and no
+    pair with such an lcm widens the fields: on a grevlex complete
+    intersection of a quadric and two cubics, and on a saturation."""
+    from toricpolar.groebner import saturate
+    F = PrimeField(32003)
+    rng = random.Random(33)
+
+    def form(degree):
+        return Polynomial(F, 3, {e: rng.randrange(1, F.p) for e in
+                                 itertools.product(range(degree + 1),
+                                                   repeat=3)
+                                 if sum(e) == degree})
+    sized, grown = sizing_log(monkeypatch)
+    G = buchberger(Ideal([form(2), form(3), form(3)]))
+    assert G.leading_exponents()
+    x0, x1, x2 = (Polynomial.variable(F, 3, i) for i in range(3))
+    S = saturate(Ideal([x0 * x1 - x2 ** 2, x0 ** 3 - x1 * x2 ** 2]), x0)
+    assert S.leading_exponents()
+    assert [d for d, _ in sized] == [3, 3]
+    assert all(width == k._width_for(2 * d) for d, width in sized)
+    assert len(grown) > 10 and not any(grown)
+
+
+def test_cremona_multidegrees_grow_no_width_after_the_first_sizing(
+        monkeypatch):
+    """One `multidegrees` of the toric polar map of the Cremona polynomial
+    for n = 4: every `Reducers` is sized once, on its first `widen`, and
+    then never widens again; the answer is the binomials."""
+    from toricpolar.constructions import cremona_poly
+    from toricpolar.maps import (RandomizationConfig, multidegrees,
+                                 toric_polar_map)
+    grown = counting_widen(monkeypatch)
+    values = multidegrees(toric_polar_map(cremona_poly(4)),
+                          RandomizationConfig(seed=0)).values
+    assert values == (1, 4, 6, 4, 1)
+    assert grown and all(before == 0 for before, _ in grown)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_reduce_tails_matches_reduction_by_the_others(seed):
     # A minimal basis: leads of one total degree never divide each other.

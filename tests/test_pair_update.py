@@ -253,29 +253,41 @@ def widenings_in_reductions(gens, order):
 
 
 def test_widening_in_the_pair_loop_matches_tuple_criteria():
-    """x0*x2^90 - x1^3 and x0^3 - x1*x2 + 1 under block_order(1): the
-    `Reducers` widen from 8 to 16 bits inside a reduction, whose remainder
-    has a lead of degree 271 in x2 (the sympy oracle test of this ideal
-    checks that), so the pair update reads its packs at the new width."""
+    """Two ideals under block_order(1) whose `Reducers` widen inside a
+    reduction, so the pair update reads its packs at the new width.
+    x0*x2^90 - x1^3 and x0^3 - x1*x2 + 1 are packed 9 bits wide; a
+    remainder has a lead of degree 271 in x2 (the sympy oracle test of
+    this ideal checks that), so the fields widen to 10 bits for the lcm of
+    a later pair, with five elements.  1 - x0*x1*x2 + x2^3 + x1^20,
+    x0^3*x1^3*x2 + x0*x1^3*x2^2 and x0*x1 + x0^2*x2^2 overflow 7-bit
+    fields in a reduction, with twelve elements, and double them to 14
+    while pairs wait on the heap."""
     x0, x1, x2 = (Polynomial.variable(F, 3, i) for i in range(3))
-    gens = [x0 * x2 ** 90 - x1 ** 3,
-            x0 ** 3 - x1 * x2 + Polynomial.constant(F, 3, 1)]
+    one = Polynomial.constant(F, 3, 1)
+    gens = [x0 * x2 ** 90 - x1 ** 3, x0 ** 3 - x1 * x2 + one]
     same_run(gens, block_order(1))
-    assert [n for n, _ in widenings_in_reductions(gens, block_order(1))] == [4]
+    assert [n for n, _ in widenings_in_reductions(gens, block_order(1))] == [5]
+    gens = [one - x0 * x1 * x2 + x2 ** 3 + x1 ** 20,
+            x0 ** 3 * x1 ** 3 * x2 + x0 * x1 ** 3 * x2 ** 2,
+            x0 * x1 + x0 ** 2 * x2 ** 2]
+    same_run(gens, block_order(1))
+    [(n, later)] = widenings_in_reductions(gens, block_order(1))
+    assert n == 12 and (0, 9) in later
 
 
 def test_widening_with_live_pairs_matches_tuple_criteria():
-    """Three cubics under grevlex: the fields start 3 bits wide and widen
-    to 4 inside a reduction while the pair (0, 1) waits on the heap, so
+    """x0*x2^2 + x0*x1^3*x2^3 + x2^13 and x0^3*x1*x2^2 under
+    block_order(1): the fields start 6 bits wide, which holds every
+    S-polynomial of two inputs, and widen to 7 for the lcm of a later
+    pair, with 17 elements, while the pair (0, 15) waits on the heap, so
     `Reducers.widen` packs its lcm and the others again.  With stale packs
-    the B_k guard test drops a pair that the tuple criteria reduce."""
+    the B_k guard test drops or keeps pairs against the tuple criteria."""
     x0, x1, x2 = (Polynomial.variable(F, 3, i) for i in range(3))
-    gens = [2 * x0 ** 2 * x1 + 4 * x1 * x2 ** 2,
-            18 * x0 * x1 ** 2 + 12 * x0 ** 3 + 14 * x0 * x1 * x2,
-            5 * x2 ** 3 + 19 * x1 ** 2 * x2]
-    same_run(gens, GREVLEX)
-    [(n, later)] = widenings_in_reductions(gens, GREVLEX)
-    assert n == 3 and (0, 1) in later
+    gens = [x0 * x2 ** 2 + x0 * x1 ** 3 * x2 ** 3 + x2 ** 13,
+            x0 ** 3 * x1 * x2 ** 2]
+    same_run(gens, block_order(1))
+    [(n, later)] = widenings_in_reductions(gens, block_order(1))
+    assert n == 17 and (0, 15) in later
 
 
 def test_pair_counts_of_a_verify_pass():
