@@ -97,10 +97,13 @@ so no slot carries into the next and `bit_length()` finds the leading
 term.  Each step takes the top slot, reduces it mod p and clears it; the
 row of a reducer multiple is built once per degree and kept on the
 `Reducers` until `Reducers._set_columns` builds columns again, the one
-place that drops the rows; `widen` drops the columns.  The S-polynomial's
-first half, (m / lead_i) tail_i, is the row of m's reducer multiple when
-entry i is m's first divisor, so it is read from those rows, or built into
-them; only when an earlier entry divides m first is it built apart.
+place that drops the rows.  `widen` re-packs the columns and the row keys:
+packs keep the monomial order at every width, so the columns stay sorted,
+and a row's slots are column positions, so a row stays as it is.  The
+S-polynomial's first half, (m / lead_i) tail_i, is the row of m's reducer
+multiple when entry i is m's first divisor, so it is read from those rows,
+or built into them; only when an earlier entry divides m first is it built
+apart.
 `buchberger` asks for rows in a degree only when its C(D + n - 1, n - 1)
 monomials are no more than the terms of the elements, so sparse forms of
 high degree keep the heap.
@@ -327,7 +330,7 @@ class Reducers:
 
     The row path (`_row_remainder`) keeps two caches.  `columns` is None or
     the degree of the last rows, its monomials as ascending packs, the
-    column of each pack and the slot width; `widen` drops it.  `rows` maps
+    column of each pack and the slot width.  `rows` maps
     each reduced monomial of that degree, and each lcm whose pair's first
     entry is its first divisor, to the row of its reducer multiple;
     `_set_columns`, which builds the columns, sets it empty.
@@ -337,7 +340,8 @@ class Reducers:
     `update_pairs` fills and prunes it.  `std` is None or the standard
     monomials of one degree as divisibility packs; `standard_successors`
     advances it and `append_remainder` takes each new lead out of it.
-    `widen`, the one re-packing, re-packs both with the entries.
+    `widen`, the one re-packing, re-packs both with the entries, and the
+    columns and row keys too.
     """
 
     __slots__ = ("kind", "block", "arity", "width", "weights", "guards",
@@ -382,15 +386,19 @@ class Reducers:
 
     def widen(self, width):
         """Re-pack at `width` when it is wider than the current width: the
-        entries, the lcms of the live pairs and the standard set.  The
-        columns of the row path are dropped."""
+        entries, the lcms of the live pairs, the standard set, and the
+        columns of the row path and the keys of their rows."""
         if width <= self.width:
             return
-        self.columns = None
         unpack = self.unpack
         plain = [(unpack(lead), [(unpack(x), c) for x, c in tail])
                  for lead, tail in self.entries]
         std = None if self.std is None else [unpack(x) for x in self.std]
+        columns = self.columns
+        if columns is not None:
+            degree, xs, _, w = columns
+            xs = [unpack(x) for x in xs]
+            rows = [(unpack(x), row) for x, row in self.rows.items()]
         self._set_width(width)
         pack = self.pack
         low = self.low
@@ -400,6 +408,10 @@ class Reducers:
                            for ab, (_, m) in self.pairs.items()])
         if std is not None:
             self.std = {pack(e) & low for e in std}
+        if columns is not None:
+            xs = [pack(e) for e in xs]
+            self.columns = (degree, xs, {x: k for k, x in enumerate(xs)}, w)
+            self.rows = {pack(e): row for e, row in rows}
 
     def append_remainder(self, r, p):
         """Append a packed polynomial (largest term first, in fields that

@@ -63,11 +63,19 @@ def _read_text(path: str) -> str:
                       f"{exc.start})") from None
 
 
+def _names(args):
+    """The variable names of `--vars`, or None for a command without it."""
+    text = getattr(args, "vars", None)
+    if text is None:
+        return None
+    return [v.strip() for v in text.split(",") if v.strip()]
+
+
 def _read_polynomial(args):
     text = args.poly
     if text is None:
         text = _read_text(args.file).strip()
-    names = [v.strip() for v in args.vars.split(",") if v.strip()]
+    names = _names(args)
     if not names:
         raise ParseError("empty variable list", 0)
     field = PrimeField(args.prime)
@@ -223,7 +231,8 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PreconditionError as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
+        print(f"precondition violated: {exc.named(_names(args))}",
+              file=sys.stderr)
         return EXIT_PRECONDITION
     except SpecializationError as exc:
         print(f"unlucky specialization: {exc}", file=sys.stderr)

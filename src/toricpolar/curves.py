@@ -57,7 +57,7 @@ def _check_plane_curve(f: Polynomial, require_coprime=True):
         for i in range(3):
             if f.divisible_by_variable(i):
                 raise PreconditionError(
-                    f"curve contains the coordinate line x{i} = 0")
+                    "curve contains the coordinate line {var} = 0", i)
 
 
 def _check_reduced(f: Polynomial):
@@ -84,7 +84,7 @@ def _line_counts(f: Polynomial) -> tuple[int, int, int]:
         restricted = f.set_variable_zero(j)
         if restricted.is_zero():
             raise PreconditionError(
-                f"curve contains the coordinate line x{j} = 0")
+                "curve contains the coordinate line {var} = 0", j)
         kept = tuple(i for i in range(3) if i != j)
         counts.append(binary_form_distinct_roots(restricted, kept))
     return tuple(counts)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from __future__ import annotations
+
 
 class ToricPolarError(Exception):
     """Base class for all package-specific errors."""
@@ -14,7 +16,25 @@ class ParseError(ToricPolarError):
 
 
 class PreconditionError(ToricPolarError, ValueError):
-    """An operation was called on input violating its contract."""
+    """An operation was called on input violating its contract.
+
+    A message about one variable has "{var}" where its name goes and
+    carries its index as `variable`; `named(names)` spells it with the
+    caller's variable names, str() as x<index>.
+    """
+
+    def __init__(self, message: str, variable: int | None = None):
+        self.template = message
+        self.variable = variable
+        super().__init__(self.named())
+
+    def named(self, names=None) -> str:
+        """The message, the variable spelled as names[variable] when
+        `names` is given, else as x<variable>."""
+        if self.variable is None:
+            return self.template
+        i = self.variable
+        return self.template.format(var=names[i] if names else f"x{i}")
 
 
 class SpecializationError(ToricPolarError):

@@ -7,7 +7,12 @@ base locus, cut out by the coordinates (of degree d), and b its dimension
 (-1 when B is empty).  For j = 1..n-1-b a general P^j misses B, the map is
 a morphism on it and d_j = d^j (Fulton, Intersection Theory, Prop. 4.4:
 the correction to d^j is a Segre class supported on B); these d_j are
-certified from one grevlex basis of the coordinates.  Since the gcd of the
+certified from b alone.  When each coordinate is x_i q_i and has the term
+x_i^d, as a toric polar map's does when f(e_i) != 0 for every vertex e_i,
+B is the union over the coordinate strata x_S = 0 of the zeros of the q_j,
+j not in S, restricted there, and b is read from one small grevlex basis
+per stratum; any other map reads b from one grevlex basis of its
+coordinates.  Either way b is exact.  Since the gcd of the
 coordinates is removed, codim B >= 2 and d_1 is always certified; a gcd
 that wrongly answers 1 leaves a hypersurface in B, nothing is certified,
 and the d_1 check of `multidegrees` fails.  Over F_p, dim B is at least
@@ -27,8 +32,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
-from . import _kernel_py
+from . import _kernel_py, groebner
 from .errors import PreconditionError, SpecializationError, ToricPolarError
 from .field import DEFAULT_PRIME, PrimeField, is_prime
 from .gcdtools import _running_gcd, squarefree_part
@@ -160,7 +166,8 @@ def toric_polar_map(f: Polynomial, seed: int = 0) -> RationalMapSpec:
     for i in range(f.arity):
         if f.divisible_by_variable(i):
             raise PreconditionError(
-                f"input is divisible by x{i}; strip coordinate factors first")
+                "input is divisible by {var}; strip coordinate factors "
+                "first", i)
     f_red = squarefree_part(f)
     coords = [Polynomial.variable(f.field, f.arity, i) * f_red.partial_derivative(i)
               for i in range(f.arity)]
@@ -326,14 +333,66 @@ def _slice_degree(phi: RationalMapSpec, j: int, seed: int, trial: int) -> int:
     return data.degree
 
 
+def _base_dimension(phi: RationalMapSpec) -> int:
+    """dim B, B the base locus of the map (-1 when it is empty).
+
+    When each coordinate is c_i = x_i q_i and has the term x_i^d, d the
+    coordinate degree (so no vertex e_i lies in B; a toric polar map's
+    coordinates are x_i df/dx_i, and c_i(e_i) = d f(e_i)), B splits along
+    the coordinate strata: a point whose zero coordinates are x_S lies in
+    B exactly when q_j vanishes there for every j not in S.  So B is the
+    union over S of V(x_S) and the q_j restricted to x_S = 0, j not in S,
+    each one small basis in the n + 1 - |S| variables x_j, with degree
+    d - 1 forms where the coordinates have degree d.  The vertices,
+    |S| = n, are empty by the term test.  No other stratum holds a vertex
+    either, so it is not all of its P^(n - |S|) and has dimension at most
+    n - |S| - 1; the strata go by increasing |S| and stop once that bound
+    is no more than the largest dimension found.  Any other map reads dim
+    B from one grevlex basis of its coordinates.  Under TORICPOLAR_DEBUG
+    the strata's answer is checked against that basis.
+    """
+    coords = phi.coordinates
+    n, d = phi.n, phi.coordinate_degree
+    if not all(c.coefficient(tuple(d * (k == i) for k in range(n + 1)))
+               and c.divisible_by_variable(i) for i, c in enumerate(coords)):
+        return projective_dimension(Ideal(coords))
+    # each q_i as (support mask, exponent, coefficient) triples
+    quotients = [[(sum(1 << k for k, x in enumerate(e) if x),
+                   (*e[:i], e[i] - 1, *e[i + 1:]), c)
+                  for e, c in g.terms.items()]
+                 for i, g in enumerate(coords)]
+    best = -1
+    for size in range(n):
+        for zero in combinations(range(n + 1), size):
+            if n - size - 1 <= best:
+                break
+            mask = sum(1 << k for k in zero)
+            keep = [k for k in range(n + 1) if not mask >> k & 1]
+            forms = [Polynomial(phi.field, len(keep), {
+                tuple([e[k] for k in keep]): c
+                for s, e, c in quotients[j] if not s & mask}, _clean=True)
+                for j in keep]
+            best = max(best, projective_dimension(
+                Ideal(forms, field=phi.field, arity=len(keep))))
+    if groebner._DEBUG_CHECK_BASES:
+        full = projective_dimension(Ideal(coords))
+        if full != best:
+            raise ToricPolarError(
+                f"the coordinate strata give dim B = {best}, one basis of "
+                f"the coordinates gives {full}")
+    return best
+
+
 def multidegrees(phi: RationalMapSpec,
                  cfg: RandomizationConfig | None = None) -> MultidegreeVector:
     """Multidegrees d_0, ..., d_n of the map, with trial agreement.
 
     d_0 = 1 by definition.  d_j = d^j is certified for j <= n - 1 - dim B,
     B the base locus, where a general P^j misses B; these j have no trials.
-    dim B is read from the supports of the leads of one grevlex basis of
-    the coordinates (`projective_dimension`), with no tail pass.  Each
+    dim B is read from the supports of the leads of grevlex bases
+    (`projective_dimension`), with no tail pass: one per coordinate
+    stratum when the coordinates allow it, else one of the coordinates
+    (`_base_dimension`).  Each
     trial slices the remaining j, each (j, trial) with its own
     deterministic sub-seed, so results are reproducible; when no j is
     left, there is one outcome, whatever the number of trials.  All trials
@@ -345,7 +404,7 @@ def multidegrees(phi: RationalMapSpec,
     if cfg.prime != phi.field.p:
         raise ValueError("configuration prime differs from the map's field")
     # a general P^j misses the base locus B for j <= n - 1 - dim B
-    top = phi.n - 1 - projective_dimension(Ideal(phi.coordinates))
+    top = phi.n - 1 - _base_dimension(phi)
     certified = (1, *(phi.coordinate_degree ** j for j in range(1, top + 1)))
     sliced = range(top + 1, phi.n + 1)
     outcomes = [(*certified, *(_slice_degree(phi, j, cfg.seed, trial)

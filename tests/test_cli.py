@@ -11,8 +11,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import toricpolar
+from toricpolar import curves
 from toricpolar.cli import main
-from toricpolar.parse import MAX_NESTING
+from toricpolar.errors import PreconditionError
+from toricpolar.field import PrimeField
+from toricpolar.parse import MAX_NESTING, parse_polynomial
 
 CUSP = "4*x1^3 - x0*x1^2 - 18*x0*x1*x2 + 27*x0*x2^2 + 4*x0^2*x2"
 
@@ -399,6 +402,29 @@ def test_duplicate_variable_names_exit_code(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err == "precondition violated: duplicate variable names\n"
+
+
+@pytest.mark.parametrize("command, message", [
+    ("multidegrees", "input is divisible by a; strip coordinate factors "
+     "first"),
+    ("csm", "input is divisible by a; strip coordinate factors first"),
+    ("curve-report", "curve contains the coordinate line a = 0"),
+])
+def test_coordinate_errors_name_the_given_variable(capsys, command, message):
+    code = main([command, "--vars", "a,b,c", "--poly", "a*b^2+a*c^2"])
+    assert code == 3
+    assert capsys.readouterr().err == f"precondition violated: {message}\n"
+
+
+def test_coordinate_line_error_names_the_given_variable(capsys):
+    """`curves._line_counts` has its own message for a curve that contains
+    a coordinate line; it carries the variable in the same way."""
+    f = parse_polynomial("u*v^2+u*w^2", ["u", "v", "w"], PrimeField())
+    with pytest.raises(PreconditionError) as caught:
+        curves._line_counts(f)
+    assert str(caught.value) == "curve contains the coordinate line x0 = 0"
+    assert caught.value.named(["u", "v", "w"]) == (
+        "curve contains the coordinate line u = 0")
 
 
 @pytest.mark.parametrize("names, poly", [

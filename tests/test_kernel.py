@@ -865,8 +865,9 @@ def test_row_cache_holds_only_the_degree_of_its_columns():
     """The rows of reducer multiples are kept for the degree of the
     columns: after row reductions in degree 3 and then in degree 4 on one
     `Reducers`, every cached row is that of a monomial of degree 4.  A
-    `widen` drops the columns, so the next rows are built again at the new
-    width.  Each remainder is the heap path's."""
+    `widen` re-packs the columns and the keys of the rows, and keeps the
+    rows themselves, whose slots are column positions.  Each remainder is
+    the heap path's."""
     field = PrimeField(32003)
     p = field.p
     G = buchberger(Ideal([
@@ -884,8 +885,13 @@ def test_row_cache_holds_only_the_degree_of_its_columns():
         assert r == k.s_polynomial_remainder(reducers, 0, 1, m, p, False)
         assert row_degrees() == {sum(m)}
     width = reducers.width
+    unpack = reducers.unpack
+    columns = [unpack(x) for x in reducers.columns[1]]
+    rows = {unpack(u): row for u, row in reducers.rows.items()}
     reducers.widen(2 * width)
-    assert reducers.columns is None
+    assert [reducers.unpack(x) for x in reducers.columns[1]] == columns
+    assert {reducers.unpack(u): row
+            for u, row in reducers.rows.items()} == rows
     r = k.s_polynomial_remainder(reducers, 0, 1, m, p, True)
     assert r == k.s_polynomial_remainder(reducers, 0, 1, m, p, False)
     assert reducers.columns[0] == sum(m) and reducers.width == 2 * width
@@ -1014,3 +1020,51 @@ def test_row_halves_on_a_counting_loop(monkeypatch):
     buchberger(Ideal(coordinates))
     assert len(pairs) == 63
     assert len(calls) == 448
+
+
+def test_a_widen_mid_degree_keeps_the_rows(monkeypatch):
+    """Column order is the monomial order at every width and a row's slots
+    are column positions, so `widen` keeps the columns and rows.  On the
+    counting loop of `test_row_halves_on_a_counting_loop`, one run widens
+    the fields by a bit between two row reductions of one degree, and
+    another starts at the wide width: after each reduction the two hold
+    the same remainder, columns and rows."""
+    from toricpolar.maps import random_translate, toric_polar_map
+    from toricpolar.parse import parse_polynomial
+    names = ("x0", "x1", "x2", "x3")
+    quartic = parse_polynomial(" + ".join(f"{v}^4" for v in names), names,
+                               PrimeField())
+    coordinates = toric_polar_map(random_translate(quartic, 1)).coordinates
+    real_remainder = k._row_remainder
+
+    def run(widen_at):
+        states = []
+
+        def row_remainder(reducers, i, j, m, p):
+            if len(states) == widen_at:
+                assert reducers.columns[0] == sum(m)
+                reducers.widen(reducers.width + 1)
+            r = real_remainder(reducers, i, j, m, p)
+            unpack = reducers.unpack
+            states.append((m, [(unpack(x), c) for x, c in r],
+                           reducers.columns[0],
+                           [unpack(x) for x in reducers.columns[1]],
+                           {unpack(u): row
+                            for u, row in reducers.rows.items()},
+                           reducers.width))
+            return r
+        with monkeypatch.context() as patch:
+            patch.setattr(k, "_row_remainder", row_remainder)
+            buchberger(Ideal(coordinates))
+        return states
+
+    narrow = run(40)
+    width = narrow[-1][-1]
+    assert narrow[39][-1] == width - 1 and narrow[40][-1] == width
+    assert sum(narrow[39][0]) == sum(narrow[40][0])
+    real_width_for = k._width_for
+    monkeypatch.setattr(k, "_width_for",
+                        lambda degree: max(real_width_for(degree), width))
+    wide = run(None)
+    assert all(state[-1] == width for state in wide)
+    assert [state[:-1] for state in narrow] == [state[:-1] for state in wide]

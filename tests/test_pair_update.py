@@ -35,6 +35,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from toricpolar import _kernel_py as kernel
+from toricpolar import groebner
 from toricpolar.constructions import cremona_poly, verify_propositions
 from toricpolar.groebner import Ideal, _hilbert_driven, buchberger
 from toricpolar.field import PrimeField
@@ -292,12 +293,15 @@ def test_widening_with_live_pairs_matches_tuple_criteria():
 
 def test_pair_counts_of_a_verify_pass():
     """One in-process `verify` pass reduces these pairs.  The update on
-    exponent tuples reduces 2150; the complete-intersection bound leaves
-    out 11 of those that reduce to zero, and none of the nonzero ones."""
-    with PairLog() as log:
+    exponent tuples reduces the same 2098 pairs: none of the bases of this
+    pass has a degree whose complete-intersection bound leaves out a pair.
+    The pass runs without TORICPOLAR_DEBUG, whose cross-check of the
+    base-locus strata adds the pairs of a basis of the coordinates."""
+    with mock.patch.object(groebner, "_DEBUG_CHECK_BASES", False), \
+            PairLog() as log:
         results = verify_propositions(RandomizationConfig(seed=0))
     assert all(r.passed for r in results)
-    assert (len(log.pairs), log.nonzero) == (2139, 1040)
+    assert (len(log.pairs), log.nonzero) == (2098, 1016)
 
 
 def test_pair_counts_of_the_quartic_translate_base_ideal():
