@@ -15,6 +15,15 @@ restrictions.  The test never answers 1 wrongly, in any characteristic;
 when it is inconclusive, `intersect` decides.  The gcd is unique, so the
 answer never depends on the line.
 
+The test is exact on two binary forms f and g, as `maps._base_dimension`
+meets them on a coordinate line: a binary form is a product of linear
+forms over the algebraic closure, one for each of its zeros in P^1, so f
+and g are coprime exactly when they have no common zero there, and an
+answer of 1 proves that they have none.  It is inconclusive on a coprime
+pair only when b is a multiple of a, or f(a) or g(a) is zero; otherwise
+s -> a*s + b covers P^1 but the point a, where neither form vanishes, and
+the restrictions share a root only at a common zero.
+
 The squarefree part of a homogeneous form divides it by the gcd of its
 partial derivatives; in characteristic larger than the degree this is
 exact, so it involves no randomness.

@@ -132,39 +132,66 @@ class GroebnerBasis(Ideal):
 
     def s_polynomials_reduce_to_zero(self) -> bool:
         """Debug check of the defining property: the S-polynomial of each
-        pair of minimal elements, built on term dicts, reduces to zero by
-        the same elements, packed (`minimal`).  The minimal basis is a
-        Gröbner basis when the reduced one is, so the check runs no tail
-        pass and never reads `generators`; it works in the ring of
-        `minimal`."""
+        pair of minimal elements that Buchberger's criteria keep
+        (`_criteria_pairs`), built on term dicts, reduces to zero by the
+        same elements, packed (`minimal`).  The minimal basis is a Gröbner
+        basis when the reduced one is, so the check runs no tail pass and
+        never reads `generators`; it works in the ring of `minimal`."""
         p = self.field.p
         basis = self._minimal
         unpack = basis.unpack
         elems = [(unpack(x), {unpack(y): c for y, c in [(x, 1)] + tail})
                  for x, tail in basis.entries]
-        for k, (li, fi) in enumerate(elems):
-            for lj, fj in elems[k + 1:]:
-                s = _s_terms(p, fi, li, fj, lj, _kernel_py.exp_lcm(li, lj))
-                if _kernel_py.normal_form_terms(s, basis, p):
-                    return False
+        for i, j, m in _criteria_pairs([e for e, _ in elems]):
+            (li, fi), (lj, fj) = elems[i], elems[j]
+            if _kernel_py.normal_form_terms(_s_terms(p, fi, li, fj, lj, m),
+                                            basis, p):
+                return False
         return True
 
     def _tails_reduced(self) -> bool:
         """Debug check of the tail pass: each tail of `minimal` is its own
-        normal form, so no lead divides a term of it."""
+        normal form, so no lead divides a term of it.  The tails are all
+        unpacked first: a normal form may widen `minimal` and re-pack it."""
         p, basis = self.field.p, self._minimal
         unpack = basis.unpack
-        for _, tail in basis.entries:
-            t = {unpack(y): c for y, c in tail}
-            if _kernel_py.normal_form_terms(t, basis, p) != t:
-                return False
-        return True
+        tails = [{unpack(y): c for y, c in tail} for _, tail in basis.entries]
+        return all(_kernel_py.normal_form_terms(t, basis, p) == t
+                   for t in tails)
 
     def __iter__(self):
         return iter(self.generators)
 
     def __len__(self):
         return len(self._lead_exps)
+
+
+def _criteria_pairs(leads: Sequence[tuple]) -> list[tuple]:
+    """The pairs (i, j, lcm of their leads) whose S-polynomials decide
+    whether elements with these leading exponents form a Gröbner basis:
+    every pair but those Buchberger's criteria skip.  The first criterion
+    skips coprime leads.  The chain criterion skips (i, j) when some lead_k
+    divides lcm_ij and lcm_ik and lcm_jk both divide it strictly; the
+    S-polynomial of (i, j) is then a combination of those of (i, k) and
+    (j, k) below lcm_ij.  Strictly smaller lcms are well-founded, so the
+    skipped pairs need no bookkeeping: every pair with a smaller lcm is
+    checked or skipped by the same rules (Becker and Weispfenning, Gröbner
+    Bases, ch. 5).  This works on the leads alone, apart from the pair
+    update of `buchberger` (`_kernel_py.Reducers.update_pairs`)."""
+    lcm, divides = _kernel_py.exp_lcm, _kernel_py.exp_divides
+    n = len(leads)
+    lcms = [[lcm(a, b) for b in leads] for a in leads]
+    kept = []
+    for j in range(n):
+        for i in range(j):
+            m = lcms[i][j]
+            if sum(m) == sum(leads[i]) + sum(leads[j]):
+                continue  # coprime leads
+            if not any(k != i and k != j and divides(leads[k], m)
+                       and lcms[i][k] != m and lcms[j][k] != m
+                       for k in range(n)):
+                kept.append((i, j, m))
+    return kept
 
 
 def _s_terms(p: int, f: dict, fe: tuple, g: dict, ge: tuple,

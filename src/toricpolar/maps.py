@@ -11,7 +11,8 @@ certified from b alone.  When each coordinate is x_i q_i and has the term
 x_i^d, as a toric polar map's does when f(e_i) != 0 for every vertex e_i,
 B is the union over the coordinate strata x_S = 0 of the zeros of the q_j,
 j not in S, restricted there, and b is read from one small grevlex basis
-per stratum; any other map reads b from one grevlex basis of its
+per stratum (a coordinate line that the gcd line certificate proves empty
+takes none); any other map reads b from one grevlex basis of its
 coordinates.  Either way b is exact.  Since the gcd of the
 coordinates is removed, codim B >= 2 and d_1 is always certified; a gcd
 that wrongly answers 1 leaves a hypersurface in B, nothing is certified,
@@ -37,7 +38,7 @@ from itertools import combinations
 from . import _kernel_py, groebner
 from .errors import PreconditionError, SpecializationError, ToricPolarError
 from .field import DEFAULT_PRIME, PrimeField, is_prime
-from .gcdtools import _running_gcd, squarefree_part
+from .gcdtools import _coprime_on_line, _running_gcd, squarefree_part
 from .groebner import Ideal, _hilbert_data, projective_dimension, saturate
 from .poly import Polynomial
 
@@ -343,12 +344,16 @@ def _base_dimension(phi: RationalMapSpec) -> int:
     B exactly when q_j vanishes there for every j not in S.  So B is the
     union over S of V(x_S) and the q_j restricted to x_S = 0, j not in S,
     each one small basis in the n + 1 - |S| variables x_j, with degree
-    d - 1 forms where the coordinates have degree d.  The vertices,
-    |S| = n, are empty by the term test.  No other stratum holds a vertex
-    either, so it is not all of its P^(n - |S|) and has dimension at most
-    n - |S| - 1; the strata go by increasing |S| and stop once that bound
-    is no more than the largest dimension found.  Any other map reads dim
-    B from one grevlex basis of its coordinates.  Under TORICPOLAR_DEBUG
+    d - 1 forms where the coordinates have degree d.  On a coordinate
+    line, |S| = n - 1, the two forms are binary and have a common zero in
+    P^1 exactly when they share a factor, so the gcd line certificate
+    (`_coprime_on_line`), which never answers coprime wrongly, proves most
+    of these strata empty with no basis; the others take one.  The
+    vertices, |S| = n, are empty by the term test.  No other stratum
+    holds a vertex either, so it is not all of its P^(n - |S|) and has
+    dimension at most n - |S| - 1; the strata go by increasing |S| and
+    stop once that bound is no more than the largest dimension found.  Any
+    other map reads dim B from one grevlex basis of its coordinates.  Under TORICPOLAR_DEBUG
     the strata's answer is checked against that basis.
     """
     coords = phi.coordinates
@@ -372,6 +377,8 @@ def _base_dimension(phi: RationalMapSpec) -> int:
                 tuple([e[k] for k in keep]): c
                 for s, e, c in quotients[j] if not s & mask}, _clean=True)
                 for j in keep]
+            if len(keep) == 2 and _coprime_on_line(*forms):
+                continue  # two coprime binary forms: no common zero
             best = max(best, projective_dimension(
                 Ideal(forms, field=phi.field, arity=len(keep))))
     if groebner._DEBUG_CHECK_BASES:

@@ -3,8 +3,9 @@
 When every coordinate of a map is c_i = x_i q_i and has the term x_i^d,
 as the toric polar map of an f with f(e_i) != 0 does, `maps.multidegrees`
 reads dim B from one small basis per coordinate stratum: the q_j with j
-not in S, restricted to x_S = 0 (`maps._base_dimension`).  Every other map
-reads it from one grevlex basis of its coordinates.  These tests check the
+not in S, restricted to x_S = 0 (`maps._base_dimension`); a stratum in two
+variables that the gcd line certificate proves coprime takes no basis.
+Every other map reads it from one grevlex basis of its coordinates.  These tests check the
 strata against that basis, pin which bases each path runs, and check the
 strata's answer on hand-built maps where one stratum decides it.
 """
@@ -129,15 +130,50 @@ def test_nodal_restriction_decides_alone():
     assert multidegrees(phi).values == (1, 3, 9, 26)
 
 
+def line_certificates(phi):
+    """The answers of the line certificate on the two-variable strata that
+    `_base_dimension` visits, in order."""
+    answers = []
+    real = maps._coprime_on_line
+
+    def recording(f, g):
+        answers.append(real(f, g))
+        return answers[-1]
+
+    with mock.patch.object(maps, "_coprime_on_line", recording), \
+            mock.patch.object(groebner, "_DEBUG_CHECK_BASES", False):
+        maps._base_dimension(phi)
+    return answers
+
+
+TANGENT_CONIC = "x0^2 + x0*x1 + x0*x2 + x1^2 - 2*x1*x2 + x2^2"
+
+
 def test_tangent_coordinate_line_decides_alone():
     """A smooth conic tangent to the line x0 = 0 away from the vertices:
     B is the point of tangency, found only on the coordinate-line stratum
-    {0}.  The conic's degree is 4 minus its one tangency."""
-    phi = toric_polar_map(P("x0^2 + x0*x1 + x0*x2 + x1^2 - 2*x1*x2 + x2^2",
-                            2))
+    {0}.  There the two binary forms share a factor, so the line
+    certificate cannot prove them coprime and the basis decides.  The
+    conic's degree is 4 minus its one tangency."""
+    phi = toric_polar_map(P(TANGENT_CONIC, 2))
+    assert line_certificates(phi) == [False]
     assert stratum_dimensions(phi) == (0, [(3, -1), (2, 0)])
     assert basis_dimension(phi) == 0
     assert multidegrees(phi).values == (1, 2, 3)
+
+
+def test_debug_mode_checks_the_line_certificate(monkeypatch):
+    """A line certificate that wrongly proves the tangency stratum empty
+    gives dim B = -1; under TORICPOLAR_DEBUG the basis of the coordinates
+    catches it, and the error names both values."""
+    phi = toric_polar_map(P(TANGENT_CONIC, 2))
+    monkeypatch.setattr(maps, "_coprime_on_line", lambda f, g: True)
+    monkeypatch.setattr(groebner, "_DEBUG_CHECK_BASES", False)
+    assert maps._base_dimension(phi) == -1
+    monkeypatch.setattr(groebner, "_DEBUG_CHECK_BASES", True)
+    with pytest.raises(ToricPolarError, match="strata give dim B = -1, one "
+                       "basis of the coordinates gives 0"):
+        maps._base_dimension(phi)
 
 
 def test_a_later_stratum_of_higher_dimension():
@@ -168,14 +204,16 @@ def bases(phi):
 
 
 def test_quartic_surface_translate_runs_one_basis_per_stratum():
-    """B is empty, so every stratum but the vertices is visited: 1 + 4 + 6
-    bases of cubics, and none of the four quartic coordinates."""
+    """B is empty, so every stratum but the vertices is visited: 1 + 4
+    bases of cubics, and none of the four quartic coordinates; the line
+    certificate proves each of the 6 coordinate lines empty, with no
+    basis."""
     phi = toric_polar_map(random_translate(fermat(4, 3), 3))
     calls = bases(phi)
-    assert len(calls) == 11
+    assert len(calls) == 5
     assert all(g.total_degree() == 3 for gens in calls for g in gens)
-    assert [gens[0].arity for gens in calls] == \
-        [4, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2]
+    assert [gens[0].arity for gens in calls] == [4, 3, 3, 3, 3]
+    assert line_certificates(phi) == [True] * 6
 
 
 @pytest.mark.parametrize("phi", [
@@ -189,14 +227,12 @@ def test_other_maps_run_the_one_basis(phi):
     assert bases(phi) == [phi.coordinates]
 
 
-def test_fermat_quartic_threefold_translate(monkeypatch):
+def test_fermat_quartic_threefold_translate():
     """A general translate of a smooth quartic threefold: every coordinate
     section is smooth, B is empty and d_j = 4^j for every j.  The
-    reference is k^j, not the engine.  TORICPOLAR_DEBUG is off here: its
+    reference is k^j, not the engine.  Under TORICPOLAR_DEBUG the
     cross-check computes the basis of the five quartic coordinates and
-    reduces every S-polynomial of it, minutes of work; the other maps of
-    the suite and of the verify passes are cross-checked."""
-    monkeypatch.setattr(groebner, "_DEBUG_CHECK_BASES", False)
+    reduces the S-polynomials of it that Buchberger's criteria keep."""
     phi = toric_polar_map(random_translate(fermat(4, 4), 11))
     assert stratum_dimensions(phi)[0] == -1
     assert multidegrees(phi).values == tuple(4 ** j for j in range(5))

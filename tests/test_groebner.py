@@ -187,6 +187,86 @@ def test_debug_check_catches_a_skipped_tail_pass(monkeypatch):
         G.generators
 
 
+def test_tail_check_reads_tails_packed_before_a_widen(monkeypatch):
+    """The leads x2^9, x1 and x0 are coprime, so the debug check of
+    `buchberger` reduces no S-polynomial and leaves the fields at 4 bits;
+    the tail check's normal form of x2^8 widens them to 5 bits.  It must
+    not read the later tails with the unpacking of the narrower fields."""
+    monkeypatch.setattr(groebner, "_DEBUG_CHECK_BASES", True)
+    G = buchberger(Ideal([P("x0^2*x1 + 1"), P("x1^2*x2 + x1"),
+                          P("x0*x2^2 + x1^2")]), block_order(2))
+    assert G.leading_exponents() == ((0, 0, 9), (0, 1, 0), (1, 0, 0))
+    width = G._minimal.width
+    assert [str(g) for g in G] == ["x2^9 - 1", "x2^8 + x1", "x2^5 + x0"]
+    assert G._minimal.width > width
+
+
+def all_pairs_reduce_to_zero(G):
+    """The debug check without Buchberger's criteria: the S-polynomial of
+    every pair of minimal elements reduces to zero."""
+    p, basis = G.field.p, G._minimal
+    unpack = basis.unpack
+    elems = [(unpack(x), {unpack(y): c for y, c in [(x, 1)] + tail})
+             for x, tail in basis.entries]
+    return not any(
+        kernel.normal_form_terms(groebner._s_terms(
+            p, fi, li, fj, lj, kernel.exp_lcm(li, lj)), basis, p)
+        for (li, fi), (lj, fj) in itertools.combinations(elems, 2))
+
+
+def without(G, k):
+    """The minimal elements of G but the k-th, as a `GroebnerBasis`."""
+    keep = [i for i in range(len(G)) if i != k]
+    leads = G.leading_exponents()
+    return GroebnerBasis(G.field, G.order, G._minimal.subset(keep),
+                         [leads[i] for i in keep])
+
+
+def test_criteria_pairs_skip_coprime_leads_and_strict_chains():
+    """x^2*y, y*z^2 and x*y*z: the lcm x^2*y*z^2 of the first two is
+    divided by the third lead, and strictly by the two other lcms, so the
+    chain criterion skips that pair.  x*y, x*z and y*z: each lead divides
+    the common lcm x*y*z of the other two, but the other lcms equal it, so
+    every pair is kept; skipping them all would pass any such three
+    elements.  x^2 and y^2 are coprime."""
+    def kept(leads):
+        return [(i, j) for i, j, _ in groebner._criteria_pairs(leads)]
+
+    assert kept([(2, 1, 0), (0, 1, 2), (1, 1, 1)]) == [(0, 2), (1, 2)]
+    assert kept([(1, 1, 0), (1, 0, 1), (0, 1, 1)]) == [(0, 1), (0, 2),
+                                                        (1, 2)]
+    assert kept([(2, 0, 0), (0, 2, 0)]) == []
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)],
+                         ids=["grevlex", "lex", "block"])
+def test_criteria_check_agrees_with_all_pairs(order):
+    """The debug check reduces only the pairs that Buchberger's criteria
+    keep; on computed bases, and on the same bases with one element
+    dropped, it answers as the check of every pair does.  Both answer
+    whether the elements form a Gröbner basis, so each dropped basis that
+    is not one must fail both."""
+    rng = random.Random(29)
+    skipped = failed = 0
+    for draw in range(30):
+        # forms of degree 2 and 3, or affine polynomials of degree <= 3
+        gens = [random_homogeneous(F, rng, 3, rng.randint(2, 3), max_terms=4)
+                if draw % 2 else random_polynomial(F, rng, 3, 3, max_terms=4)
+                for _ in range(rng.randint(2, 3))]
+        G = buchberger(Ideal(gens, field=F, arity=3), order)
+        assert G.s_polynomials_reduce_to_zero()
+        assert all_pairs_reduce_to_zero(G)
+        n = len(G)
+        skipped += n * (n - 1) // 2 - len(
+            groebner._criteria_pairs(G.leading_exponents()))
+        for k in range(n):
+            H = without(G, k)
+            answer = H.s_polynomials_reduce_to_zero()
+            assert answer == all_pairs_reduce_to_zero(H)
+            failed += not answer
+    assert skipped > 0 and failed > 0
+
+
 # --- normal form ----------------------------------------------------------------
 
 def test_normal_form_examples():

@@ -13,6 +13,7 @@ loop.
 """
 
 import itertools
+import random
 
 import pytest
 import sympy
@@ -607,6 +608,45 @@ def test_line_certificate_keeps_planted_factors(case):
     p, a, b = case
     assert not gcdtools._coprime_on_line(a, b)
     assert multivariate_gcd(a, b) == sympy_gcd(a, b)
+
+
+def random_binary_form(rng, field, d):
+    """A nonzero form of degree d in two variables."""
+    while True:
+        terms = {(k, d - k): rng.randrange(field.p) for k in range(d + 1)}
+        if any(terms.values()):
+            return Polynomial(field, 2, terms)
+
+
+@pytest.mark.parametrize("p", [11, 101, 32003, 2**31 - 1])
+def test_line_certificate_decides_binary_forms(p):
+    """On two binary forms, as `maps._base_dimension` hands it a stratum
+    in two variables, the line certificate never proves coprime a pair
+    that sympy's gcd says shares a factor (half of the pairs have a
+    linear factor planted), and proves coprime every coprime pair whose
+    forms are nonzero at the line's direction a, when its point b is not
+    a multiple of a: then s -> a*s + b covers P^1 but the point a, where
+    neither form vanishes."""
+    field = PrimeField(p)
+    rng = random.Random(f"binary forms {p}")
+    a, b = gcdtools._line(p, 2)
+    through_a = (a[0] * b[1] - a[1] * b[0]) % p == 0
+    shared = proved = 0
+    for k in range(40):
+        f = random_binary_form(rng, field, rng.randint(1, 4))
+        g = random_binary_form(rng, field, rng.randint(1, 4))
+        if k % 2:
+            h = random_binary_form(rng, field, 1)
+            f, g = h * f, h * g
+        coprime = sympy_gcd(f, g).total_degree() == 0
+        certified = gcdtools._coprime_on_line(f, g)
+        if not coprime:
+            shared += 1
+            assert not certified
+        elif f.evaluate(a) and g.evaluate(a) and not through_a:
+            proved += 1
+            assert certified
+    assert shared >= 20 and proved > 0
 
 
 def wide_lead_log(monkeypatch):
