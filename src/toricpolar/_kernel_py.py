@@ -150,6 +150,26 @@ Pending coefficients are plain ints: a reduction step by a monic entry
 adds q * c with q = p - c_u, and a coefficient is reduced mod p once, when
 its term is popped.  A popped coefficient that is 0 mod p is a cancelled
 term and is dropped, so remainder coefficients stay in 1..p-1.
+
+A `Reducers` list may also hold two lanes, two polynomials with the same
+leads (`lane`, the field width W, is then nonzero), as `buchberger` runs
+two trials of one slice.  A reduced coefficient is c0 + c1 2^W, each lane
+in 0..p-1; a pending one keeps lane 0 in field 0 and lane 1 in field 2
+of W bits, field 1 taking the cross terms, so that the one product
+q * c of a step, q = p - c_u in each lane, updates both lanes at once.
+`lane_terms` lays out the inputs, `_s_polynomial` takes its tails to the
+pending layout and negates the second in each lane as p - c, and
+`_reduce_packed` reduces each lane of a popped coefficient mod p: 0 in
+both lanes is a cancelled term, 0 in one lane a term that lane lacks.
+A step by a coefficient that is 0 in one lane adds only multiples of p
+there, so each lane's remainder is its own normal form.  `append_remainder` makes
+each lane monic with one inverse, 1/c0 = c1/(c0 c1), and a lead that is 0
+in one lane raises `LaneDivergence`: the lanes' leads part there, and each
+must run alone.  Each step adds less than 2p^2 to a field, which starts
+below 4p, so `lane_width` sizes W for `LANE_STEPS` steps, and a two-lane
+reduction that pops more terms raises `ToricPolarError` before a field
+can carry into the next.  `split_lanes` gives each lane as a list of its
+own.  Counting loops, rows, tail passes and normal forms run one lane.
 """
 
 from functools import lru_cache, partial, reduce
@@ -157,11 +177,15 @@ from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from operator import add, le, mul, or_, sub
 
-from .errors import ToricPolarError
+from .errors import LaneDivergence, ToricPolarError
 
 GREVLEX = 0
 LEX = 1
 BLOCK = 2
+
+# the most terms that one two-lane reduction pops; `lane_width` sizes the
+# lane fields for it
+LANE_STEPS = 1 << 32
 
 
 def _grevlex_forms(e):
@@ -283,6 +307,33 @@ def substitute_terms(polys, images, arity, p):
     return out
 
 
+def lane_width(p):
+    """W, the bits of one lane field at the prime p: a pending field never
+    reaches 2^W in a reduction that pops at most `LANE_STEPS` terms.  A
+    field starts below 4p and each step adds less than 2p^2 to it, so it
+    stays below 2 (LANE_STEPS + 1) p^2 < 2^W."""
+    return 2 * p.bit_length() + (LANE_STEPS + 1).bit_length() + 1
+
+
+def lane_layout(p):
+    """The `lane` and `neg` of a two-lane `Reducers` at the prime p: the
+    field width `lane_width(p)`, and p in each lane in the pending layout,
+    which a negated coefficient adds to stay nonnegative."""
+    lane = lane_width(p)
+    return lane, (p + (p << lane)) * (1 + (1 << lane))
+
+
+def lane_terms(fs, lane):
+    """The term dicts `fs` of two lanes as one term dict: each coefficient
+    in the pending layout, lane 0 in field 0 and lane 1 in field 2 of
+    `lane` bits each; a term that a lane lacks is 0 there."""
+    f0, f1 = fs
+    out = dict(f0)
+    for e, c in f1.items():
+        out[e] = out.get(e, 0) | c << 2 * lane
+    return out
+
+
 def _width_for(degree):
     """Field width that holds twice `degree`."""
     return (2 * degree).bit_length()
@@ -314,6 +365,7 @@ def _layout(kind, block, arity, width):
 
 class Reducers:
     """Monic reducers for `normal_form_terms`, packed once under one order.
+    `lane` and `neg` are 0, or the layout of two lanes (`lane_layout`).
 
     An entry is (packed lead, packed tail), a monic polynomial, its tail
     (pack, coefficient) pairs.  `append_remainder`, the one way in, makes
@@ -346,12 +398,16 @@ class Reducers:
 
     __slots__ = ("kind", "block", "arity", "width", "weights", "guards",
                  "shifts", "mask", "slot", "low", "low_guards", "entries",
-                 "index", "ones", "columns", "rows", "pairs", "std")
+                 "index", "ones", "columns", "rows", "pairs", "std", "lane",
+                 "neg")
 
-    def __init__(self, kind, block, arity, width=0, entries=()):
+    def __init__(self, kind, block, arity, width=0, entries=(), lane=0,
+                 neg=0):
         self.kind = kind
         self.block = block
         self.arity = arity
+        self.lane = lane
+        self.neg = neg
         self.columns = None
         self.pairs = {}
         self.std = None
@@ -418,12 +474,28 @@ class Reducers:
         hold its terms) made monic.  Returns its leading exponent, the only
         term unpacked.  While a standard set is held, the lead leaves it; a
         lead outside it is a broken invariant and raises
-        `ToricPolarError`."""
+        `ToricPolarError`.  Two lanes are made monic each, by one inverse;
+        a lead that is 0 in one lane raises `LaneDivergence`."""
         x, c = r[0]
         tail = r[1:]
-        if c != 1:
+        lane = self.lane
+        if lane:
+            # one inverse serves both lanes: 1/c0 = c1/(c0 c1), and so on
+            mask = (1 << lane) - 1
+            c0, c1 = c & mask, c >> lane
+            c = c0 * c1 % p
+            if not c:
+                raise LaneDivergence(
+                    f"the lead {self.unpack(x)} of a remainder is 0 in lane "
+                    f"{int(bool(c0))} and not in the other")
+        if c != 1 or lane:
             inv = pow(c, -1, p)
-            tail = [(y, d * inv % p) for y, d in tail]
+            if lane:
+                i0, i1 = inv * c1 % p, inv * c0 % p
+                tail = [(y, (d & mask) * i0 % p | (d >> lane) * i1 % p << lane)
+                        for y, d in tail]
+            else:
+                tail = [(y, d * inv % p) for y, d in tail]
         self.entries.append((x, tail))
         slot = self.slot
         a = x & self.low
@@ -450,7 +522,21 @@ class Reducers:
         """The reducers at `indices`, in that order, sharing this packing."""
         entries = self.entries
         return Reducers(self.kind, self.block, self.arity, self.width,
-                        [entries[i] for i in indices])
+                        [entries[i] for i in indices], self.lane, self.neg)
+
+    def split_lanes(self):
+        """One one-lane `Reducers` per lane, at this width: each entry with
+        its tail's coefficients in that lane, the terms a lane lacks left
+        out.  A one-lane list is its own only lane."""
+        lane = self.lane
+        if not lane:
+            return [self]
+        mask = (1 << lane) - 1
+        return [Reducers(self.kind, self.block, self.arity, self.width,
+                         [(x, [(y, c) for y, d in tail
+                               if (c := d >> shift & mask)])
+                          for x, tail in self.entries])
+                for shift in (0, lane)]
 
     def interreduce(self, start, p):
         """Reduce the tails of the entries from `start` on by each other,
@@ -672,19 +758,25 @@ def _reduce_widening(reducers, h, p, build, *args):
 
 def _s_polynomial(reducers, i, j, m):
     """The S-polynomial of the monic entries i and j, whose leading
-    exponents have lcm m, as a packed dict with plain-int coefficients, or
+    exponents have lcm m, as a packed dict with pending coefficients, or
     None when a term overflows its fields.  The leading terms cancel, so
-    only the tails are shifted: by M - lead, M the pack of m."""
+    only the tails are shifted: by M - lead, M the pack of m.  Each
+    coefficient goes to the pending layout (times `one`, 1 in each lane),
+    and the second tail is negated in each lane as p - c (`neg` is p in
+    each lane; one lane negates as -c)."""
     entries = reducers.entries
+    lane = reducers.lane
+    one = 1 + (1 << lane) if lane else 1
+    neg = reducers.neg
     x = reducers.pack(m)
     lead, tail = entries[i]
     d = x - lead
-    h = {t + d: c for t, c in tail}
+    h = {t + d: c * one for t, c in tail}
     lead, tail = entries[j]
     d = x - lead
     for t, c in tail:
         e = t + d
-        h[e] = h.get(e, 0) - c
+        h[e] = h.get(e, 0) + neg - c * one
     if reduce(or_, h, 0) & reducers.guards:
         return None
     return h
@@ -826,7 +918,8 @@ def _reduce_packed(h, reducers, p):
     """Packed remainder of the packed dict `h`, which it consumes, as
     (exponent, coefficient) pairs in the order they were found, or None
     when a product overflowed its fields.  The keys of `h` must fit the
-    fields; its coefficients are plain ints.
+    fields; its coefficients are plain ints, in the pending layout of two
+    lanes when `reducers` hold two (see the module docstring).
 
     The pending terms live in `h`; every key of `h` has exactly one entry,
     negated, in the heap, which pops the largest monomial first.  A pending
@@ -836,7 +929,8 @@ def _reduce_packed(h, reducers, p):
     operations; a lead that does not divide the term, which only a stale
     index gives, sets a guard bit of the shift and raises
     `ToricPolarError`.  Only a new key can overflow: its fields are below
-    twice the field range, so a set guard bit shows it.
+    twice the field range, so a set guard bit shows it.  Two lanes pop at
+    most `LANE_STEPS` terms, or raise `ToricPolarError`.
     """
     guards = reducers.guards
     entries = reducers.entries
@@ -844,12 +938,24 @@ def _reduce_packed(h, reducers, p):
     slot = reducers.slot
     low = reducers.low
     index, ones, guard_slots, carry, flags = reducers.index_masks()
+    lane = reducers.lane
+    mask, top, pops = (1 << lane) - 1, 2 * lane, LANE_STEPS
+    P = p + (p << lane) if lane else p  # p in each lane
     heap = [-x for x in h]
     heapify(heap)
     r = []
     while heap:
         u = -heappop(heap)
-        c = h.pop(u) % p
+        c = h.pop(u)
+        if lane:
+            pops -= 1
+            if pops < 0:
+                raise ToricPolarError(
+                    f"a two-lane reduction passed {LANE_STEPS} terms, the "
+                    f"most its {lane}-bit lane fields hold")
+            c = (c & mask) % p | (c >> top) % p << lane
+        else:
+            c %= p
         if not c:
             continue
         hit = ((((u & low) * ones + index) & guard_slots) + carry
@@ -861,7 +967,7 @@ def _reduce_packed(h, reducers, p):
         d = u - lead
         if d & guards:
             _stale_index(reducers, u, lead)
-        q = p - c
+        q = P - c
         for tx, tc in tail:
             e = tx + d
             s = h.get(e)

@@ -50,3 +50,9 @@ class SpecializationError(ToricPolarError):
             message = f"{message} [seeds: {', '.join(map(str, seeds))}]"
         super().__init__(message)
         self.seeds = tuple(seeds)
+
+
+class LaneDivergence(ToricPolarError):
+    """The lanes of a two-lane Gröbner basis run parted: a remainder's
+    leading coefficient is 0 in one lane and not in the other, so the
+    lanes' leads differ from there on.  Each lane must then run alone."""

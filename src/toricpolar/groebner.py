@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import os
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import comb
 from typing import Iterable, Sequence
 
@@ -88,9 +88,18 @@ class GroebnerBasis(Ideal):
         v = self._variables
         return e if v is None else tuple(map(e.__getitem__, v))
 
+    def _one_lane(self, what: str):
+        """Raise for a basis whose coefficients are those of two lanes
+        (see `buchberger`): it gives leads only."""
+        if self._minimal.lane:
+            raise ToricPolarError(
+                f"{what} of a two-lane basis: its coefficients hold two "
+                f"trials, and only its leads are one basis")
+
     @property
     def generators(self) -> tuple[Polynomial, ...]:
         """The reduced basis, made by one tail pass on first read."""
+        self._one_lane("the generators")
         if self._generators is None:
             basis = self._minimal
             _kernel_py.reduce_tails(basis, self.field.p)
@@ -112,6 +121,7 @@ class GroebnerBasis(Ideal):
 
     def _remainder(self, terms: dict) -> dict:
         """The remainder of a term dict of this ring by `minimal`."""
+        self._one_lane("a normal form")
         v = self._variables
         if v is not None:
             # e_k goes to variable v[k] of that ring, the others are 0
@@ -136,17 +146,19 @@ class GroebnerBasis(Ideal):
         (`_criteria_pairs`), built on term dicts, reduces to zero by the
         same elements, packed (`minimal`).  The minimal basis is a Gröbner
         basis when the reduced one is, so the check runs no tail pass and
-        never reads `generators`; it works in the ring of `minimal`."""
+        never reads `generators`; it works in the ring of `minimal`.  A
+        two-lane basis is checked lane by lane, each lane a basis of its
+        own (`Reducers.split_lanes`)."""
         p = self.field.p
-        basis = self._minimal
-        unpack = basis.unpack
-        elems = [(unpack(x), {unpack(y): c for y, c in [(x, 1)] + tail})
-                 for x, tail in basis.entries]
-        for i, j, m in _criteria_pairs([e for e, _ in elems]):
-            (li, fi), (lj, fj) = elems[i], elems[j]
-            if _kernel_py.normal_form_terms(_s_terms(p, fi, li, fj, lj, m),
-                                            basis, p):
-                return False
+        for basis in self._minimal.split_lanes():
+            unpack = basis.unpack
+            elems = [(unpack(x), {unpack(y): c for y, c in [(x, 1)] + tail})
+                     for x, tail in basis.entries]
+            for i, j, m in _criteria_pairs([e for e, _ in elems]):
+                (li, fi), (lj, fj) = elems[i], elems[j]
+                if _kernel_py.normal_form_terms(
+                        _s_terms(p, fi, li, fj, lj, m), basis, p):
+                    return False
         return True
 
     def _tails_reduced(self) -> bool:
@@ -204,9 +216,24 @@ def _s_terms(p: int, f: dict, fe: tuple, g: dict, ge: tuple,
     return _kernel_py.add_into(a, b.items(), -1, p)
 
 
-def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
+def buchberger(I: Ideal | Sequence[Ideal],
+               order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     """Reduced Gröbner basis of I; it is unique, so it does not depend on
     the order of the generators or of the pair selection.
+
+    I may also be two ideals of one ring, the lanes of one run: generator
+    k of each is one input, whose coefficients hold both lanes
+    (`_kernel_py.lane_terms`), and every step is taken in both lanes at
+    once (see `_kernel_py`).  The pairs, the heap and the divisor index
+    depend on the leads alone, so the lanes share them as long as their
+    leads agree: each remainder's leading coefficient must be nonzero in
+    both lanes or the remainder zero in both, and a lead that is 0 in one
+    lane only raises `LaneDivergence`.  A run that ends used no other
+    step, so each lane is a Buchberger run of its own ideal and ends at
+    its reduced basis's leads, which the two ideals then share.  The
+    result gives those leads only: its generators and normal forms raise
+    `ToricPolarError`.  A loop that counts the complete-intersection bound
+    (below) runs one lane only.
 
     S-pairs wait in a heap keyed, once at creation, by (sugar, key, i, j).
     The sugar strategy (Giovini, Mora, Niesi, Robbiano and Traverso, ISSAC
@@ -304,18 +331,35 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     forms of high degree, whose degrees have many more monomials than
     terms, keep the heap path.
     """
+    lanes = (I,) if isinstance(I, Ideal) else tuple(I)
+    I = lanes[0]
     fld = I.field
     p = fld.p
+    if len(lanes) > 2 or any(J.field != fld or J.arity != I.arity
+                             for J in lanes):
+        raise ValueError("lanes are one or two ideals of one ring")
+    gens = I.generators
+    counting = _hilbert_driven(gens, order, I.arity)
+    lane = neg = 0
+    terms = [g.terms for g in gens]
+    if len(lanes) == 2:
+        if counting:
+            raise ToricPolarError("a loop that counts the complete-"
+                                  "intersection bound runs one lane only")
+        lane, neg = _kernel_py.lane_layout(p)
+        terms = [_kernel_py.lane_terms([f.terms for f in pair], lane)
+                 for pair in zip_longest(*(J.generators for J in lanes),
+                                         fillvalue=Polynomial.zero(fld,
+                                                                   I.arity))]
 
     # the elements, monic, as packed entries; lead[h] is the leading
     # exponent of entry h.  The live pairs are `reducers.pairs`.
-    reducers = _kernel_py.Reducers(order.code, order.block, I.arity)
+    reducers = _kernel_py.Reducers(order.code, order.block, I.arity,
+                                   lane=lane, neg=neg)
     lead: list[tuple] = []
     excess: list[int] = []  # sugar minus the weight of the lead
     active: list[int] = []
     heap: list[tuple] = []
-    gens = I.generators
-    counting = _hilbert_driven(gens, order, I.arity)
     # the eliminated block (none under grevlex and lex) weighs 0
     b = order.block
 
@@ -340,10 +384,9 @@ def buchberger(I: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
             heapq.heappush(heap, (max(excess[i], xh) + weight(m),
                                   pair_key(m), i, h))
 
-    for k, r in _kernel_py.input_remainders(reducers, [g.terms for g in gens],
-                                            p):
+    for k, r in _kernel_py.input_remainders(reducers, terms, p):
         if r:
-            append(r, max(map(weight, gens[k].terms)))
+            append(r, max(map(weight, terms[k])))
 
     # while the complete-intersection bound is counted, `reducers.std`
     # holds the standard monomials of degree `deg` and h is the bound in
@@ -425,11 +468,11 @@ def _complete_intersection_hilbert(degrees: Sequence[int], arity: int):
                          for k, c in terms if k <= D)
 
 
-def _eliminate_leading(I: Ideal, k: int,
+def _eliminate_leading(I: Ideal | Sequence[Ideal], k: int,
                        variables: Sequence[int] | None) -> GroebnerBasis:
     """I eliminated by its first k variables, given by its reduced grevlex
     basis in the ring whose variables `variables` maps to those of I (None:
-    the ring of I).
+    the ring of I); I may be two lanes (see `buchberger`).
 
     `buchberger` runs under `block_order(k)` (grevlex when k is 0).  An
     element is free of the first k variables exactly when its lead is, and
@@ -439,7 +482,7 @@ def _eliminate_leading(I: Ideal, k: int,
     """
     G = buchberger(I, block_order(k) if k else GREVLEX)
     kept = [h for h, e in enumerate(G._lead_exps) if not any(e[:k])]
-    return GroebnerBasis(I.field, GREVLEX, G._minimal.subset(kept),
+    return GroebnerBasis(G.field, GREVLEX, G._minimal.subset(kept),
                          [G._lead_exps[h] for h in kept], variables)
 
 
@@ -468,20 +511,32 @@ def eliminate(I: Ideal, drop: Iterable[int]) -> GroebnerBasis:
     return _eliminate_leading(I, len(drop), perm)
 
 
-def saturate(I: Ideal, g: Polynomial) -> GroebnerBasis:
+def saturate(I: Ideal | Sequence[Ideal],
+             g: Polynomial | Sequence[Polynomial]) -> GroebnerBasis:
     """I : g^infinity, via an auxiliary variable t and the generator 1 - t*g,
     given by its reduced grevlex basis: t comes first, and
-    `_eliminate_leading` eliminates it."""
-    if g.is_zero():
-        raise PreconditionError("cannot saturate by the zero polynomial")
-    if g.field != I.field or g.arity != I.arity:
-        raise ValueError("polynomial from a different ring")
-    m = I.arity
-    lifted = [h.extend_arity(m + 1, 0) for h in I.generators]
-    t = Polynomial.variable(I.field, m + 1, 0)
-    rab = Polynomial.constant(I.field, m + 1, 1) - t * g.extend_arity(m + 1, 0)
-    return _eliminate_leading(
-        Ideal(lifted + [rab], field=I.field, arity=m + 1), 1, range(1, m + 1))
+    `_eliminate_leading` eliminates it.
+
+    I and g may also be two ideals and two polynomials of one ring: the
+    two saturations are then the lanes of one `buchberger` run, which
+    raises `LaneDivergence` when their leads part, and the result gives
+    the leads that both share, nothing else."""
+    lanes = [(I, g)] if isinstance(I, Ideal) else list(zip(I, g))
+    rabinowitsch = []
+    for I, g in lanes:
+        if g.is_zero():
+            raise PreconditionError("cannot saturate by the zero polynomial")
+        if g.field != I.field or g.arity != I.arity:
+            raise ValueError("polynomial from a different ring")
+        m = I.arity
+        lifted = [h.extend_arity(m + 1, 0) for h in I.generators]
+        t = Polynomial.variable(I.field, m + 1, 0)
+        rab = (Polynomial.constant(I.field, m + 1, 1)
+               - t * g.extend_arity(m + 1, 0))
+        rabinowitsch.append(Ideal(lifted + [rab], field=I.field,
+                                  arity=m + 1))
+    return _eliminate_leading(rabinowitsch[0] if len(lanes) == 1
+                              else rabinowitsch, 1, range(1, m + 1))
 
 
 def intersect(I: Ideal, J: Ideal) -> GroebnerBasis:

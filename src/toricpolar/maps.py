@@ -24,7 +24,14 @@ coordinates, restricted to n-j random linear forms (one echelon form mod p;
 its free variables are the j+1 coordinates), a saturation by one further
 random coordinate combination to excise the base locus, and Hilbert-series
 degree extraction.  Independent trials with fresh randomness must agree,
-otherwise a SpecializationError names the slices that disagree.  A d_n = 0
+otherwise a SpecializationError names the slices that disagree.  The
+trials of one j are saturated two at a time, as the two lanes of one
+Gröbner basis run (`groebner.buchberger`): the lanes share the run's
+pairs and leads, and a run that ends gives the leads of each trial's own
+basis, so both trials' degrees come from one Hilbert series.  A pair of
+trials whose leads part during the run is run again, each trial alone;
+either way each trial has its own outcome, and agreement is checked
+trial by trial.  A d_n = 0
 is checked against the Jacobian of the coordinates at one random point:
 full rank there proves the map dominant, and the result is rejected.
 """
@@ -36,7 +43,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import _kernel_py, groebner
-from .errors import PreconditionError, SpecializationError, ToricPolarError
+from .errors import (LaneDivergence, PreconditionError, SpecializationError,
+                     ToricPolarError)
 from .field import DEFAULT_PRIME, PrimeField, is_prime
 from .gcdtools import _coprime_on_line, _running_gcd, squarefree_part
 from .groebner import Ideal, _hilbert_data, projective_dimension, saturate
@@ -299,10 +307,11 @@ def _restrict_to_subspace(polys: list[Polynomial],
             for terms in restricted]
 
 
-def _slice_degree(phi: RationalMapSpec, j: int, seed: int, trial: int) -> int:
-    """Degree of the saturated slice computing d_j, 1 <= j <= n, for one
-    trial; the free variables of the echelon form of the n-j linear forms
-    are its j+1 coordinates."""
+def _draw_slice(phi: RationalMapSpec, j: int, seed: int, trial: int):
+    """The ideal of the slice computing d_j, 1 <= j <= n, in one trial,
+    the form that saturates it and the trial's sub-seed; the free
+    variables of the echelon form of the n-j linear forms are its j+1
+    coordinates."""
     sub = derive_seed(seed, j, trial)
     rng = random.Random(sub)
     fld = phi.field
@@ -318,13 +327,18 @@ def _slice_degree(phi: RationalMapSpec, j: int, seed: int, trial: int) -> int:
     if saturant.is_zero():
         raise SpecializationError("saturating combination vanished on the "
                                   "slice", (sub,))
-    arity = saturant.arity
-    # the coordinates are forms of one degree (RationalMapSpec checks), so
-    # are the restricted pullbacks and the saturant, and the saturation of
-    # a homogeneous ideal by a form is homogeneous: its Hilbert data are
-    # those of its grevlex leads, read without the tail pass
-    sat = saturate(Ideal(gens, field=fld, arity=arity), saturant)
-    data = _hilbert_data(sat.leading_exponents(), arity)
+    return Ideal(gens, field=fld, arity=saturant.arity), saturant, sub
+
+
+def _degree(sat: groebner.GroebnerBasis, sub: int) -> int:
+    """The degree of a saturated slice, 0 when it is empty; a slice of
+    positive dimension raises `SpecializationError` naming `sub`.
+
+    The coordinates are forms of one degree (RationalMapSpec checks), so
+    are the restricted pullbacks and the saturant, and the saturation of a
+    homogeneous ideal by a form is homogeneous: its Hilbert data are those
+    of its grevlex leads, read without the tail pass."""
+    data = _hilbert_data(sat.leading_exponents(), sat.arity)
     if data.projective_dimension == -1:
         return 0
     if data.projective_dimension != 0:
@@ -332,6 +346,57 @@ def _slice_degree(phi: RationalMapSpec, j: int, seed: int, trial: int) -> int:
             f"slice has projective dimension {data.projective_dimension}, "
             "expected 0", (sub,))
     return data.degree
+
+
+def _slice_degree(phi: RationalMapSpec, j: int, seed: int, trial: int) -> int:
+    """Degree of the saturated slice computing d_j, 1 <= j <= n, for one
+    trial, alone: one lane."""
+    I, g, sub = _draw_slice(phi, j, seed, trial)
+    return _degree(saturate(I, g), sub)
+
+
+def _slice_degrees(phi: RationalMapSpec, j: int, seed: int,
+                   trials: int) -> list:
+    """The outcome of each trial of the slice computing d_j: its degree,
+    or the `ToricPolarError` that it raised.
+
+    Each trial draws its slice as `_slice_degree` does.  The trials go two
+    by two, (0, 1), (2, 3), ..., an odd last one alone, and the drawn
+    slices of a pair are saturated as the two lanes of one `saturate`,
+    whose leads both lanes share.  A pair whose lanes part
+    (`LaneDivergence`) runs again, each trial alone (`_slice_degree`), so
+    every outcome is the one that trial gives alone."""
+    outcomes = [None] * trials
+    for first in range(0, trials, 2):
+        run = []
+        for t in range(first, min(first + 2, trials)):
+            try:
+                run.append((t, *_draw_slice(phi, j, seed, t)))
+            except ToricPolarError as exc:
+                outcomes[t] = exc
+        if not run:
+            continue
+        try:
+            sat = saturate(*zip(*[(I, g) for _, I, g, _ in run]))
+        except LaneDivergence:
+            for t, _, _, _ in run:
+                outcomes[t] = _outcome(_slice_degree, phi, j, seed, t)
+            continue
+        except ToricPolarError as exc:
+            for t, _, _, _ in run:
+                outcomes[t] = exc
+            continue
+        for t, _, _, sub in run:
+            outcomes[t] = _outcome(_degree, sat, sub)
+    return outcomes
+
+
+def _outcome(slice_fn, *args):
+    """slice_fn(*args), or the `ToricPolarError` that it raised."""
+    try:
+        return slice_fn(*args)
+    except ToricPolarError as exc:
+        return exc
 
 
 def _base_dimension(phi: RationalMapSpec) -> int:
@@ -402,9 +467,14 @@ def multidegrees(phi: RationalMapSpec,
     (`_base_dimension`).  Each
     trial slices the remaining j, each (j, trial) with its own
     deterministic sub-seed, so results are reproducible; when no j is
-    left, there is one outcome, whatever the number of trials.  All trials
-    must agree with trial 0; the error names each slice that differs as
-    (j, trial, sub-seed), in trial 0 and in the first trial that differs.
+    left, there is one outcome, whatever the number of trials.  The
+    slices go by j, each j's trials two at a time as the lanes of one
+    saturation (`_slice_degrees`), but each outcome is the one that trial
+    gives alone, and the first failure raised is the one of the trial by
+    trial order: trial 0 at each j, then trial 1, and so on.  A failure of
+    trial 0 ends the slicing.  All trials must agree with trial 0; the
+    error names each slice that differs as (j, trial, sub-seed), in trial
+    0 and in the first trial that differs.
     """
     if cfg is None:
         cfg = RandomizationConfig(prime=phi.field.p)
@@ -414,9 +484,20 @@ def multidegrees(phi: RationalMapSpec,
     top = phi.n - 1 - _base_dimension(phi)
     certified = (1, *(phi.coordinate_degree ** j for j in range(1, top + 1)))
     sliced = range(top + 1, phi.n + 1)
-    outcomes = [(*certified, *(_slice_degree(phi, j, cfg.seed, trial)
-                               for j in sliced))
-                for trial in range(cfg.trials if sliced else 1)]
+    # by j, each j's outcome in every trial; a failure of trial 0 is the
+    # first raised in trial order, so the later j are not sliced
+    columns = []
+    for j in sliced:
+        columns.append(_slice_degrees(phi, j, cfg.seed, cfg.trials))
+        if isinstance(columns[-1][0], ToricPolarError):
+            break
+    outcomes = []
+    for trial in range(cfg.trials if sliced else 1):
+        row = [column[trial] for column in columns]
+        for x in row:
+            if isinstance(x, ToricPolarError):
+                raise x
+        outcomes.append((*certified, *row))
     vec = outcomes[0]
     for trial, other in enumerate(outcomes[1:], 1):
         slices = [(j, t, derive_seed(cfg.seed, j, t))

@@ -34,13 +34,13 @@ CFG = RandomizationConfig(seed=7)
 def certified(phi, cfg=CFG):
     """The multidegrees of phi and the j in 1..n that they do not slice."""
     sliced = set()
-    real = maps._slice_degree
+    real = maps._slice_degrees
 
-    def recording(phi, j, seed, trial):
+    def recording(phi, j, seed, trials):
         sliced.add(j)
-        return real(phi, j, seed, trial)
+        return real(phi, j, seed, trials)
 
-    with mock.patch.object(maps, "_slice_degree", recording):
+    with mock.patch.object(maps, "_slice_degrees", recording):
         values = multidegrees(phi, cfg).values
     return values, [j for j in range(1, phi.n + 1) if j not in sliced]
 
@@ -53,8 +53,8 @@ def check_certificate(phi, cfg=CFG):
     d = phi.coordinate_degree
     for j in js:
         assert values[j] == d ** j
-        for trial in range(cfg.trials):
-            assert maps._slice_degree(phi, j, cfg.seed, trial) == d ** j
+        assert (maps._slice_degrees(phi, j, cfg.seed, cfg.trials)
+                == [d ** j] * cfg.trials)
     return len(js)
 
 
@@ -142,7 +142,7 @@ def test_cubic_threefold_translate_is_not_sliced(monkeypatch):
     """The toric map of a general translate of the Fermat cubic threefold
     has no base locus, so every d_j is certified and nothing is sliced."""
     calls = []
-    monkeypatch.setattr(maps, "_slice_degree",
+    monkeypatch.setattr(maps, "_slice_degrees",
                         lambda *args: calls.append(args))
     phi = toric_polar_map(random_translate(fermat(3, 5), 5))
     assert multidegrees(phi).values == (1, 3, 9, 27, 81)

@@ -241,10 +241,10 @@ def test_trial_disagreement_raises(monkeypatch):
     """Only the slices that differ from trial 0 are named, for trial 0 and
     for the first trial that disagrees."""
 
-    def fickle(phi, j, seed, trial):
-        return 3 if j == 1 else 2 + (trial == 2)
+    def fickle(phi, j, seed, trials):
+        return [3 if j == 1 else 2 + (trial == 2) for trial in range(trials)]
 
-    monkeypatch.setattr(maps, "_slice_degree", fickle)
+    monkeypatch.setattr(maps, "_slice_degrees", fickle)
     with pytest.raises(SpecializationError) as err:
         multidegrees(toric_polar_map(P(CUSP)),
                      RandomizationConfig(seed=CFG.seed, trials=3))
@@ -292,17 +292,22 @@ def test_multidegrees_run_no_tail_pass(monkeypatch, poly, values):
 
 def test_slices_start_at_j_1(monkeypatch):
     """d_0 is 1 by definition and d_1 = 3 is certified, since the base
-    locus of the cusp map is finite: no trial slices them."""
-    calls = []
-    real = maps._slice_degree
+    locus of the cusp map is finite: no trial slices them.  Both trials of
+    d_2 run as the lanes of one saturation, which no lane leaves, so no
+    trial is sliced alone."""
+    calls, alone = [], []
+    real = maps._slice_degrees
 
-    def recording(phi, j, seed, trial):
-        calls.append((j, trial))
-        return real(phi, j, seed, trial)
+    def recording(phi, j, seed, trials):
+        calls.append((j, trials))
+        return real(phi, j, seed, trials)
 
-    monkeypatch.setattr(maps, "_slice_degree", recording)
+    monkeypatch.setattr(maps, "_slice_degrees", recording)
+    monkeypatch.setattr(maps, "_slice_degree",
+                        lambda *args: alone.append(args))
     assert multidegrees(toric_polar_map(P(CUSP)), CFG).values == (1, 3, 2)
-    assert calls == [(2, 0), (2, 1)]
+    assert calls == [(2, 2)]
+    assert alone == []
 
 
 def test_config_prime_must_match():
@@ -388,8 +393,9 @@ def test_monomial_pullback_preserves_topological_degree():
 def test_one_block_order_basis_per_slice(monkeypatch):
     """One grevlex basis of the coordinates gives the base locus, a curve
     for Cremona n = 3, so d_1 is certified.  Each slice j = 2, 3 then
-    computes one Gröbner basis, the block-order one inside `saturate`;
-    Hilbert extraction reuses it instead of a grevlex basis."""
+    computes one Gröbner basis, the block-order one inside `saturate`,
+    whose two lanes are the two trials; Hilbert extraction reuses it
+    instead of a grevlex basis."""
     import toricpolar.groebner as groebner
     from toricpolar.constructions import cremona_poly
 
@@ -404,7 +410,7 @@ def test_one_block_order_basis_per_slice(monkeypatch):
     monkeypatch.setattr(groebner, "buchberger", counting)
     md = multidegrees(phi, CFG)
     assert md.values == (1, 3, 3, 1)
-    assert orders == ["grevlex"] + ["block"] * (2 * CFG.trials)
+    assert orders == ["grevlex"] + ["block"] * 2
 
 
 # --- the linear restriction of a slice ----------------------------------------

@@ -292,16 +292,17 @@ def test_widening_with_live_pairs_matches_tuple_criteria():
 
 
 def test_pair_counts_of_a_verify_pass():
-    """One in-process `verify` pass reduces these pairs.  The update on
-    exponent tuples reduces the same 2098 pairs: none of the bases of this
-    pass has a degree whose complete-intersection bound leaves out a pair.
-    The pass runs without TORICPOLAR_DEBUG, whose cross-check of the
-    base-locus strata adds the pairs of a basis of the coordinates."""
+    """One in-process `verify` pass reduces these pairs.  The two trials
+    of each slice are the lanes of one basis, whose pairs are reduced once
+    for both; with each trial alone the pass reduced 2098 pairs, 1016 of
+    them to nonzero remainders, the same pairs as the update on exponent
+    tuples.  The pass runs without TORICPOLAR_DEBUG, whose cross-check of
+    the base-locus strata adds the pairs of a basis of the coordinates."""
     with mock.patch.object(groebner, "_DEBUG_CHECK_BASES", False), \
             PairLog() as log:
         results = verify_propositions(RandomizationConfig(seed=0))
     assert all(r.passed for r in results)
-    assert (len(log.pairs), log.nonzero) == (2098, 1016)
+    assert (len(log.pairs), log.nonzero) == (1231, 579)
 
 
 def test_pair_counts_of_the_quartic_translate_base_ideal():
@@ -322,10 +323,12 @@ def test_pair_counts_of_the_quartic_translate_base_ideal():
 
 
 def test_pair_counts_of_cremona_4():
+    """The two trials of each slice reduce one basis's pairs as its two
+    lanes (206 pairs, 98 nonzero, when each trial ran alone)."""
     with PairLog() as log:
         values = multidegrees(toric_polar_map(cremona_poly(4))).values
     assert values == (1, 4, 6, 4, 1)
-    assert (len(log.pairs), log.nonzero) == (206, 98)
+    assert (len(log.pairs), log.nonzero) == (105, 49)
 
 
 def rows_against_heap(gens):
